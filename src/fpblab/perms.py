@@ -18,12 +18,9 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-PATTERNS = ("123", "132", "213", "231", "312", "321")
+from .config import budgets
 
-# Enumeration refuses above these lengths (12! is out of desk range; the
-# Catalan classes stay tractable through n = 12). Overridable via config.
-DEFAULT_AVOIDER_ENUM_CAP = 12
-DEFAULT_PLAIN_ENUM_CAP = 10
+PATTERNS = ("123", "132", "213", "231", "312", "321")
 
 
 class EnumerationCapError(ValueError):
@@ -230,8 +227,13 @@ def symmetry(sigma: Sequence[int], kind: str) -> tuple[int, ...]:
     raise ValueError(f"unknown symmetry kind {kind!r}")
 
 
-def enumerate_permutations(n: int, cap: int = DEFAULT_PLAIN_ENUM_CAP) -> Iterator[tuple[int, ...]]:
-    """All of S_n in lexicographic order. Refuses n above the cap (default 10)."""
+def enumerate_permutations(n: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:
+    """
+    All of S_n in lexicographic order. Refuses n above the cap, by default
+    the `enum_plain` budget (see config).
+    """
+    if cap is None:
+        cap = budgets()["enum_plain"]
     if n > cap:
         raise EnumerationCapError(
             f"unrestricted enumeration capped at n={cap} ({cap}! permutations); "
@@ -338,20 +340,20 @@ def _gen_231_avoiders(n: int) -> list[tuple[int, ...]]:
     return gen(n)
 
 
-def enumerate_avoiders(
-    n: int, tau: str | None = None, cap: int = DEFAULT_AVOIDER_ENUM_CAP
-) -> Iterator[tuple[int, ...]]:
+def enumerate_avoiders(n: int, tau: str | None = None, cap: int | None = None) -> Iterator[tuple[int, ...]]:
     """
     Yield each member of S_n(tau) exactly once (all of S_n when tau is None).
 
-    Pattern classes are generated directly (Catalan-many objects), so n up
-    to the cap (default 12) is fine; unrestricted enumeration delegates to
-    `enumerate_permutations` with its own, lower cap.
+    Pattern classes are generated directly (Catalan-many objects), up to the
+    cap, by default the `enum` budget (see config); unrestricted enumeration
+    delegates to `enumerate_permutations` with its own, lower cap.
     """
     if tau is None:
         yield from enumerate_permutations(n)
         return
     tau = check_pattern(tau)
+    if cap is None:
+        cap = budgets()["enum"]
     if n > cap:
         raise EnumerationCapError(
             f"avoider enumeration capped at n={cap}; got n={n}. "

@@ -266,7 +266,7 @@ def uniform_avoider(n: int, tau: str, rng: RandomSource) -> tuple[int, ...]:
 
     Patterns 231 and 312 are refused: no polynomial sampler is provided for
     them (their generating function is out of the lab's exact toolkit), use
-    `enumerate_avoiders` at n <= 12 instead.
+    `enumerate_avoiders` within the `enum` budget instead.
     """
     tau = check_pattern(tau)
     if n < 1:

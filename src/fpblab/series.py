@@ -5,20 +5,34 @@ Everything here is driven by one bivariate generating function: for any of
 the three patterns 132, 321, 213, the total weight of avoiders of length n
 with bias q on fixed points has generating function
 
-    G(z, q) = 2 / (1 + 2(1-q)z + sqrt(1-4z)),
+    G(z, q) = 2 / (1 + 2(1-q)z + sqrt(1-4z)).
 
-so with s = series of sqrt(1-4z) (s_0 = 1, s_j = -2*Catalan(j-1)) the
-length-n weights satisfy the convolution recurrence
+Multiplying numerator and denominator by the conjugate clears the square
+root (the rationalization of a square-root singularity; Flajolet and
+Sedgewick, Analytic Combinatorics, 2009, ch. VII):
 
-    2*g_n = -2(1-q)*g_{n-1} - sum_{j=1..n} s_j * g_{n-j},
+    G(z, q) = (C(z) + 1 - q) / ((2 - q) + (1 - q)^2 z),
 
-equivalently  g_n = (q-1)*g_{n-1} + sum_{j=1..n} Catalan(j-1)*g_{n-j}.
+with C the Catalan series, so for n >= 1
 
-This recurrence is used both with polynomial arithmetic in q (exact-poly
-mode) and at a fixed rational q (exact-eval mode). The column route
-extracts the per-fixed-point-count coefficients a[k][n] from
-alpha*A_k = 2z*A_{k-1} with alpha = 1 + 2z + sqrt(1-4z); both routes are
-validated against exhaustive enumeration in the tests.
+    (2 - q) g_n = Catalan(n) - (1 - q)^2 g_{n-1}.
+
+At q = 2 the constant term of the denominator vanishes; there G = C^2 and
+g_n = Catalan(n+1). Every exact engine runs this first-order recurrence:
+
+- normalizations at a rational q = a/b: on U_n = g_n b^n the recurrence
+  reads (2b-a) U_n = Catalan(n) b^(n+1) - (b-a)^2 U_{n-1}, with an exact
+  division; O(n) big-integer operations up to n;
+- factorial moments: [z^n] m! (qz)^m G^(m+1) = q^m g_n^(m)(q), from the
+  m-fold q-derivative (Leibniz) of the recurrence in O(m n) operations; at
+  q = 2 from the ballot coefficients of C^(2m+2) instead;
+- polynomial rows in q: one exact synthetic division by (2 - q) per n,
+  O(n^2) coefficient operations up to n. The division is lower-triangular
+  in the power of q, so rows truncated at k_max give the column table
+  a[k][n] exactly in O(n k_max).
+
+The tests check these engines against the convolution recurrences of the
+square-root form and against exhaustive enumeration.
 
 Unrestricted permutations use the closed form
     total_weight(n, q) = sum_k binom(n,k) * derangements(n-k) * q^k.
@@ -32,7 +46,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 import numpy as np
 
@@ -162,27 +176,33 @@ class SeriesTable:
 
 
 # ---------------------------------------------------------------------------
-# Exact engines (shared incremental caches keyed by the evaluation point)
+# Exact engines (the rationalized closed form)
 # ---------------------------------------------------------------------------
 
-_poly_cache: list[list[int]] = [[1]]  # raw coefficient lists of the length-n weight polynomials
+
+def _next_row(prev: list[int] | tuple[int, ...], cat_n: int, width: int) -> list[int]:
+    """
+    Coefficients 0..width-1 of g_n = (Catalan(n) - (1-q)^2 g_{n-1}) / (2-q).
+
+    Dividing by 2 - q from the constant term up gives r_k = (p_k + r_{k-1}) / 2,
+    with p_k the q^k coefficient of the numerator. Every r_k is an integer, and
+    r_k depends on p_0..p_k alone, so a row truncated at any width is exact.
+    """
+    pp = [0, 0, *prev, 0]  # pp[k + 2] = prev[k], zero outside the row
+    row = []
+    r = 0
+    for k in range(width):
+        p = 2 * pp[k + 1] - pp[k] - pp[k + 2]
+        if k == 0:
+            p += cat_n
+        r = (p + r) >> 1
+        row.append(r)
+    return row
 
 
-def _extend_poly_cache(n_max: int) -> None:
-    cat = catalan_numbers(n_max)
-    g = _poly_cache
-    while len(g) <= n_max:
-        n = len(g)
-        acc = [0] * (n + 1)
-        prev = g[n - 1]
-        for k, v in enumerate(prev):  # (q-1) * g_{n-1}
-            acc[k + 1] += v
-            acc[k] -= v
-        for j in range(1, n + 1):  # sum Catalan(j-1) * g_{n-j}
-            c = cat[j - 1]
-            for k, v in enumerate(g[n - j]):
-                acc[k] += c * v
-        g.append(acc)
+# the only series cache: length-n weight polynomials, keyed by n and bounded
+# by the poly budget, because the scalar samplers ask for one row per draw
+_poly_cache: list[QPolynomial] = [QPolynomial((1,))]
 
 
 def avoider_polynomials(n_max: int, budget: int | None = None) -> SeriesTable:
@@ -194,65 +214,50 @@ def avoider_polynomials(n_max: int, budget: int | None = None) -> SeriesTable:
     normalization constant of the biased avoiding measure.
     """
     check_budget("poly", n_max, budget, hint="use avoider_series or avoider_columns at large n")
-    _extend_poly_cache(n_max)
-    vals = [QPolynomial(tuple(c)) for c in _poly_cache[: n_max + 1]]
-    return SeriesTable(mode="exact-poly", values=vals, meta={"function": "avoider-weights"})
-
-
-# fixed-q caches: (num, den) -> {"g": [U_n...], "g2": [...], "g3": [...], "g4": [...]}
-# where U_n = value_n * den^n so every entry is an integer.
-_eval_cache: dict[tuple[int, int], dict[str, list[int]]] = {}
-
-
-def _eval_entry(q: Fraction) -> dict[str, list[int]]:
-    key = (q.numerator, q.denominator)
-    if key not in _eval_cache:
-        _eval_cache[key] = {"g": [1]}
-    return _eval_cache[key]
-
-
-def _extend_eval(q: Fraction, n_max: int) -> list[int]:
-    entry = _eval_entry(q)
-    g = entry["g"]
-    if len(g) > n_max:
-        return g
-    a, b = q.numerator, q.denominator
+    g = _poly_cache
     cat = catalan_numbers(n_max)
-    # weights w_j = Catalan(j-1) * b^j keep U_n = g_n * b^n integral
-    w = entry.setdefault("w", [0, b])  # w[1] = Catalan(0)*b
-    while len(w) <= n_max:
-        j = len(w)
-        w.append(cat[j - 1] * pow(b, j))
     while len(g) <= n_max:
         n = len(g)
-        acc = (a - b) * g[n - 1]
-        for j in range(1, n + 1):
-            acc += w[j] * g[n - j]
-        g.append(acc)
-    return g
+        g.append(QPolynomial(tuple(_next_row(g[-1].coeffs, cat[n], n + 1))))
+    return SeriesTable(mode="exact-poly", values=g[: n_max + 1], meta={"function": "avoider-weights"})
 
 
-def _power_full(q: Fraction, p: int, n_max: int) -> list[int]:
-    # full series of G^p at fixed q, same den^n scaling as the base series
-    if p == 1:
-        return _extend_eval(q, n_max)
-    entry = _eval_entry(q)
-    prev = _power_full(q, p - 1, n_max)
-    g = entry["g"]
-    series = entry.setdefault(f"g{p}", [1])
-    while len(series) <= n_max:
-        m = len(series)
-        series.append(sum(prev[i] * g[m - i] for i in range(m + 1)))
-    return series
+def _scaled_derivatives(q: Fraction, m_max: int, n_max: int) -> list[list[int]]:
+    """
+    d[m][n] = b^n * (d/dq)^m g_n at q = a/b != 2, for m <= m_max and n <= n_max.
+
+    Differentiating (2-q) g_n + (1-q)^2 g_{n-1} = Catalan(n) m times (Leibniz)
+    and scaling by b^(n+1) gives, for n >= 1,
+
+        (2b-a) d[m][n] = [m=0] Catalan(n) b^(n+1) + m b d[m-1][n]
+                         - (b-a)^2 d[m][n-1] + 2m(b-a) b d[m-1][n-1]
+                         - m(m-1) b^2 d[m-2][n-1],
+
+    with d[0][0] = 1. Every d[m][n] is an integer (g_n has integer
+    coefficients and degree n), so each division is exact.
+    """
+    a, b = q.numerator, q.denominator
+    c, s, t = 2 * b - a, (b - a) ** 2, (b - a) * b
+    cat = catalan_numbers(n_max)
+    d = [[0] * (n_max + 1) for _ in range(m_max + 1)]
+    d[0][0] = 1
+    bp = b
+    for n in range(1, n_max + 1):
+        bp *= b  # b^(n+1)
+        d[0][n] = (cat[n] * bp - s * d[0][n - 1]) // c
+        for m in range(1, m_max + 1):
+            acc = m * b * d[m - 1][n] - s * d[m][n - 1] + 2 * m * t * d[m - 1][n - 1]
+            if m >= 2:
+                acc -= m * (m - 1) * b * b * d[m - 2][n - 1]
+            d[m][n] = acc // c
+    return d
 
 
-def _power_coefficient(q: Fraction, p: int, j: int) -> int:
-    # [z^j] G^p, scaled by den^j: dot the two cached half powers so that a
-    # single-coefficient query never builds more full series than needed
-    lo, hi = p // 2, p - p // 2
-    a = _power_full(q, hi, j)
-    b = a if lo == hi else _power_full(q, lo, j)
-    return sum(a[i] * b[j - i] for i in range(j + 1))
+def _scaled_normalizations(q: Fraction, n_max: int) -> list[int]:
+    """U_n = b^n g_n(q) at q = a/b, for n = 0..n_max."""
+    if q == 2:  # G = C^2, so g_n = Catalan(n+1)
+        return catalan_numbers(n_max + 1)[1:]
+    return _scaled_derivatives(q, 0, n_max)[0]
 
 
 def avoider_series(q, n_max: int, budget: int | None = None) -> SeriesTable:
@@ -266,15 +271,32 @@ def avoider_series(q, n_max: int, budget: int | None = None) -> SeriesTable:
     """
     q = as_rational(q)
     check_budget("eval", n_max, budget)
-    g = _extend_eval(q, n_max)
-    b = q.denominator
-    vals = [Fraction(g[n], pow(b, n)) for n in range(n_max + 1)]
+    u, b = _scaled_normalizations(q, n_max), q.denominator
+    vals = [Fraction(u[n], b**n) for n in range(n_max + 1)]
     return SeriesTable(mode="exact-eval", values=vals, meta={"function": "avoider-normalization", "q": str(q)})
 
 
 def avoider_normalization(q, n: int, budget: int | None = None) -> Fraction:
     """Normalization constant of the biased avoiding measure at a single n."""
-    return avoider_series(q, n, budget=budget)[n]
+    q = as_rational(q)
+    check_budget("eval", n, budget)
+    return Fraction(_scaled_normalizations(q, n)[n], q.denominator**n)
+
+
+def _scaled_factorial_moments(m: int, q: Fraction, n_max: int) -> list[int]:
+    """
+    r[n] = b^(n+m) * [z^n] m! (qz)^m G^(m+1) at q = a/b, for n = 0..n_max.
+
+    That coefficient is q^m g_n^(m)(q). At q = 2, where the derivative
+    recurrence would divide by zero, G^(m+1) = C^(2m+2), and powers of the
+    Catalan series have the ballot coefficients [z^j] C^r = r/(2j+r) binom(2j+r, j).
+    """
+    if q == 2:
+        r, scale = 2 * m + 2, factorial(m) * 2**m
+        ballot = [r * comb(2 * j + r, j) // (2 * j + r) for j in range(n_max - m + 1)]
+        return ([0] * m + [scale * v for v in ballot])[: n_max + 1]
+    am = q.numerator**m
+    return [am * v for v in _scaled_derivatives(q, m, n_max)[m]]
 
 
 def factorial_moment_coefficient(m: int, q, n: int, budget: int | None = None) -> Fraction:
@@ -289,21 +311,18 @@ def factorial_moment_coefficient(m: int, q, n: int, budget: int | None = None) -
         raise ValueError("moment order m must be >= 1")
     q = as_rational(q)
     check_budget("eval", n, budget)
-    if n < m:
-        return Fraction(0)
-    scaled = _power_coefficient(q, m + 1, n - m)  # [z^{n-m}] G^{m+1} times den^(n-m)
-    fact = 1
-    for i in range(2, m + 1):
-        fact *= i
-    return fact * q**m * Fraction(scaled, q.denominator ** (n - m))
+    return Fraction(_scaled_factorial_moments(m, q, n)[n], q.denominator ** (n + m))
 
 
 def factorial_moment_series(m: int, q, n_max: int, budget: int | None = None) -> SeriesTable:
     """Table of factorial-moment coefficients for n = 0..n_max at fixed q."""
-    vals = [factorial_moment_coefficient(m, q, n, budget=budget) for n in range(n_max + 1)]
-    return SeriesTable(
-        mode="exact-eval", values=vals, meta={"function": f"factorial-moment-{m}", "q": str(as_rational(q))}
-    )
+    if m < 1:
+        raise ValueError("moment order m must be >= 1")
+    q = as_rational(q)
+    check_budget("eval", n_max, budget)
+    r, b = _scaled_factorial_moments(m, q, n_max), q.denominator
+    vals = [Fraction(r[n], b ** (n + m)) for n in range(n_max + 1)]
+    return SeriesTable(mode="exact-eval", values=vals, meta={"function": f"factorial-moment-{m}", "q": str(q)})
 
 
 def unrestricted_normalization(q, n: int) -> Fraction:
@@ -359,14 +378,12 @@ class ColumnTable:
 
 def avoider_columns(k_max: int, n_max: int, mode: str = "exact", budget: int | None = None) -> ColumnTable:
     """
-    Counts of avoiders by fixed-point number, from the column recurrence.
+    Counts of avoiders by fixed-point number, k = 0..k_max and n = 0..n_max.
 
-    With alpha = 1 + 2z + sqrt(1-4z), the k-th column satisfies
-    alpha*A_k = 2z*A_{k-1} (and alpha*A_0 = 2); coefficientwise that is
-
-        a[k][n] = a[k-1][n-1] + sum_{j=2..n} Catalan(j-1) * a[k][n-j].
-
-    scaled-float mode runs the same recurrence on a[k][n]/4^n.
+    exact mode runs the polynomial-row division of `avoider_polynomials` with
+    every row truncated at k_max, which stays exact because that division is
+    lower-triangular in k: O(n_max * k_max) big-integer operations.
+    scaled-float mode runs the positive column recurrence on a[k][n]/4^n.
     """
     if k_max > n_max:
         raise ValueError("k_max cannot exceed n_max (no length-n permutation has more than n fixed points)")
@@ -374,18 +391,10 @@ def avoider_columns(k_max: int, n_max: int, mode: str = "exact", budget: int | N
         check_budget("columns", k_max, budget, hint="use scaled-float mode for large tables")
         check_budget("eval", n_max)
         cat = catalan_numbers(n_max)
-        cols: list[list[int]] = []
-        for k in range(k_max + 1):
-            col = [0] * (n_max + 1)
-            for n in range(n_max + 1):
-                acc = 0
-                if k == 0 and n == 0:
-                    acc = 1
-                if k > 0 and n > 0:
-                    acc = cols[k - 1][n - 1]
-                acc += sum(cat[j - 1] * col[n - j] for j in range(2, n + 1))
-                col[n] = acc
-            cols.append(col)
+        rows = [[1]]
+        for n in range(1, n_max + 1):
+            rows.append(_next_row(rows[-1], cat[n], min(n, k_max) + 1))
+        cols = [[row[k] if k < len(row) else 0 for row in rows] for k in range(k_max + 1)]
         return ColumnTable(mode="exact", k_max=k_max, n_max=n_max, exact=cols)
     if mode == "scaled-float":
         scaled = _scaled_weighted_columns(n_max, k_max, q=1.0, base=4.0)
@@ -460,11 +469,17 @@ def _value_to_text(v, csv: bool = False) -> str:
 
 
 def _int_to_str(x: int) -> str:
-    # decimal rendering of very large exact values needs the str-digit guard lifted
+    # decimal rendering of very large exact values needs the str-digit guard
+    # lifted; the previous limit is restored so other code keeps its guard
+    limit = sys.get_int_max_str_digits()
     need = x.bit_length() // 3 + 3
-    if need > sys.get_int_max_str_digits():
-        sys.set_int_max_str_digits(need)
-    return str(x)
+    if limit == 0 or need <= limit:
+        return str(x)
+    sys.set_int_max_str_digits(need)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def table_to_json(table: SeriesTable) -> str:

@@ -172,3 +172,13 @@ def test_budget_env_cli(capsys, monkeypatch):
     monkeypatch.setenv("FPBL_BUDGET", "poly=3")
     code, _, err = run_cli(capsys, "count", "--tau", "321", "--n", "10")
     assert code == 2 and "budget" in err
+
+
+def test_enum_budget_cli(capsys, monkeypatch):
+    monkeypatch.setenv("FPBL_BUDGET", "enum=5")
+    code, _, err = run_cli(capsys, "explore", "--tau", "231", "--n-max", "6")
+    assert code == 2 and "capped at n=5" in err
+    code, _, err = run_cli(capsys, "pmf", "--n", "6", "--q", "2", "--tau", "312")
+    assert code == 2 and "capped at n=5" in err
+    code, _, _ = run_cli(capsys, "explore", "--tau", "231", "--n-max", "5")
+    assert code == 0

@@ -101,6 +101,23 @@ def test_enumeration_caps():
     assert sum(1 for _ in perms.enumerate_avoiders(13, "321", cap=13)) == catalan_numbers(13)[13]
 
 
+def test_enumeration_caps_follow_budget(monkeypatch):
+    # the enum and enum_plain budgets are the caps, lowered or raised
+    monkeypatch.setenv("FPBL_BUDGET", "enum=5,enum_plain=4")
+    assert sum(1 for _ in perms.enumerate_avoiders(5, "231")) == 42
+    with pytest.raises(perms.EnumerationCapError, match="capped at n=5"):
+        list(perms.enumerate_avoiders(6, "231"))
+    assert sum(1 for _ in perms.enumerate_permutations(4)) == 24
+    with pytest.raises(perms.EnumerationCapError, match="capped at n=4"):
+        perms.enumerate_permutations(5)
+    with pytest.raises(perms.EnumerationCapError, match="capped at n=4"):
+        list(perms.enumerate_avoiders(5))
+    # raised caps are honoured too; both enumerators are lazy, so one item is cheap
+    monkeypatch.setenv("FPBL_BUDGET", "enum=13,enum_plain=11")
+    assert perms.avoids(next(perms.enumerate_avoiders(13, "321")), "321")
+    assert len(next(perms.enumerate_permutations(11))) == 11
+
+
 def test_permutation_type_validation():
     p = perms.Permutation((3, 1, 2))
     assert p.n == 3 and p.fixed_points() == 0 and p.avoids("321")

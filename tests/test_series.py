@@ -1,14 +1,153 @@
 """Series engine: recurrences against enumeration oracles and each other."""
+import sys
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
 from fpblab import perms, series
 from fpblab.config import BudgetExceededError
 
+# biases for the oracle comparisons: q = 2 takes the Catalan route, q = 3 is
+# the phase point, and the thirds keep denominators in the scaled recurrences
+ORACLE_QS = tuple(Fraction(q) for q in ("0", "1/2", "1", "2", "3", "7/3", "10/3"))
+# a bias just above 2 with a 10 000-bit denominator: 2b - a = -1 there
+HUGE_Q = 2 + Fraction(1, 2**9999 + 1)
+
 
 def brute_counts(n, tau):
     return perms.fixed_point_counts(perms.enumerate_avoiders(n, tau), n)
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the convolution recurrences that the square-root form
+# G = 2 / (1 + 2(1-q)z + sqrt(1-4z)) gives directly,
+#     g_n = (q-1) g_{n-1} + sum_{j=1..n} Catalan(j-1) g_{n-j},
+# independent of the rationalized closed form the engine runs.
+# ---------------------------------------------------------------------------
+
+
+def _oracle_scaled_series(q, n_max):
+    """U_n = g_n * b^n at q = a/b, all integers (weights Catalan(j-1) * b^j)."""
+    a, b = q.numerator, q.denominator
+    cat = series.catalan_numbers_by_convolution(n_max)
+    w = [0] + [cat[j - 1] * b**j for j in range(1, n_max + 1)]
+    u = [1]
+    for n in range(1, n_max + 1):
+        u.append((a - b) * u[n - 1] + sum(w[j] * u[n - j] for j in range(1, n + 1)))
+    return u
+
+
+def oracle_series(q, n_max):
+    """g_0..g_n_max at a fixed rational q."""
+    q = Fraction(q)
+    u = _oracle_scaled_series(q, n_max)
+    return [Fraction(u[n], q.denominator**n) for n in range(n_max + 1)]
+
+
+def oracle_factorial_moments(m, q, n_max):
+    """
+    [z^n] m! (qz)^m G^(m+1) for n = 0..n_max, with G^(m+1) by repeated
+    convolution of the b^n-scaled series (the scaling is multiplicative).
+    """
+    q = Fraction(q)
+    u = _oracle_scaled_series(q, n_max)
+    power = [1] + [0] * n_max
+    for _ in range(m + 1):
+        power = [sum(power[i] * u[j - i] for i in range(j + 1)) for j in range(n_max + 1)]
+    scale = factorial(m) * q.numerator**m
+    return [Fraction(0) if n < m else Fraction(scale * power[n - m], q.denominator**n) for n in range(n_max + 1)]
+
+
+def oracle_polynomial_rows(n_max):
+    """Coefficient lists of g_n(q) for n = 0..n_max, by the convolution in q."""
+    cat = series.catalan_numbers_by_convolution(n_max)
+    g = [[1]]
+    for n in range(1, n_max + 1):
+        acc = [0] * (n + 1)
+        for k, v in enumerate(g[n - 1]):  # (q-1) * g_{n-1}
+            acc[k + 1] += v
+            acc[k] -= v
+        for j in range(1, n + 1):
+            for k, v in enumerate(g[n - j]):
+                acc[k] += cat[j - 1] * v
+        g.append(acc)
+    return g
+
+
+def oracle_columns(k_max, n_max):
+    """
+    a[k][n] from alpha*A_k = 2z*A_{k-1}, alpha = 1 + 2z + sqrt(1-4z):
+    a[k][n] = a[k-1][n-1] + sum_{j=2..n} Catalan(j-1) a[k][n-j].
+    """
+    cat = series.catalan_numbers_by_convolution(n_max)
+    cols = []
+    for k in range(k_max + 1):
+        col = [0] * (n_max + 1)
+        for n in range(n_max + 1):
+            acc = 1 if k == 0 and n == 0 else 0
+            if k > 0 and n > 0:
+                acc = cols[k - 1][n - 1]
+            col[n] = acc + sum(cat[j - 1] * col[n - j] for j in range(2, n + 1))
+        cols.append(col)
+    return cols
+
+
+def test_series_match_convolution_oracle():
+    for q in ORACLE_QS:
+        expect = oracle_series(q, 60)
+        assert series.avoider_series(q, 60).values == expect, q
+        assert [series.avoider_normalization(q, n) for n in (0, 1, 2, 59, 60)] == [
+            expect[n] for n in (0, 1, 2, 59, 60)
+        ], q
+
+
+def test_polynomial_rows_match_convolution_oracle():
+    table = series.avoider_polynomials(60)
+    expect = oracle_polynomial_rows(60)
+    assert [list(table[n].coeffs) for n in range(61)] == expect
+
+
+def test_factorial_moments_match_power_oracle():
+    for q in ORACLE_QS:
+        for m in (1, 2, 3):
+            expect = oracle_factorial_moments(m, q, 40)
+            assert [series.factorial_moment_coefficient(m, q, n) for n in range(41)] == expect, (q, m)
+            # the table is built once and sliced; it must equal the per-n values
+            assert series.factorial_moment_series(m, q, 40).values == expect, (q, m)
+
+
+def test_huge_denominator_matches_oracle():
+    q = HUGE_Q
+    assert q.denominator.bit_length() == 10_000
+    assert series.avoider_series(q, 20).values == oracle_series(q, 20)
+    for m in (1, 2, 3):
+        expect = oracle_factorial_moments(m, q, 20)
+        assert series.factorial_moment_series(m, q, 20).values == expect, m
+        assert series.factorial_moment_coefficient(m, q, 20) == expect[20], m
+
+
+def test_columns_match_recurrence_oracle():
+    for k_max in (0, 1, 5, 12):
+        assert series.avoider_columns(k_max, 40, mode="exact").exact == oracle_columns(k_max, 40), k_max
+    assert series.avoider_columns(12, 12, mode="exact").exact == oracle_columns(12, 12)
+
+
+def test_lengths_zero_and_one():
+    for q in ORACLE_QS + (HUGE_Q,):
+        assert series.avoider_series(q, 0).values == [1]
+        assert series.avoider_series(q, 1).values == [1, q]
+        assert series.avoider_normalization(q, 0) == 1
+        assert series.avoider_normalization(q, 1) == q
+        for m in (1, 2, 3):
+            assert series.factorial_moment_coefficient(m, q, 0) == 0
+            assert series.factorial_moment_coefficient(m, q, 1) == (q if m == 1 else 0)
+            assert series.factorial_moment_series(m, q, 1).values == [0, q if m == 1 else 0]
+    assert series.avoider_polynomials(0)[0].coeffs == (1,)
+    assert series.avoider_polynomials(1)[1].coeffs == (0, 1)
+    assert series.avoider_columns(0, 0, mode="exact").exact == [[1]]
+    assert series.avoider_columns(0, 1, mode="exact").exact == [[1, 0]]
+    assert series.avoider_columns(1, 1, mode="exact").exact == [[1, 0], [0, 1]]
 
 
 def test_catalan_routes_agree():
@@ -224,3 +363,20 @@ def test_scaled_weight_rows_supercritical_base():
     pmf_exact = [float(Fraction(poly.coefficient(k)) * Fraction(4) ** k / z) for k in range(61)]
     pmf_float = w / w.sum()
     assert max(abs(a - b) for a, b in zip(pmf_exact, pmf_float)) < 1e-12
+
+
+def test_int_to_str_restores_digit_limit():
+    before = sys.get_int_max_str_digits()
+    try:
+        for limit in (4300, 0):  # 0 means no limit
+            sys.set_int_max_str_digits(limit)
+            assert series._int_to_str(10**9000) == "1" + "0" * 9000
+            assert series._int_to_str(-(10**9000)) == "-1" + "0" * 9000
+            assert series._int_to_str(12345) == "12345"
+            assert sys.get_int_max_str_digits() == limit
+        sys.set_int_max_str_digits(4300)
+        table = series.SeriesTable("exact-eval", [Fraction(10**9000, 7)])
+        assert series.table_to_csv(table) == f"n,value,mode\n0,1{'0' * 9000}/7,exact-eval\n"
+        assert sys.get_int_max_str_digits() == 4300
+    finally:
+        sys.set_int_max_str_digits(before)
