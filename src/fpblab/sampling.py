@@ -9,11 +9,15 @@ by stream id. Exact discrete draws (inverse cdf over big-integer weights,
 rational accept/reject) go through `RandomSource.randbelow`, which never
 rounds.
 
-Uniform 321-avoiders come from uniform Dyck paths (cycle-lemma
-construction) through the profile bijection documented in
-docs/dyck_321_bijection.md; 123-avoiders are their reverses, 132-avoiders
-come from the first-return decomposition with exact Catalan split
-probabilities, and 213-avoiders are reverse-complements of 132-avoiders.
+Every uniform avoider is one uniform Dyck path (cycle-lemma construction)
+mapped to a permutation; see docs/dyck_321_bijection.md. 321-avoiders come
+through the profile bijection and 123-avoiders are their reverses;
+132-avoiders come through the first-return decomposition U A D B of the
+path (A is the head above the maximum, B the tail below it), and
+213-avoiders are reverse-complements of 132-avoiders.
+
+Every exact discrete draw over big-integer weights (fixed-point counts,
+the enumeration route) goes through one inverse-cdf helper.
 
 Whole-permutation sampling of biased avoiders is rejection from the
 uniform sampler (accept with probability q^fp, exact), which is only
@@ -26,14 +30,16 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from math import comb
 
 import numpy as np
 
 from . import series
 from .config import budgets
 from .dist import FixedPointPMF, MeasureSpec, Provenance, UnsupportedMeasureError, fp_pmf
-from .perms import check_pattern, enumerate_avoiders, fixed_points, profile_to_perm, symmetry
-from .series import as_rational, catalan_numbers
+from .perms import check_pattern, enumerate_avoiders, fixed_point_counts, fixed_points, profile_to_perm
+from .series import as_rational
 
 _MAX_BATCH_CELLS = 8_000_000  # soft cap on rows*length per vectorized batch
 
@@ -215,6 +221,42 @@ def dyck_to_321_avoider(path: DyckPath) -> tuple[int, ...]:
     return profile_to_perm([int(h) for h in prof])
 
 
+def _perms_132_from_dyck(steps: np.ndarray) -> np.ndarray:
+    """
+    The 132-avoiders of a batch of Dyck paths, (rows, n) int32.
+
+    First-return decomposition U A D B: the first pair takes the maximum,
+    A maps to the head before it (values above B's) and B to the tail. Read
+    flat, the pair of the k-th up-step and its matching down-step, the d-th
+    down-step, puts the value n+1-k at position d. A pair's two steps share
+    the level h (the up-step leaves h, the down-step returns to it), and the
+    steps of one level alternate U, D, U, D, so a stable sort by level puts
+    every up-step right before its match.
+    """
+    rows, two_n = steps.shape
+    n = two_n // 2
+    up = steps > 0
+    level = np.cumsum(steps, axis=1, dtype=np.int32) - up
+    order = np.argsort(level, axis=1, kind="stable")
+    ups = np.cumsum(up, axis=1, dtype=np.int32)
+    up_at, down_at = order[:, 0::2], order[:, 1::2]
+    k = np.take_along_axis(ups, up_at, axis=1)
+    d = down_at - np.take_along_axis(ups, down_at, axis=1)  # 0-based down-step rank
+    sigma = np.empty((rows, n), dtype=np.int32)
+    np.put_along_axis(sigma, d, n + 1 - k, axis=1)
+    return sigma
+
+
+def _avoiders_from_dyck(steps: np.ndarray, tau: str) -> np.ndarray:
+    """Map a batch of Dyck paths to tau-avoiders for tau in {321, 123, 132, 213}."""
+    if tau in ("321", "123"):
+        sigma = _perms_from_profiles(_profiles_from_dyck(steps))
+        return sigma[:, ::-1] if tau == "123" else sigma
+    sigma = _perms_132_from_dyck(steps)
+    # reverse-complement: sigma'_x = n+1 - sigma_{n+1-x}
+    return sigma.shape[1] + 1 - sigma[:, ::-1] if tau == "213" else sigma
+
+
 def _batch_rows(n: int, remaining: int) -> int:
     return max(1, min(remaining, _MAX_BATCH_CELLS // max(2 * n + 1, 1), 200_000))
 
@@ -223,41 +265,14 @@ def _batch_rows(n: int, remaining: int) -> int:
 # Uniform avoider samplers
 # ---------------------------------------------------------------------------
 
-_split_cumulative: dict[int, list[int]] = {}
 
-
-def _catalan_split(m: int, rng: RandomSource) -> int:
-    """Draw j in 0..m-1 with probability Catalan(j)*Catalan(m-1-j)/Catalan(m)."""
-    cum = _split_cumulative.get(m)
-    if cum is None:
-        cat = catalan_numbers(m)
-        acc = 0
-        cum = []
-        for j in range(m):
-            acc += cat[j] * cat[m - 1 - j]
-            cum.append(acc)
-        _split_cumulative[m] = cum
-    u = rng.randbelow(cum[-1])
-    return bisect.bisect_right(cum, u)
-
-
-def _uniform_132(n: int, rng: RandomSource) -> tuple[int, ...]:
-    # first-return decomposition, iterative to avoid recursion limits
-    out: list[int] = []
-    stack: list[tuple[int, int]] = [(n, 0)]  # (segment size, value offset); (-1, v) emits v
-    while stack:
-        m, off = stack.pop()
-        if m == -1:
-            out.append(off)
-            continue
-        if m == 0:
-            continue
-        j = _catalan_split(m, rng)
-        # emit head (top j values), then the maximum, then the tail
-        stack.append((m - 1 - j, off))
-        stack.append((-1, off + m))
-        stack.append((j, off + m - 1 - j))
-    return tuple(out)
+def _dyck_pattern(tau: str) -> str:
+    tau = check_pattern(tau)
+    if tau not in ("321", "132", "213", "123"):
+        raise UnsupportedMeasureError(
+            f"no uniform sampler for pattern {tau}; enumerate at n <= {budgets()['enum']} instead"
+        )
+    return tau
 
 
 def uniform_avoider(n: int, tau: str, rng: RandomSource) -> tuple[int, ...]:
@@ -268,40 +283,63 @@ def uniform_avoider(n: int, tau: str, rng: RandomSource) -> tuple[int, ...]:
     them (their generating function is out of the lab's exact toolkit), use
     `enumerate_avoiders` within the `enum` budget instead.
     """
-    tau = check_pattern(tau)
+    tau = _dyck_pattern(tau)
     if n < 1:
         raise ValueError("n must be >= 1")
-    if tau == "321":
-        return tuple(int(v) for v in _perms_from_profiles(
-            _profiles_from_dyck(_batch_dyck_steps(n, 1, rng.generator)))[0])
-    if tau == "123":
-        return tuple(int(v) for v in _perms_from_profiles(
-            _profiles_from_dyck(_batch_dyck_steps(n, 1, rng.generator)))[0][::-1])
-    if tau == "132":
-        return _uniform_132(n, rng)
-    if tau == "213":
-        return symmetry(_uniform_132(n, rng), "reverse_complement")
-    raise UnsupportedMeasureError(
-        f"no uniform sampler for pattern {tau}; enumerate at n <= {budgets()['enum']} instead"
-    )
+    steps = _batch_dyck_steps(n, 1, rng.generator)
+    return tuple(int(v) for v in _avoiders_from_dyck(steps, tau)[0])
 
 
 def uniform_avoider_fp_batch(n: int, tau: str, count: int, rng: RandomSource) -> np.ndarray:
-    """Fixed-point counts of `count` uniform tau-avoiders (vectorized for 321/123)."""
-    tau = check_pattern(tau)
-    if tau in ("321", "123"):
-        out = np.empty(count, dtype=np.int64)
-        done = 0
-        while done < count:
-            b = _batch_rows(n, count - done)
+    """Fixed-point counts of `count` uniform tau-avoiders, drawn in vectorized batches."""
+    tau = _dyck_pattern(tau)
+    out = np.empty(count, dtype=np.int64)
+    done = 0
+    while done < count:
+        b = _batch_rows(n, count - done)
+        # drop each batch's paths as soon as they are mapped: kept alive through
+        # the count, they cost ~40% more page faults per batch at n = 1000
+        if tau in ("321", "123"):
             prof = _profiles_from_dyck(_batch_dyck_steps(n, b, rng.generator))
             out[done : done + b] = _fp_from_profiles(prof, reverse=(tau == "123"))
-            done += b
-        return out
-    if tau in ("132", "213"):
-        # reverse-complement preserves fixed points, so one sampler serves both
-        return np.array([fixed_points(_uniform_132(n, rng)) for _ in range(count)], dtype=np.int64)
-    raise UnsupportedMeasureError(f"no uniform sampler for pattern {tau}")
+        else:
+            # reverse-complement preserves fixed points, so 213 counts those of 132
+            sigma = _perms_132_from_dyck(_batch_dyck_steps(n, b, rng.generator))
+            out[done : done + b] = (sigma == np.arange(1, n + 1)).sum(axis=1)
+        done += b
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Exact discrete draws over big-integer weights
+# ---------------------------------------------------------------------------
+
+
+def _bias(q) -> Fraction:
+    """The exact bias q; refused unless positive, as in `MeasureSpec`."""
+    q = as_rational(q)
+    if q <= 0:
+        raise ValueError("bias parameter q must be positive")
+    return q
+
+
+def _bias_weights(counts: list[int], q: Fraction) -> list[int]:
+    """Integer weights c_k a^k b^(n-k), proportional to c_k q^k for q = a/b."""
+    n = len(counts) - 1
+    a, b = q.numerator, q.denominator
+    return [c * a**k * b ** (n - k) for k, c in enumerate(counts)]
+
+
+def _inverse_cdf(weights: list[int], count: int, rng: RandomSource) -> np.ndarray:
+    """`count` exact draws of k with probability weights[k] / sum(weights)."""
+    total = sum(weights)
+    if total < 2**63:
+        cum = np.cumsum(np.array(weights, dtype=np.uint64))
+        draws = rng.generator.integers(0, total, size=count, dtype=np.uint64)
+        return np.searchsorted(cum, draws, side="right").astype(np.int64)
+    cum_list = list(accumulate(weights))
+    return np.array([bisect.bisect_right(cum_list, rng.randbelow(total)) for _ in range(count)],
+                    dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -310,63 +348,31 @@ def uniform_avoider_fp_batch(n: int, tau: str, count: int, rng: RandomSource) ->
 
 
 def _unrestricted_integer_weights(n: int, q: Fraction) -> list[int]:
-    a, b = q.numerator, q.denominator
     d = series.derangement_numbers(n)
-    from math import comb
-
-    return [comb(n, k) * d[n - k] * a**k * b ** (n - k) for k in range(n + 1)]
+    return _bias_weights([comb(n, k) * d[n - k] for k in range(n + 1)], q)
 
 
 def sample_biased_unrestricted(n: int, q, rng: RandomSource) -> tuple[int, ...]:
-    """
-    One permutation distributed exactly under the bias-q measure on S_n.
-
-    Construction: draw the number of fixed points K by exact inverse cdf
-    over the integer weights binom(n,k) D_{n-k} a^k b^{n-k}; pick a uniform
-    K-subset as the fixed-point set; place a uniform derangement on the
-    complement by reshuffling until no element is fixed (expected ~e tries).
-    """
-    q = as_rational(q)
+    """One permutation under the bias-q measure on S_n: row 0 of the batch sampler."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    w = _unrestricted_integer_weights(n, q)
-    cum = [0]
-    for x in w:
-        cum.append(cum[-1] + x)
-    u = rng.randbelow(cum[-1])
-    k = bisect.bisect_right(cum, u) - 1
-    order = [int(v) for v in rng.generator.permutation(n)]
-    fixed = order[:k]
-    rest = order[k:]
-    sigma = [0] * n
-    for p in fixed:
-        sigma[p] = p + 1
-    if rest:
-        vals = list(rest)
-        while True:
-            vals = [int(v) for v in rng.generator.permutation(np.array(vals))]
-            if all(v != p for v, p in zip(vals, rest)):
-                break
-        for p, v in zip(rest, vals):
-            sigma[p] = v + 1
-    return tuple(sigma)
+    return tuple(int(v) for v in sample_biased_unrestricted_batch(n, q, rng, 1)[0])
 
 
 def sample_biased_unrestricted_batch(n: int, q, rng: RandomSource, count: int) -> np.ndarray:
-    """Vectorized version of `sample_biased_unrestricted`; (count, n) int32."""
-    q = as_rational(q)
-    w = _unrestricted_integer_weights(n, q)
-    total = sum(w)
+    """
+    `count` permutations distributed exactly under the bias-q measure on
+    S_n, as a (count, n) int32 array.
+
+    Construction: draw the number of fixed points K by exact inverse cdf
+    over the integer weights binom(n,k) D_{n-k} a^k b^{n-k}; take a uniform
+    K-subset as the fixed-point set; place a uniform derangement on the
+    complement by reshuffling the rows that still fix a point (expected ~e
+    tries).
+    """
+    q = _bias(q)
+    ks = _inverse_cdf(_unrestricted_integer_weights(n, q), count, rng)
     gen = rng.generator
-    if total < 2**63:
-        cum = np.cumsum(np.array(w, dtype=np.uint64))
-        draws = gen.integers(0, total, size=count, dtype=np.uint64)
-        ks = np.searchsorted(cum, draws, side="right")
-    else:
-        cum_list = [0]
-        for x in w:
-            cum_list.append(cum_list[-1] + x)
-        ks = np.array([bisect.bisect_right(cum_list, rng.randbelow(total)) - 1 for _ in range(count)])
     perm_rows = np.tile(np.arange(n, dtype=np.int32), (count, 1))
     perm_rows = gen.permuted(perm_rows, axis=1)
     sigma = np.zeros((count, n), dtype=np.int32)
@@ -396,20 +402,17 @@ def sample_biased_unrestricted_batch(n: int, q, rng: RandomSource, count: int) -
 
 
 def _avoider_integer_weights(n: int, q: Fraction, tau: str) -> list[int]:
-    a, b = q.numerator, q.denominator
     caps = budgets()
     if tau in series.TAU_CLASS and n <= caps["poly"]:
         poly = series.avoider_polynomials(n)[n]
         counts = [poly.coefficient(k) for k in range(n + 1)]
     elif n <= caps["enum"]:
-        from .perms import fixed_point_counts
-
         counts = fixed_point_counts(enumerate_avoiders(n, tau), n)
     else:
         raise UnsupportedMeasureError(
             f"no exact weights for pattern {tau} at n={n} (enumeration cap {caps['enum']})"
         )
-    return [c * a**k * b ** (n - k) for k, c in enumerate(counts)]
+    return _bias_weights(counts, q)
 
 
 def sample_fp_count(n: int, q, tau: str, rng: RandomSource, mode: str = "exact") -> int:
@@ -423,26 +426,16 @@ def sample_fp_count(n: int, q, tau: str, rng: RandomSource, mode: str = "exact")
 
 def sample_fp_count_batch(n: int, q, tau: str, rng: RandomSource, count: int,
                           mode: str = "exact") -> np.ndarray:
-    q = as_rational(q)
+    q = _bias(q)
     tau = check_pattern(tau)
-    gen = rng.generator
     if mode == "exact":
-        w = _avoider_integer_weights(n, q, tau)
-        total = sum(w)
-        if total < 2**63:
-            cum = np.cumsum(np.array(w, dtype=np.uint64))
-            draws = gen.integers(0, total, size=count, dtype=np.uint64)
-            return np.searchsorted(cum, draws, side="right").astype(np.int64)
-        cum_list = [0]
-        for x in w:
-            cum_list.append(cum_list[-1] + x)
-        return np.array([bisect.bisect_right(cum_list, rng.randbelow(total)) - 1 for _ in range(count)])
+        return _inverse_cdf(_avoider_integer_weights(n, q, tau), count, rng)
     if mode == "scaled-float":
         pmf = fp_pmf(MeasureSpec(n, q, tau), mode="scaled-float")
         ks = np.array(pmf.support)
         cdf = np.cumsum([pmf.weights[k] for k in pmf.support])
         cdf[-1] = 1.0
-        u = gen.random(count)
+        u = rng.generator.random(count)
         return ks[np.searchsorted(cdf, u, side="right")]
     raise ValueError(f"unknown mode {mode!r}")
 
@@ -456,11 +449,12 @@ def biased_avoider_permutation(n: int, q, tau: str, rng: RandomSource,
 
     Routes: "rejection" (q <= 1, patterns 321/132/213/123: draw uniform
     avoiders, accept with exact probability q^fp) or "enumeration" (n
-    within the enumeration cap, any q and any pattern: exact inverse cdf
-    over the table of all avoiders). Supercritical whole-permutation
+    within the enumeration cap, any q and any pattern: draw the fixed-point
+    count k by exact inverse cdf, then a uniform avoider with k fixed
+    points from the enumerated table). Supercritical whole-permutation
     sampling at large n is refused by design.
     """
-    q = as_rational(q)
+    q = _bias(q)
     tau = check_pattern(tau)
     caps = budgets()
     if route is None:
@@ -486,27 +480,23 @@ def biased_avoider_permutation(n: int, q, tau: str, rng: RandomSource,
     if route == "enumeration":
         if n > caps["enum"]:
             raise UnsupportedMeasureError(f"enumeration route capped at n={caps['enum']}")
-        table = _enumeration_table(n, q, tau)
-        u = rng.randbelow(table[1][-1])
-        return table[0][bisect.bisect_right(table[1], u)], 1
+        groups = _enumeration_table(n, tau)
+        k = int(_inverse_cdf(_bias_weights([len(g) for g in groups], q), 1, rng)[0])
+        return groups[k][rng.randbelow(len(groups[k]))], 1
     raise ValueError(f"unknown route {route!r}")
 
 
-_enum_tables: dict[tuple[int, str, tuple[int, int]], tuple[list, list]] = {}
+_enum_tables: dict[tuple[int, str], list[list[tuple[int, ...]]]] = {}
 
 
-def _enumeration_table(n: int, q: Fraction, tau: str):
-    key = (n, tau, (q.numerator, q.denominator))
+def _enumeration_table(n: int, tau: str) -> list[list[tuple[int, ...]]]:
+    """All tau-avoiders of length n grouped by fixed-point count, for every q."""
+    key = (n, tau)
     if key not in _enum_tables:
-        a, b = q.numerator, q.denominator
-        perms = list(enumerate_avoiders(n, tau))
-        cum = []
-        acc = 0
-        for sigma in perms:
-            f = fixed_points(sigma)
-            acc += a**f * b ** (n - f)
-            cum.append(acc)
-        _enum_tables[key] = (perms, cum)
+        groups: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
+        for sigma in enumerate_avoiders(n, tau):
+            groups[fixed_points(sigma)].append(sigma)
+        _enum_tables[key] = groups
     return _enum_tables[key]
 
 
@@ -517,7 +507,7 @@ def biased_avoider_batch(n: int, q, rng: RandomSource, count: int,
 
     Returns (permutations as a (count, n) array, total uniform attempts).
     """
-    q = as_rational(q)
+    q = _bias(q)
     tau = check_pattern(tau)
     if tau not in ("321", "123"):
         raise UnsupportedMeasureError("batch rejection only for patterns 321 and 123")
@@ -530,13 +520,8 @@ def biased_avoider_batch(n: int, q, rng: RandomSource, count: int,
     attempts = 0
     while got < count:
         rows = _batch_rows(n, max(count - got, 1024))
-        prof = _profiles_from_dyck(_batch_dyck_steps(n, rows, gen))
-        sigma = _perms_from_profiles(prof)
-        if tau == "123":
-            sigma = sigma[:, ::-1]
-            fps = _fp_from_profiles(prof, reverse=True)
-        else:
-            fps = _fp_from_profiles(prof, reverse=False)
+        sigma = _avoiders_from_dyck(_batch_dyck_steps(n, rows, gen), tau)
+        fps = (sigma == np.arange(1, n + 1)).sum(axis=1)
         attempts += rows
         accept = np.ones(rows, dtype=bool)
         if q != 1:

@@ -43,7 +43,6 @@ serve as independent oracles for the series code.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb, factorial
@@ -469,17 +468,15 @@ def _value_to_text(v, csv: bool = False) -> str:
 
 
 def _int_to_str(x: int) -> str:
-    # decimal rendering of very large exact values needs the str-digit guard
-    # lifted; the previous limit is restored so other code keeps its guard
-    limit = sys.get_int_max_str_digits()
-    need = x.bit_length() // 3 + 3
-    if limit == 0 or need <= limit:
-        return str(x)
-    sys.set_int_max_str_digits(need)
+    # str() refuses ints beyond the interpreter's digit limit; Decimal renders
+    # the same digits without touching that process-wide setting (imported
+    # here because few runs need it and every CLI start would pay for it)
     try:
         return str(x)
-    finally:
-        sys.set_int_max_str_digits(limit)
+    except ValueError:
+        from decimal import Decimal
+
+        return str(Decimal(x))
 
 
 def table_to_json(table: SeriesTable) -> str:

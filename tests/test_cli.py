@@ -109,6 +109,16 @@ def test_sample_refusal_exit_code(capsys):
     assert "unsupported" in err
 
 
+def test_sample_refuses_nonpositive_bias(capsys):
+    for argv in (["--q", "-1", "--count", "4"],
+                 ["--q", "-1", "--tau", "321", "--count", "4"],
+                 ["--q", "-1", "--tau", "132", "--count", "3", "--emit", "perm"],
+                 ["--q", "0", "--tau", "132", "--count", "3", "--emit", "perm"]):
+        code, out, err = run_cli(capsys, "sample", "--n", "5", *argv)
+        assert code == 2 and out == "", argv
+        assert "bias parameter q must be positive" in err
+
+
 def test_verify_pass_and_fail_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--law", "1", "--q", "2", "--n", "100")
     assert code == 0 and out.startswith("PASS check=poisson")

@@ -69,9 +69,15 @@ def test_dyck_bijection_exhaustive():
         if downs and h > 0:
             yield from all_dyck(n, ups, downs - 1, h - 1, pre + [-1])
 
-    for n in range(1, 7):
-        images = {sampling.dyck_to_321_avoider(DyckPath(s)) for s in all_dyck(n, n, n, 0, [])}
+    for n in range(1, 8):
+        paths = list(all_dyck(n, n, n, 0, []))
+        images = {sampling.dyck_to_321_avoider(DyckPath(s)) for s in paths}
         assert images == set(perms.enumerate_avoiders(n, "321"))
+        # the first-return map to 132-avoiders: injective, onto S_n(132)
+        images = [tuple(int(v) for v in row)
+                  for row in sampling._perms_132_from_dyck(np.array(paths, dtype=np.int8))]
+        assert len(set(images)) == len(paths)
+        assert set(images) == set(perms.enumerate_avoiders(n, "132"))
 
 
 def test_profile_fp_kernels_match_materialization():
@@ -98,7 +104,7 @@ def test_uniform_avoider_outputs_avoid():
 def test_uniform_avoider_distribution_small_n():
     rng = RandomSource(12)
     n_samples = 25000
-    for tau in ("321", "132"):
+    for tau in ("321", "132", "213", "123"):
         counts = collections.Counter(sampling.uniform_avoider(4, tau, rng) for _ in range(n_samples))
         assert len(counts) == 14
         band = 4 * math.sqrt((1 / 14) * (13 / 14) / n_samples)
@@ -194,6 +200,15 @@ def test_biased_avoider_enumeration_route():
         emp[perms.fixed_points(sigma)] += c
     tv = sum(abs(emp.get(k, 0) / 30000 - float(exact.pmf(k))) for k in range(11)) / 2
     assert tv < 0.01
+
+
+def test_enumeration_table_is_shared_across_q(monkeypatch):
+    monkeypatch.setattr(sampling, "_enum_tables", {})
+    rng = RandomSource(10)
+    for q in (F(1, 3), 2, F(7, 2)):
+        sigma, _ = sampling.biased_avoider_permutation(6, q, "231", rng, route="enumeration")
+        assert perms.avoids(sigma, "231")
+    assert list(sampling._enum_tables) == [(6, "231")]
 
 
 def test_biased_avoider_refusals():

@@ -380,3 +380,19 @@ def test_int_to_str_restores_digit_limit():
         assert sys.get_int_max_str_digits() == 4300
     finally:
         sys.set_int_max_str_digits(before)
+
+
+def test_int_to_str_leaves_digit_limit_setting_alone(monkeypatch):
+    # renders past the digit limit without calling the process-wide setter
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+
+    def refuse(limit):
+        raise AssertionError("process-wide digit limit changed")
+
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse)
+    try:
+        assert series._int_to_str(10**9000) == "1" + "0" * 9000
+    finally:
+        monkeypatch.undo()
+        sys.set_int_max_str_digits(before)
