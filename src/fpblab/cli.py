@@ -185,7 +185,7 @@ def _verify_law(args, emitter) -> int:
     ok = True
     for n in sorted(grid):
         if spec_law.law_id == 2:
-            samples = args.samples or defaults["samples"]
+            samples = defaults["samples"] if args.samples is None else args.samples
             rng = sampling.RandomSource(args.seed, args.stream)
             pmf = fp_pmf(MeasureSpec(n, args.q, "123"), mode="monte-carlo", rng=rng, samples=samples)
             value = max(abs(float(pmf.pmf(k)) - float(spec_law.law.pmf(k))) for k in range(3))

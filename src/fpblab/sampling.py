@@ -16,6 +16,13 @@ through the profile bijection and 123-avoiders are their reverses;
 path (A is the head above the maximum, B the tail below it), and
 213-avoiders are reverse-complements of 132-avoiders.
 
+The fixed-point batch sampler counts 321/123 fixed points straight from
+the shuffled walks, without rotating them to Dyck paths or building the
+permutations. It shuffles batch i+1 on one helper thread while the main
+thread counts batch i; only the helper draws, in batch order, so the
+random stream is the one of drawing the batches one after another.
+Every other sampler draws on the calling thread.
+
 Every exact discrete draw over big-integer weights (fixed-point counts,
 the enumeration route) goes through one inverse-cdf helper.
 
@@ -28,8 +35,10 @@ need there.
 from __future__ import annotations
 
 import bisect
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from math import comb
 
@@ -119,25 +128,55 @@ class DyckPath:
 # ---------------------------------------------------------------------------
 
 
-def _batch_dyck_steps(n: int, rows: int, gen: np.random.Generator) -> np.ndarray:
+def _shuffle_job(n: int, rows: int, gen: np.random.Generator):
     """
-    `rows` independent uniform Dyck paths of semilength n, as (rows, 2n) +-1.
+    `rows` unshuffled walks of n+1 up-steps and n down-steps, as (rows, 2n+1)
+    int8, and the call that shuffles each row in place.
 
-    Cycle lemma: shuffle n+1 up-steps and n down-steps (sum +1); rotating to
-    start just after the last minimum of the prefix sums makes every prefix
-    positive, and dropping the leading up-step leaves a uniform Dyck path.
+    Every uniform Dyck path starts here, so the random stream is the same
+    whether the call runs at once or on a helper thread.
     """
-    m = 2 * n + 1
-    arr = np.tile(
+    walks = np.tile(
         np.concatenate([np.ones(n + 1, dtype=np.int8), -np.ones(n, dtype=np.int8)]),
         (rows, 1),
     )
-    arr = gen.permuted(arr, axis=1)
-    prefix = np.cumsum(arr, axis=1, dtype=np.int32)
-    last_min = m - 1 - np.argmin(prefix[:, ::-1], axis=1)
-    idx = (np.arange(m)[None, :] + (last_min[:, None] + 1)) % m
-    rotated = np.take_along_axis(arr, idx, axis=1)
-    return rotated[:, 1:]
+    return walks, partial(gen.permuted, walks, axis=1, out=walks)
+
+
+def _dyck_starts(walks: np.ndarray, dtype) -> np.ndarray:
+    """
+    Column of each shuffled walk where its Dyck path starts (cycle lemma),
+    in [2, m+1] for walks of length m: read it modulo m.
+
+    The walk sums to +1; read cyclically from just after the last minimum of
+    its prefix sums every prefix is positive, and dropping that leading
+    up-step leaves a uniform Dyck path, whose first step is therefore two
+    columns after the last minimum.
+    """
+    m = walks.shape[1]
+    prefix = np.cumsum(walks, axis=1, dtype=dtype)
+    # the last minimum sits at column m-1-argmin of the reversed sums
+    return m + 1 - np.argmin(prefix[:, ::-1], axis=1)
+
+
+def _walk_dtype(n: int):
+    """The narrowest dtype holding a walk's prefix sums and its column offsets (up to 2n+2)."""
+    return np.int16 if 2 * n + 2 < 2**15 else np.int32
+
+
+def _dyck_from_walks(walks: np.ndarray) -> np.ndarray:
+    """The Dyck paths of a batch of shuffled walks, as (rows, 2n) +-1."""
+    rows, m = walks.shape
+    start = _dyck_starts(walks, _walk_dtype(m // 2))
+    idx = (np.arange(m - 1)[None, :] + start[:, None]) % m
+    return np.take_along_axis(walks, idx, axis=1)
+
+
+def _batch_dyck_steps(n: int, rows: int, gen: np.random.Generator) -> np.ndarray:
+    """`rows` independent uniform Dyck paths of semilength n, as (rows, 2n) +-1."""
+    walks, shuffle = _shuffle_job(n, rows, gen)
+    shuffle()
+    return _dyck_from_walks(walks)
 
 
 def uniform_dyck(n: int, rng: RandomSource) -> DyckPath:
@@ -155,18 +194,12 @@ def _profiles_from_dyck(steps: np.ndarray) -> np.ndarray:
     return ups[steps < 0].reshape(rows, n)
 
 
-def _excedance_mask(profiles: np.ndarray) -> np.ndarray:
-    rows, n = profiles.shape
-    exc = np.empty((rows, n), dtype=bool)
-    exc[:, 0] = True
-    exc[:, 1:] = profiles[:, 1:] > profiles[:, :-1]
-    return exc
-
-
 def _perms_from_profiles(profiles: np.ndarray) -> np.ndarray:
     """Materialize the 321-avoiders for a batch of profiles, (rows, n) int32."""
     rows, n = profiles.shape
-    exc = _excedance_mask(profiles)
+    exc = np.empty((rows, n), dtype=bool)
+    exc[:, :1] = True
+    exc[:, 1:] = profiles[:, 1:] > profiles[:, :-1]
     sigma = np.zeros((rows, n), dtype=np.int32)
     r_idx, c_idx = np.nonzero(exc)
     sigma[r_idx, c_idx] = profiles[r_idx, c_idx]
@@ -180,32 +213,47 @@ def _perms_from_profiles(profiles: np.ndarray) -> np.ndarray:
     return sigma
 
 
-def _fp_from_profiles(profiles: np.ndarray, reverse: bool = False) -> np.ndarray:
+def _fp_from_walks(walks: np.ndarray, reverse: bool = False) -> np.ndarray:
     """
-    Fixed-point counts of the encoded 321-avoiders, without materializing.
+    Fixed-point counts of the 321-avoiders that a batch of shuffled walks
+    encode, or with reverse=True of their reverses (the 123-avoiders),
+    without rotating the walks or materializing the permutations.
 
-    With reverse=True, counts fixed points of the reversed permutations
-    (i.e. of the corresponding 123-avoiders): sigma_x = n+1-x happens either
-    at an excedance position carrying that value, or at a fill position
-    whose rank among fill positions matches the value's rank among unused
-    values.
+    The down-step columns, shifted cyclically by the Dyck start and sorted,
+    are the Dyck indices t of the down-steps, and the profile is
+    H = t - arange(n). Position x+1 is a weak excedance when the step before
+    its down-step is an up-step; a fixed point is one with H = x+1. A fixed
+    point of the reverse is a point on the anti-diagonal: the excedance one
+    is the down-step at Dyck index n, if an up-step precedes it, and the
+    fill one is where the fill rank of position x+1 equals the rank of the
+    unused value n-x among unused values; see docs/dyck_321_bijection.md.
     """
-    rows, n = profiles.shape
-    exc = _excedance_mask(profiles)
-    pos = np.arange(1, n + 1)
+    rows, m = walks.shape
+    n = m // 2
+    dt = _walk_dtype(n)
+    start = _dyck_starts(walks, dt)
+    cols = np.flatnonzero(walks < 0).reshape(rows, n)
+    cols -= (np.arange(rows) * m)[:, None]
+    t = cols.astype(dt)
+    del cols
+    t -= start.astype(dt)[:, None]
+    t %= dt(m)
+    t.sort(axis=1)
+    exc = np.diff(t, axis=1, prepend=dt(-1)) > 1
     if not reverse:
-        return ((exc) & (profiles == pos)).sum(axis=1)
-    target = n + 1 - pos
-    exc_part = (exc & (profiles == target)).sum(axis=1)
+        return (exc & (t == np.arange(1, m, 2, dtype=dt))).sum(axis=1)
+    r = np.arange(rows)
+    exc_part = (walks[r, (start + n) % m] < 0) & (walks[r, (start + n - 1) % m] > 0)
+    t -= np.arange(n, dtype=dt)  # the profile H, values 1..n
     used = np.zeros((rows, n + 1), dtype=bool)
-    used[np.arange(rows)[:, None], profiles] = True
-    cum_used = np.cumsum(used[:, 1:], axis=1)
-    cum_exc = np.cumsum(exc, axis=1)
-    fill_rank = pos - cum_exc
-    target_unused = ~used[:, target]
-    target_rank = target - cum_used[:, target - 1]
-    fill_part = ((~exc) & target_unused & (target_rank == fill_rank)).sum(axis=1)
-    return exc_part + fill_part
+    np.put_along_axis(used, t, True, axis=1)
+    used = used[:, 1:]
+    pos = np.arange(1, n + 1, dtype=dt)
+    fill_rank = pos - np.cumsum(exc, axis=1, dtype=dt)
+    value_rank = pos - np.cumsum(used, axis=1, dtype=dt)
+    # position x+1 targets the value n-x: read the value ranks reversed
+    fill = ~exc & ~used[:, ::-1] & (value_rank[:, ::-1] == fill_rank)
+    return exc_part + fill.sum(axis=1)
 
 
 def dyck_to_321_avoider(path: DyckPath) -> tuple[int, ...]:
@@ -290,23 +338,74 @@ def uniform_avoider(n: int, tau: str, rng: RandomSource) -> tuple[int, ...]:
     return tuple(int(v) for v in _avoiders_from_dyck(steps, tau)[0])
 
 
+def _walk_batches(n: int, count: int, gen: np.random.Generator):
+    """
+    Shuffled walks for `count` paths, in `_batch_rows` batches.
+
+    While the caller maps batch i, a helper thread shuffles batch i+1. Only
+    the helper touches `gen`, in batch order, so the stream is the one of
+    shuffling the batches one after another, and the helper runs nothing
+    but `gen.permuted`, which releases the GIL. The helper is joined before
+    each batch is handed out, and when the caller stops early.
+    """
+    sizes, done = [], 0
+    while done < count:
+        sizes.append(_batch_rows(n, count - done))
+        done += sizes[-1]
+    if not sizes:
+        return
+    walks, shuffle = _shuffle_job(n, sizes[0], gen)
+    shuffle()
+    for rows in sizes[1:]:
+        following, shuffle = _shuffle_job(n, rows, gen)
+        join = _start_helper(shuffle)
+        try:
+            yield walks
+        finally:
+            join()
+        walks = following
+    yield walks
+
+
+def _start_helper(job):
+    """Run `job` on a new thread; the returned call joins it and re-raises its error."""
+    failed = []
+
+    def run():
+        try:
+            job()
+        except BaseException as exc:  # handed to the joining thread
+            failed.append(exc)
+
+    thread = threading.Thread(target=run, name="fpblab-shuffle")
+    thread.start()
+
+    def join():
+        thread.join()
+        if failed:
+            raise failed[0]
+
+    return join
+
+
 def uniform_avoider_fp_batch(n: int, tau: str, count: int, rng: RandomSource) -> np.ndarray:
     """Fixed-point counts of `count` uniform tau-avoiders, drawn in vectorized batches."""
     tau = _dyck_pattern(tau)
     out = np.empty(count, dtype=np.int64)
     done = 0
-    while done < count:
-        b = _batch_rows(n, count - done)
-        # drop each batch's paths as soon as they are mapped: kept alive through
-        # the count, they cost ~40% more page faults per batch at n = 1000
-        if tau in ("321", "123"):
-            prof = _profiles_from_dyck(_batch_dyck_steps(n, b, rng.generator))
-            out[done : done + b] = _fp_from_profiles(prof, reverse=(tau == "123"))
-        else:
-            # reverse-complement preserves fixed points, so 213 counts those of 132
-            sigma = _perms_132_from_dyck(_batch_dyck_steps(n, b, rng.generator))
-            out[done : done + b] = (sigma == np.arange(1, n + 1)).sum(axis=1)
-        done += b
+    batches = _walk_batches(n, count, rng.generator)
+    try:
+        for walks in batches:
+            b = len(walks)
+            if tau in ("321", "123"):
+                out[done : done + b] = _fp_from_walks(walks, reverse=(tau == "123"))
+            else:
+                # reverse-complement preserves fixed points, so 213 counts those of 132
+                sigma = _perms_132_from_dyck(_dyck_from_walks(walks))
+                out[done : done + b] = (sigma == np.arange(1, n + 1)).sum(axis=1)
+            done += b
+    finally:
+        batches.close()  # joins the helper thread if the loop stops early
     return out
 
 
@@ -554,6 +653,8 @@ def monte_carlo_fp_pmf(n: int, tau: str, samples: int, rng: RandomSource) -> Fix
     Weights are exact rationals count/samples; the provenance records
     (seed, stream_id, samples) so the estimate is reproducible bit for bit.
     """
+    if samples < 1:
+        raise ValueError("samples must be positive")
     tau = check_pattern(tau)
     fps = uniform_avoider_fp_batch(n, tau, samples, rng)
     counts = np.bincount(fps, minlength=1)

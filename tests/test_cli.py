@@ -119,6 +119,17 @@ def test_sample_refuses_nonpositive_bias(capsys):
         assert "bias parameter q must be positive" in err
 
 
+def test_monte_carlo_refuses_nonpositive_samples(capsys):
+    for argv in (["verify", "--law", "2", "--q", "1", "--n", "10", "--samples", "0"],
+                 ["pmf", "--n", "10", "--q", "1", "--tau", "321", "--mode", "monte-carlo",
+                  "--samples", "0"],
+                 ["pmf", "--n", "10", "--q", "2", "--tau", "123", "--mode", "monte-carlo",
+                  "--samples", "-3"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert "samples must be positive" in err
+
+
 def test_verify_pass_and_fail_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--law", "1", "--q", "2", "--n", "100")
     assert code == 0 and out.startswith("PASS check=poisson")

@@ -238,3 +238,11 @@ def test_monte_carlo_mode_reweights_123():
     assert est.weights == base.reweighted(2).weights
     assert est.provenance.kind == "monte-carlo"
     assert est.provenance.samples == 4000 and est.provenance.seed == 21
+
+
+def test_monte_carlo_mode_at_n0():
+    # the empty permutation has no fixed point, for every sampled pattern
+    for tau in ("321", "123", "132", "213"):
+        est = fp_pmf(MeasureSpec(0, 1, tau), mode="monte-carlo",
+                     rng=sampling.RandomSource(5), samples=4)
+        assert est.weights == {0: 1}, tau

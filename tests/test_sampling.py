@@ -1,6 +1,9 @@
 """Samplers: determinism, exactness against enumeration, rate accounting."""
 import collections
 import math
+import sys
+import threading
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -82,14 +85,60 @@ def test_dyck_bijection_exhaustive():
 
 def test_profile_fp_kernels_match_materialization():
     gen = RandomSource(17).generator
-    for n in (3, 9, 33):
-        steps = sampling._batch_dyck_steps(n, 500, gen)
-        prof = sampling._profiles_from_dyck(steps)
-        sigma = sampling._perms_from_profiles(prof)
+    # column offsets reach 2n+2: n = 16382 is the last int16 size, 16383 the first int32
+    for n, rows in ((3, 500), (9, 500), (33, 500), (16382, 3), (16383, 3)):
+        walks, shuffle = sampling._shuffle_job(n, rows, gen)
+        shuffle()
+        steps = sampling._dyck_from_walks(walks)
+        sigma = sampling._perms_from_profiles(sampling._profiles_from_dyck(steps))
         direct = np.array([perms.fixed_points(tuple(s)) for s in sigma])
-        assert (sampling._fp_from_profiles(prof) == direct).all()
+        assert (sampling._fp_from_walks(walks) == direct).all()
         rev = np.array([perms.fixed_points(tuple(s)[::-1]) for s in sigma])
-        assert (sampling._fp_from_profiles(prof, reverse=True) == rev).all()
+        assert (sampling._fp_from_walks(walks, reverse=True) == rev).all()
+
+
+def test_fp_batch_matches_stage_oracle_across_batches(monkeypatch):
+    # 7 paths per batch, so 25 paths span three full batches and a remainder,
+    # shuffled ahead on the helper thread; the oracle draws the same batches
+    # one after another and maps every path to its permutation. A short
+    # switch interval interleaves the two threads as finely as it can.
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for n in (1, 2, 9, 33):
+            monkeypatch.setattr(sampling, "_MAX_BATCH_CELLS", 7 * (2 * n + 1))
+            ident = np.arange(1, n + 1)
+            for tau in ("321", "123", "132", "213"):
+                got = sampling.uniform_avoider_fp_batch(n, tau, 25, RandomSource(23, n))
+                gen = RandomSource(23, n).generator
+                want = [(sampling._avoiders_from_dyck(sampling._batch_dyck_steps(n, b, gen), tau)
+                         == ident).sum(axis=1) for b in (7, 7, 7, 4)]
+                assert (got == np.concatenate(want)).all(), (n, tau)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+
+
+def test_fp_batch_waits_for_a_slow_shuffle(monkeypatch):
+    # each helper shuffle outlasts the count of the batch before it, so the
+    # count of every later batch must wait for its shuffle to finish
+    monkeypatch.setattr(sampling, "_MAX_BATCH_CELLS", 7 * 19)
+    want = sampling.uniform_avoider_fp_batch(9, "123", 25, RandomSource(31))
+    shuffle_job = sampling._shuffle_job
+
+    def slow_job(n, rows, gen):
+        walks, shuffle = shuffle_job(n, rows, gen)
+
+        def slow_shuffle():
+            time.sleep(0.05)
+            shuffle()
+
+        return walks, slow_shuffle
+
+    monkeypatch.setattr(sampling, "_shuffle_job", slow_job)
+    got = sampling.uniform_avoider_fp_batch(9, "123", 25, RandomSource(31))
+    assert (got == want).all()
 
 
 def test_uniform_avoider_outputs_avoid():
