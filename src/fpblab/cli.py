@@ -134,23 +134,24 @@ def cmd_sample(args) -> int:
     rng = sampling.RandomSource(args.seed, args.stream)
     emit_perm = args.emit == "perm"
     rows = []
+    perms_arr = None
     if args.tau is None:
         perms_arr = sampling.sample_biased_unrestricted_batch(args.n, args.q, rng, args.count)
+    elif not emit_perm:
+        ks = sampling.sample_fp_count_batch(args.n, args.q, args.tau, rng, args.count, mode=args.fp_mode)
+        rows = [[i, int(k)] for i, k in enumerate(ks)]
+    elif args.tau in sampling.DYCK_PATTERNS and as_rational(args.q) == 1:
+        # the uniform measure: the batch sampler keeps every row it draws
+        perms_arr, _ = sampling.biased_avoider_batch(args.n, 1, rng, args.count, args.tau)
+    else:
+        for i in range(args.count):
+            sigma, _ = sampling.biased_avoider_permutation(args.n, args.q, args.tau, rng)
+            rows.append([i, fixed_points(sigma), format_perm(sigma)])
+    if perms_arr is not None:
         identity = 1 + np.arange(args.n)
         for i, row in enumerate(perms_arr):
             f = int((row == identity).sum())
             rows.append([i, f, format_perm(row)] if emit_perm else [i, f])
-    elif not emit_perm:
-        ks = sampling.sample_fp_count_batch(args.n, args.q, args.tau, rng, args.count, mode=args.fp_mode)
-        rows = [[i, int(k)] for i, k in enumerate(ks)]
-    else:
-        q = as_rational(args.q)
-        for i in range(args.count):
-            if q == 1:
-                sigma = sampling.uniform_avoider(args.n, args.tau, rng)
-            else:
-                sigma, _ = sampling.biased_avoider_permutation(args.n, q, args.tau, rng)
-            rows.append([i, fixed_points(sigma), format_perm(sigma)])
     columns = ["sample_index", "fp"] + (["perm"] if emit_perm else [])
     Emitter(args.format, args.out).emit(
         columns, rows,

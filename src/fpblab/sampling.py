@@ -9,16 +9,18 @@ by stream id. Exact discrete draws (inverse cdf over big-integer weights,
 rational accept/reject) go through `RandomSource.randbelow`, which never
 rounds.
 
-Every uniform avoider is one uniform Dyck path (cycle-lemma construction)
-mapped to a permutation; see docs/dyck_321_bijection.md. 321-avoiders come
-through the profile bijection and 123-avoiders are their reverses;
-132-avoiders come through the first-return decomposition U A D B of the
-path (A is the head above the maximum, B the tail below it), and
-213-avoiders are reverse-complements of 132-avoiders.
+Every uniform avoider is one uniform Dyck path mapped to a permutation;
+see docs/dyck_321_bijection.md. The path is the cycle-lemma rotation of a
+uniform walk of n+1 up-steps and n down-steps, and every such walk is
+drawn by `_walk_job`, exact bit rejection with a complement branch.
+321-avoiders come through the profile bijection and 123-avoiders are
+their reverses; 132-avoiders come through the first-return decomposition
+U A D B of the path (A is the head above the maximum, B the tail below
+it), and 213-avoiders are reverse-complements of 132-avoiders.
 
 The fixed-point batch sampler counts 321/123 fixed points straight from
-the shuffled walks, without rotating them to Dyck paths or building the
-permutations. It shuffles batch i+1 on one helper thread while the main
+the walks, without rotating them to Dyck paths or building the
+permutations. It draws batch i+1 on one helper thread while the main
 thread counts batch i; only the helper draws, in batch order, so the
 random stream is the one of drawing the batches one after another.
 Every other sampler draws on the calling thread.
@@ -38,9 +40,8 @@ import bisect
 import threading
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import accumulate
-from math import comb
+from math import ceil, comb, exp, lgamma, log
 
 import numpy as np
 
@@ -128,25 +129,60 @@ class DyckPath:
 # ---------------------------------------------------------------------------
 
 
-def _shuffle_job(n: int, rows: int, gen: np.random.Generator):
+def _walk_job(n: int, rows: int, gen: np.random.Generator):
     """
-    `rows` unshuffled walks of n+1 up-steps and n down-steps, as (rows, 2n+1)
-    int8, and the call that shuffles each row in place.
+    A (rows, 2n+1) int8 buffer and the call that fills it with independent
+    uniform walks of n+1 up-steps (+1) and n down-steps (-1). Every uniform
+    Dyck path starts here, so the stream is the same whether the call runs
+    at once or on a helper thread.
 
-    Every uniform Dyck path starts here, so the random stream is the same
-    whether the call runs at once or on a helper thread.
+    Exact bit rejection (docs/dyck_321_bijection.md, "Drawing the walk"): a
+    raw row is 2n+1 bits of raw Philox words, the last word masked, bit j
+    giving column j. Rows with n+1 ones are kept as drawn and rows with n
+    ones complemented; the complement maps the second set one-to-one onto
+    the first, so every walk has exactly two preimages and is drawn
+    uniformly. The test compares integer popcounts and never rounds. About
+    2/sqrt(pi n) of the raw rows are kept (3.6% at n = 1000), so the cost
+    per walk grows like n^1.5, against n for a per-row shuffle: the shuffle
+    wins only from about n = 60 000, above every default and every test.
+    Raw rows are drawn in chunks sized from that rate, with a few spare
+    rows so that one chunk nearly always suffices, and capped at
+    _MAX_BATCH_CELLS bits.
     """
-    walks = np.tile(
-        np.concatenate([np.ones(n + 1, dtype=np.int8), -np.ones(n, dtype=np.int8)]),
-        (rows, 1),
-    )
-    return walks, partial(gen.permuted, walks, axis=1, out=walks)
+    m = 2 * n + 1
+    words = (m + 63) // 64
+    mask = np.uint64((1 << (m - 64 * (words - 1))) - 1)  # the bits of the last word
+    # 2 C(m, n) / 2^m sizes the chunks only and never decides a row
+    rate = 2 * exp(lgamma(m + 1) - lgamma(n + 1) - lgamma(n + 2) - m * log(2))
+    max_raw = max(1, _MAX_BATCH_CELLS // m)
+    walks = np.empty((rows, m), dtype=np.int8)
+
+    def fill():
+        got = 0
+        while got < rows:
+            size = min(ceil((rows - got + 3) / rate), max_raw)
+            raw = gen.bit_generator.random_raw(size * words).reshape(size, words)
+            raw[:, -1] &= mask
+            # ones - n is 1 for a row kept as drawn and 0 for one complemented
+            up = np.bitwise_count(raw).sum(axis=1, dtype=np.int32)
+            up -= n
+            keep = np.flatnonzero(up.view(np.uint32) <= 1)[: rows - got]
+            bits = np.unpackbits(raw[keep].astype("<u8", copy=False).view(np.uint8), axis=1,
+                                 count=m, bitorder="little")
+            # a column is an up-step where its bit equals the row's flag
+            step = np.equal(bits, up[keep, None].astype(np.uint8)).view(np.int8)
+            out = walks[got : got + len(keep)]
+            np.add(step, step, out=out)
+            out -= 1
+            got += len(keep)
+
+    return walks, fill
 
 
 def _dyck_starts(walks: np.ndarray, dtype) -> np.ndarray:
     """
-    Column of each shuffled walk where its Dyck path starts (cycle lemma),
-    in [2, m+1] for walks of length m: read it modulo m.
+    Column of each walk where its Dyck path starts (cycle lemma), in
+    [2, m+1] for walks of length m: read it modulo m.
 
     The walk sums to +1; read cyclically from just after the last minimum of
     its prefix sums every prefix is positive, and dropping that leading
@@ -165,25 +201,25 @@ def _walk_dtype(n: int):
 
 
 def _dyck_from_walks(walks: np.ndarray) -> np.ndarray:
-    """The Dyck paths of a batch of shuffled walks, as (rows, 2n) +-1."""
+    """The Dyck paths of a batch of walks, as (rows, 2n) +-1."""
     rows, m = walks.shape
     start = _dyck_starts(walks, _walk_dtype(m // 2))
     idx = (np.arange(m - 1)[None, :] + start[:, None]) % m
-    return np.take_along_axis(walks, idx, axis=1)
+    return walks[np.arange(rows)[:, None], idx]
 
 
 def _batch_dyck_steps(n: int, rows: int, gen: np.random.Generator) -> np.ndarray:
     """`rows` independent uniform Dyck paths of semilength n, as (rows, 2n) +-1."""
-    walks, shuffle = _shuffle_job(n, rows, gen)
-    shuffle()
+    walks, fill = _walk_job(n, rows, gen)
+    fill()
     return _dyck_from_walks(walks)
 
 
 def uniform_dyck(n: int, rng: RandomSource) -> DyckPath:
     """One uniform Dyck path of semilength n."""
-    if n < 1:
-        raise ValueError("semilength must be >= 1")
-    return DyckPath(tuple(int(s) for s in _batch_dyck_steps(n, 1, rng.generator)[0]))
+    if n < 0:
+        raise ValueError("semilength must be >= 0")
+    return DyckPath(tuple(_batch_dyck_steps(n, 1, rng.generator)[0].tolist()))
 
 
 def _profiles_from_dyck(steps: np.ndarray) -> np.ndarray:
@@ -215,9 +251,9 @@ def _perms_from_profiles(profiles: np.ndarray) -> np.ndarray:
 
 def _fp_from_walks(walks: np.ndarray, reverse: bool = False) -> np.ndarray:
     """
-    Fixed-point counts of the 321-avoiders that a batch of shuffled walks
-    encode, or with reverse=True of their reverses (the 123-avoiders),
-    without rotating the walks or materializing the permutations.
+    Fixed-point counts of the 321-avoiders that a batch of walks encode, or
+    with reverse=True of their reverses (the 123-avoiders), without rotating
+    the walks or materializing the permutations.
 
     The down-step columns, shifted cyclically by the Dyck start and sorted,
     are the Dyck indices t of the down-steps, and the profile is
@@ -314,9 +350,12 @@ def _batch_rows(n: int, remaining: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+DYCK_PATTERNS = ("321", "123", "132", "213")  # the patterns the Dyck kernel maps to
+
+
 def _dyck_pattern(tau: str) -> str:
     tau = check_pattern(tau)
-    if tau not in ("321", "132", "213", "123"):
+    if tau not in DYCK_PATTERNS:
         raise UnsupportedMeasureError(
             f"no uniform sampler for pattern {tau}; enumerate at n <= {budgets()['enum']} instead"
         )
@@ -327,26 +366,28 @@ def uniform_avoider(n: int, tau: str, rng: RandomSource) -> tuple[int, ...]:
     """
     One uniform element of S_n(tau) for tau in {321, 132, 213, 123}.
 
-    Patterns 231 and 312 are refused: no polynomial sampler is provided for
-    them (their generating function is out of the lab's exact toolkit), use
-    `enumerate_avoiders` within the `enum` budget instead.
+    Patterns 231 and 312 are refused only because the Dyck kernel has no
+    branch for them yet (the reverse of a 132-avoider avoids 231, and its
+    complement avoids 312); use `enumerate_avoiders` within the `enum`
+    budget instead.
     """
     tau = _dyck_pattern(tau)
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if n < 0:
+        raise ValueError("n must be >= 0")
     steps = _batch_dyck_steps(n, 1, rng.generator)
-    return tuple(int(v) for v in _avoiders_from_dyck(steps, tau)[0])
+    return tuple(_avoiders_from_dyck(steps, tau)[0].tolist())
 
 
 def _walk_batches(n: int, count: int, gen: np.random.Generator):
     """
-    Shuffled walks for `count` paths, in `_batch_rows` batches.
+    Uniform walks for `count` paths, in `_batch_rows` batches.
 
-    While the caller maps batch i, a helper thread shuffles batch i+1. Only
-    the helper touches `gen`, in batch order, so the stream is the one of
-    shuffling the batches one after another, and the helper runs nothing
-    but `gen.permuted`, which releases the GIL. The helper is joined before
-    each batch is handed out, and when the caller stops early.
+    While the caller maps batch i, a helper thread draws batch i+1. Only the
+    helper touches `gen`, in batch order, so the stream is the one of
+    drawing the batches one after another. The helper runs `_walk_job`'s
+    fill: Philox draws, popcounts and bit unpacking, numpy calls that
+    release the GIL for all but their Python glue. It is joined before each
+    batch is handed out, and when the caller stops early.
     """
     sizes, done = [], 0
     while done < count:
@@ -354,11 +395,11 @@ def _walk_batches(n: int, count: int, gen: np.random.Generator):
         done += sizes[-1]
     if not sizes:
         return
-    walks, shuffle = _shuffle_job(n, sizes[0], gen)
-    shuffle()
+    walks, fill = _walk_job(n, sizes[0], gen)
+    fill()
     for rows in sizes[1:]:
-        following, shuffle = _shuffle_job(n, rows, gen)
-        join = _start_helper(shuffle)
+        following, fill = _walk_job(n, rows, gen)
+        join = _start_helper(fill)
         try:
             yield walks
         finally:
@@ -377,7 +418,7 @@ def _start_helper(job):
         except BaseException as exc:  # handed to the joining thread
             failed.append(exc)
 
-    thread = threading.Thread(target=run, name="fpblab-shuffle")
+    thread = threading.Thread(target=run, name="fpblab-walks")
     thread.start()
 
     def join():
@@ -453,8 +494,8 @@ def _unrestricted_integer_weights(n: int, q: Fraction) -> list[int]:
 
 def sample_biased_unrestricted(n: int, q, rng: RandomSource) -> tuple[int, ...]:
     """One permutation under the bias-q measure on S_n: row 0 of the batch sampler."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if n < 0:
+        raise ValueError("n must be >= 0")
     return tuple(int(v) for v in sample_biased_unrestricted_batch(n, q, rng, 1)[0])
 
 
@@ -557,14 +598,15 @@ def biased_avoider_permutation(n: int, q, tau: str, rng: RandomSource,
     tau = check_pattern(tau)
     caps = budgets()
     if route is None:
-        if q <= 1 and tau in ("321", "132", "213", "123"):
+        if q <= 1 and tau in DYCK_PATTERNS:
             route = "rejection"
         elif n <= caps["enum"]:
             route = "enumeration"
         else:
+            why = ("rejection is exponentially slow above the phase point" if q > 1
+                   else f"rejection needs a uniform sampler, which pattern {tau} lacks")
             raise UnsupportedMeasureError(
-                f"whole-permutation sampling for q={q} > 1, tau={tau} at n={n} is unsupported "
-                f"(rejection is exponentially slow above the phase point); "
+                f"whole-permutation sampling for q={q}, tau={tau} at n={n} is unsupported ({why}); "
                 f"use sample_fp_count for the fixed-point law, or n <= {caps['enum']} for tables"
             )
     if route == "rejection":
@@ -602,14 +644,13 @@ def _enumeration_table(n: int, tau: str) -> list[list[tuple[int, ...]]]:
 def biased_avoider_batch(n: int, q, rng: RandomSource, count: int,
                          tau: str = "321") -> tuple[np.ndarray, int]:
     """
-    Vectorized rejection sampler for biased 321- or 123-avoiders, q <= 1.
+    Vectorized rejection sampler for biased tau-avoiders, q <= 1, for tau in
+    {321, 123, 132, 213}; at q = 1 every attempt is accepted.
 
     Returns (permutations as a (count, n) array, total uniform attempts).
     """
     q = _bias(q)
-    tau = check_pattern(tau)
-    if tau not in ("321", "123"):
-        raise UnsupportedMeasureError("batch rejection only for patterns 321 and 123")
+    tau = _dyck_pattern(tau)
     if q > 1:
         raise UnsupportedMeasureError("rejection route requires q <= 1")
     a, b = q.numerator, q.denominator
@@ -618,12 +659,14 @@ def biased_avoider_batch(n: int, q, rng: RandomSource, count: int,
     got = 0
     attempts = 0
     while got < count:
-        rows = _batch_rows(n, max(count - got, 1024))
+        # size each round from the acceptance seen so far (all rows at q = 1)
+        need = count - got
+        rows = _batch_rows(n, ceil(need * attempts / max(got, 1)) if attempts else need)
         sigma = _avoiders_from_dyck(_batch_dyck_steps(n, rows, gen), tau)
-        fps = (sigma == np.arange(1, n + 1)).sum(axis=1)
         attempts += rows
         accept = np.ones(rows, dtype=bool)
         if q != 1:
+            fps = (sigma == np.arange(1, n + 1)).sum(axis=1)
             for f in np.unique(fps):
                 sel = fps == f
                 bound = b ** int(f)

@@ -90,16 +90,29 @@ def test_sample_determinism_and_header(capsys):
 def test_sample_perm_emission_avoids(capsys):
     from fpblab.perms import avoids, parse_perm
 
-    code, out, _ = run_cli(capsys, "sample", "--n", "12", "--q", "1/2", "--tau", "321",
-                           "--count", "6", "--seed", "3", "--emit", "perm")
-    assert code == 0
-    for line in out.splitlines():
-        if line.startswith("#") or line.startswith("sample_index"):
-            continue
-        _, fp, perm_text = line.split(",")
-        sigma = parse_perm(perm_text)
-        assert avoids(sigma, "321")
-        assert sum(1 for i, v in enumerate(sigma, 1) if v == i) == int(fp)
+    # q = 1/2 draws one avoider at a time by rejection, q = 1 one uniform batch
+    for q, tau in (("1/2", "321"), ("1", "321"), ("1", "123"), ("1", "132"), ("1", "213")):
+        code, out, _ = run_cli(capsys, "sample", "--n", "12", "--q", q, "--tau", tau,
+                               "--count", "6", "--seed", "3", "--emit", "perm")
+        assert code == 0
+        lines = [l for l in out.splitlines() if not l.startswith(("#", "sample_index"))]
+        assert len(lines) == 6, (q, tau)
+        for line in lines:
+            _, fp, perm_text = line.split(",")
+            sigma = parse_perm(perm_text)
+            assert avoids(sigma, tau), (q, tau)
+            assert sum(1 for i, v in enumerate(sigma, 1) if v == i) == int(fp)
+
+
+def test_sample_perm_emission_at_n0(capsys):
+    # the empty permutation, once per sample, for every Dyck pattern as for S_0
+    for q in ("1/2", "1"):
+        for argv in (["--tau", "321"], ["--tau", "123"], ["--tau", "132"], ["--tau", "213"], []):
+            code, out, err = run_cli(capsys, "sample", "--n", "0", "--q", q, "--count", "2",
+                                     "--emit", "perm", *argv)
+            assert code == 0 and err == "", (q, argv)
+            assert [l for l in out.splitlines() if not l.startswith("#")] == [
+                "sample_index,fp,perm", "0,0,", "1,0,"], (q, argv)
 
 
 def test_sample_refusal_exit_code(capsys):
@@ -107,6 +120,11 @@ def test_sample_refusal_exit_code(capsys):
                            "--count", "3", "--emit", "perm")
     assert code == 2
     assert "unsupported" in err
+    # past the enumeration cap 231 has no route at any q; the reason names the pattern
+    code, _, err = run_cli(capsys, "sample", "--n", "20", "--q", "1", "--tau", "231",
+                           "--count", "3", "--emit", "perm")
+    assert code == 2
+    assert "unsupported" in err and "pattern 231" in err and "> 1" not in err
 
 
 def test_sample_refuses_nonpositive_bias(capsys):

@@ -62,6 +62,67 @@ def test_uniform_dyck_frequencies():
     assert all(abs(c / 30000 - 0.2) < band for c in counts.values())
 
 
+def test_walk_frequencies_small_n():
+    # every one of the C(2n+1, n) walks within 4 sigma of 1/C(2n+1, n)
+    gen = RandomSource(41).generator
+    for n in range(5):
+        cells = math.comb(2 * n + 1, n)
+        draws = 400 * cells
+        walks, fill = sampling._walk_job(n, draws, gen)
+        fill()
+        counts = collections.Counter(map(bytes, walks.view(np.uint8)))
+        assert len(counts) == cells, n
+        p = 1 / cells
+        band = 4 * math.sqrt(p * (1 - p) / draws)
+        assert all(abs(c / draws - p) <= band for c in counts.values()), n
+
+
+class _RecordingGenerator:
+    """Hands out the raw words of a real generator and keeps a copy of each draw."""
+
+    def __init__(self, gen):
+        self.bit_generator, self._random_raw, self.draws = self, gen.bit_generator.random_raw, []
+
+    def random_raw(self, size):
+        words = self._random_raw(size)
+        self.draws.append(words.copy())
+        return words
+
+
+def _walks_by_bit_rejection(draws, n, rows):
+    """Big-integer oracle of the generator: the walks its raw words give, by branch."""
+    m = 2 * n + 1
+    mask = (1 << m) - 1
+    walks, branches = [], collections.Counter()
+    for raw in np.concatenate(draws).reshape(-1, (m + 63) // 64):
+        x = sum(int(w) << (64 * i) for i, w in enumerate(raw)) & mask
+        ones = bin(x).count("1")
+        if ones not in (n, n + 1) or len(walks) == rows:
+            continue
+        branches[ones] += 1
+        x = x if ones == n + 1 else ~x & mask
+        walks.append([1 if x >> j & 1 else -1 for j in range(m)])
+    return np.array(walks, dtype=np.int8).reshape(len(walks), m), branches
+
+
+def test_walks_match_big_integer_oracle_at_word_edges():
+    # 2n+1 in {1, 63, 65, 127, 129}: one 1-bit word, and either side of the
+    # first two word boundaries. Philox sets the bits above column 2n in the
+    # last word as often as not, so any bit the mask lets through changes a
+    # popcount and shows up against the oracle.
+    for n in (0, 31, 32, 63, 64):
+        gen = _RecordingGenerator(RandomSource(43, n).generator)
+        walks, fill = sampling._walk_job(n, 300, gen)
+        fill()
+        assert walks.shape == (300, 2 * n + 1)
+        assert ((walks == 1) | (walks == -1)).all()
+        assert ((walks == 1).sum(axis=1) == n + 1).all()
+        want, branches = _walks_by_bit_rejection(gen.draws, n, 300)
+        assert (walks == want).all(), n
+        # both branches feed the kept rows: n+1 ones as drawn, n ones complemented
+        assert branches[n] > 0 and branches[n + 1] > 0, (n, branches)
+
+
 def test_dyck_bijection_exhaustive():
     def all_dyck(n, ups, downs, h, pre):
         if ups == 0 and downs == 0:
@@ -87,8 +148,8 @@ def test_profile_fp_kernels_match_materialization():
     gen = RandomSource(17).generator
     # column offsets reach 2n+2: n = 16382 is the last int16 size, 16383 the first int32
     for n, rows in ((3, 500), (9, 500), (33, 500), (16382, 3), (16383, 3)):
-        walks, shuffle = sampling._shuffle_job(n, rows, gen)
-        shuffle()
+        walks, fill = sampling._walk_job(n, rows, gen)
+        fill()
         steps = sampling._dyck_from_walks(walks)
         sigma = sampling._perms_from_profiles(sampling._profiles_from_dyck(steps))
         direct = np.array([perms.fixed_points(tuple(s)) for s in sigma])
@@ -99,7 +160,7 @@ def test_profile_fp_kernels_match_materialization():
 
 def test_fp_batch_matches_stage_oracle_across_batches(monkeypatch):
     # 7 paths per batch, so 25 paths span three full batches and a remainder,
-    # shuffled ahead on the helper thread; the oracle draws the same batches
+    # drawn ahead on the helper thread; the oracle draws the same batches
     # one after another and maps every path to its permutation. A short
     # switch interval interleaves the two threads as finely as it can.
     threads = threading.active_count()
@@ -121,22 +182,22 @@ def test_fp_batch_matches_stage_oracle_across_batches(monkeypatch):
 
 
 def test_fp_batch_waits_for_a_slow_shuffle(monkeypatch):
-    # each helper shuffle outlasts the count of the batch before it, so the
-    # count of every later batch must wait for its shuffle to finish
+    # each helper draw outlasts the count of the batch before it, so the
+    # count of every later batch must wait for its walks to be drawn
     monkeypatch.setattr(sampling, "_MAX_BATCH_CELLS", 7 * 19)
     want = sampling.uniform_avoider_fp_batch(9, "123", 25, RandomSource(31))
-    shuffle_job = sampling._shuffle_job
+    walk_job = sampling._walk_job
 
     def slow_job(n, rows, gen):
-        walks, shuffle = shuffle_job(n, rows, gen)
+        walks, fill = walk_job(n, rows, gen)
 
-        def slow_shuffle():
+        def slow_fill():
             time.sleep(0.05)
-            shuffle()
+            fill()
 
-        return walks, slow_shuffle
+        return walks, slow_fill
 
-    monkeypatch.setattr(sampling, "_shuffle_job", slow_job)
+    monkeypatch.setattr(sampling, "_walk_job", slow_job)
     got = sampling.uniform_avoider_fp_batch(9, "123", 25, RandomSource(31))
     assert (got == want).all()
 
@@ -144,7 +205,7 @@ def test_fp_batch_waits_for_a_slow_shuffle(monkeypatch):
 def test_uniform_avoider_outputs_avoid():
     rng = RandomSource(2)
     for tau in ("321", "132", "213", "123"):
-        for n in (1, 2, 7, 40):
+        for n in (0, 1, 2, 7, 40):
             assert perms.avoids(sampling.uniform_avoider(n, tau, rng), tau)
     with pytest.raises(UnsupportedMeasureError):
         sampling.uniform_avoider(9, "231", rng)
@@ -281,12 +342,17 @@ def test_rejection_rate_accounting():
 
 
 def test_batch_rejection_matches_exact_law():
-    arr, _ = sampling.biased_avoider_batch(6, F(1, 2), RandomSource(19), 40000)
-    fps = (arr == np.arange(1, 7)).sum(axis=1)
-    emp = np.bincount(fps, minlength=7) / 40000
+    # 132- and 213-avoiders share the 321 fixed-point law; q = 1 keeps every attempt
     exact = fp_pmf(MeasureSpec(6, F(1, 2), "321"))
-    assert max(abs(emp[k] - float(exact.pmf(k))) for k in range(7)) < 0.01
-    assert all(perms.avoids(tuple(r), "321") for r in arr[:100])
+    for tau in ("321", "132", "213"):
+        arr, _ = sampling.biased_avoider_batch(6, F(1, 2), RandomSource(19), 40000, tau)
+        fps = (arr == np.arange(1, 7)).sum(axis=1)
+        emp = np.bincount(fps, minlength=7) / 40000
+        assert max(abs(emp[k] - float(exact.pmf(k))) for k in range(7)) < 0.01, tau
+        assert all(perms.avoids(tuple(r), tau) for r in arr[:100])
+    for tau in sampling.DYCK_PATTERNS:
+        arr, attempts = sampling.biased_avoider_batch(7, 1, RandomSource(21), 50, tau)
+        assert attempts == 50 and all(perms.avoids(tuple(r), tau) for r in arr)
 
 
 def test_monte_carlo_fp_pmf():
