@@ -28,7 +28,8 @@ import numpy as np
 from . import asymptotics, dist, sampling, series
 from .config import BudgetExceededError
 from .dist import MeasureSpec, UnsupportedMeasureError, fp_pmf
-from .perms import PATTERNS, enumerate_avoiders, fixed_point_counts, fixed_points, format_perm
+from .perms import (PATTERNS, enumerate_avoiders, fixed_point_counts, fixed_points, format_perm,
+                    format_perms)
 from .series import TAU_CLASS, as_rational
 
 
@@ -59,7 +60,7 @@ class Emitter:
         if self.fmt == "csv":
             lines = [f"# {line}" for line in preamble]
             lines.append(",".join(columns))
-            lines += [",".join(str(v) for v in row) for row in rows]
+            lines += [",".join(map(str, row)) for row in rows]
             text = "\n".join(lines) + "\n"
         else:
             payload = {"columns": columns, "rows": rows}
@@ -144,14 +145,17 @@ def cmd_sample(args) -> int:
         # the uniform measure: the batch sampler keeps every row it draws
         perms_arr, _ = sampling.biased_avoider_batch(args.n, 1, rng, args.count, args.tau)
     else:
+        sampling._check_sizes(args.n, args.count)
         for i in range(args.count):
             sigma, _ = sampling.biased_avoider_permutation(args.n, args.q, args.tau, rng)
             rows.append([i, fixed_points(sigma), format_perm(sigma)])
     if perms_arr is not None:
-        identity = 1 + np.arange(args.n)
-        for i, row in enumerate(perms_arr):
-            f = int((row == identity).sum())
-            rows.append([i, f, format_perm(row)] if emit_perm else [i, f])
+        fps = (perms_arr == np.arange(1, args.n + 1)).sum(axis=1).tolist()
+        if emit_perm:
+            texts = format_perms(perms_arr)
+            rows = [[i, f, t] for i, (f, t) in enumerate(zip(fps, texts))]
+        else:
+            rows = [[i, f] for i, f in enumerate(fps)]
     columns = ["sample_index", "fp"] + (["perm"] if emit_perm else [])
     Emitter(args.format, args.out).emit(
         columns, rows,

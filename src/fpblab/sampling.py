@@ -6,8 +6,8 @@ around numpy's counter-based Philox bit generator keyed by
 (seed, stream_id). Identical keys give identical output on every platform;
 distinct stream ids give independent streams, so parallel work partitions
 by stream id. Exact discrete draws (inverse cdf over big-integer weights,
-rational accept/reject) go through `RandomSource.randbelow`, which never
-rounds.
+rational accept/reject) go through `RandomSource.randbelow` or its batch
+form `randbelow_batch`, which never round.
 
 Every uniform avoider is one uniform Dyck path mapped to a permutation;
 see docs/dyck_321_bijection.md. The path is the cycle-lemma rotation of a
@@ -26,7 +26,16 @@ random stream is the one of drawing the batches one after another.
 Every other sampler draws on the calling thread.
 
 Every exact discrete draw over big-integer weights (fixed-point counts,
-the enumeration route) goes through one inverse-cdf helper.
+the enumeration route) goes through one inverse-cdf helper. Once the total
+weight reaches 2^63 it takes its uniforms from
+`RandomSource.randbelow_batch`, as does the exact accept step of the
+vectorized rejection sampler once b^fp does. That method draws candidates
+in rounds: a candidate is one `randbelow` attempt (whole uint64 words,
+read big-endian and masked), and a round draws one candidate for each
+draw still owed, at most _MAX_BATCH_CELLS bits, in a single generator
+call. Every owed draw takes at least one candidate, so a round never draws
+past the candidate where one-at-a-time `randbelow` calls would stop: the
+values and the generator state afterwards are theirs.
 
 Whole-permutation sampling of biased avoiders is rejection from the
 uniform sampler (accept with probability q^fp, exact), which is only
@@ -75,18 +84,39 @@ class RandomSource:
 
     def randbelow(self, bound: int) -> int:
         """Exact uniform integer in [0, bound), for arbitrary-size bounds."""
+        return self.randbelow_batch(bound, 1)[0]
+
+    def randbelow_batch(self, bound: int, count: int) -> list[int]:
+        """
+        `count` exact uniform integers in [0, bound): the values of `count`
+        `randbelow` calls, leaving the generator in the same state.
+
+        A candidate is the uint64 words that hold the bits of bound - 1,
+        read big-endian and masked to them; it is kept iff it is below
+        bound. Each round draws one candidate per draw still owed, at most
+        _MAX_BATCH_CELLS bits, in one call. Every owed draw takes at least
+        one candidate, so a round never draws past the candidate where the
+        sequential calls would stop.
+        """
         if bound <= 0:
             raise ValueError("bound must be positive")
+        if count < 0:
+            raise ValueError("count must be >= 0")
         bits = max((bound - 1).bit_length(), 1)
         words = (bits + 63) // 64
+        size = 8 * words  # bytes per candidate
         mask = (1 << bits) - 1
-        while True:
-            x = 0
-            for w in self.generator.integers(0, 2**64, size=words, dtype=np.uint64):
-                x = (x << 64) | int(w)
-            x &= mask
-            if x < bound:
-                return x
+        cap = max(1, _MAX_BATCH_CELLS // (64 * words))
+        out: list[int] = []
+        while len(out) < count:
+            need = min(count - len(out), cap)
+            raw = self.generator.integers(0, 2**64, size=need * words, dtype=np.uint64)
+            buf = raw.astype(">u8").tobytes()
+            for j in range(0, len(buf), size):
+                x = int.from_bytes(buf[j : j + size], "big") & mask
+                if x < bound:
+                    out.append(x)
+        return out
 
     def bernoulli_power(self, q: Fraction, exponent: int) -> bool:
         """Exact Bernoulli(q^exponent) event for rational q <= 1."""
@@ -455,6 +485,14 @@ def uniform_avoider_fp_batch(n: int, tau: str, count: int, rng: RandomSource) ->
 # ---------------------------------------------------------------------------
 
 
+def _check_sizes(n: int, count: int):
+    """Refuse a negative length or sample count before anything is drawn."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if count < 0:
+        raise ValueError("count must be >= 0")
+
+
 def _bias(q) -> Fraction:
     """The exact bias q; refused unless positive, as in `MeasureSpec`."""
     q = as_rational(q)
@@ -478,7 +516,7 @@ def _inverse_cdf(weights: list[int], count: int, rng: RandomSource) -> np.ndarra
         draws = rng.generator.integers(0, total, size=count, dtype=np.uint64)
         return np.searchsorted(cum, draws, side="right").astype(np.int64)
     cum_list = list(accumulate(weights))
-    return np.array([bisect.bisect_right(cum_list, rng.randbelow(total)) for _ in range(count)],
+    return np.array([bisect.bisect_right(cum_list, x) for x in rng.randbelow_batch(total, count)],
                     dtype=np.int64)
 
 
@@ -494,8 +532,6 @@ def _unrestricted_integer_weights(n: int, q: Fraction) -> list[int]:
 
 def sample_biased_unrestricted(n: int, q, rng: RandomSource) -> tuple[int, ...]:
     """One permutation under the bias-q measure on S_n: row 0 of the batch sampler."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
     return tuple(int(v) for v in sample_biased_unrestricted_batch(n, q, rng, 1)[0])
 
 
@@ -510,6 +546,7 @@ def sample_biased_unrestricted_batch(n: int, q, rng: RandomSource, count: int) -
     complement by reshuffling the rows that still fix a point (expected ~e
     tries).
     """
+    _check_sizes(n, count)
     q = _bias(q)
     ks = _inverse_cdf(_unrestricted_integer_weights(n, q), count, rng)
     gen = rng.generator
@@ -566,6 +603,7 @@ def sample_fp_count(n: int, q, tau: str, rng: RandomSource, mode: str = "exact")
 
 def sample_fp_count_batch(n: int, q, tau: str, rng: RandomSource, count: int,
                           mode: str = "exact") -> np.ndarray:
+    _check_sizes(n, count)
     q = _bias(q)
     tau = check_pattern(tau)
     if mode == "exact":
@@ -649,6 +687,7 @@ def biased_avoider_batch(n: int, q, rng: RandomSource, count: int,
 
     Returns (permutations as a (count, n) array, total uniform attempts).
     """
+    _check_sizes(n, count)
     q = _bias(q)
     tau = _dyck_pattern(tau)
     if q > 1:
@@ -676,7 +715,9 @@ def biased_avoider_batch(n: int, q, rng: RandomSource, count: int,
                     draws = gen.integers(0, bound, size=int(sel.sum()), dtype=np.uint64)
                     accept[sel] = draws < a ** int(f)
                 else:
-                    accept[sel] = [rng.bernoulli_power(q, int(f)) for _ in range(int(sel.sum()))]
+                    # one stream with a bernoulli_power call per row, in row order
+                    top = a ** int(f)
+                    accept[sel] = [x < top for x in rng.randbelow_batch(bound, int(sel.sum()))]
         acc_idx = np.nonzero(accept)[0]
         take = min(len(acc_idx), count - got)
         if take < len(acc_idx):

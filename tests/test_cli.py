@@ -1,7 +1,11 @@
 """CLI surface: outputs, determinism, exit codes, round trips."""
 import json
 
+import pytest
+
+from fpblab import sampling
 from fpblab.cli import main
+from fpblab.perms import fixed_points, format_perm
 
 
 def run_cli(capsys, *argv):
@@ -113,6 +117,49 @@ def test_sample_perm_emission_at_n0(capsys):
             assert code == 0 and err == "", (q, argv)
             assert [l for l in out.splitlines() if not l.startswith("#")] == [
                 "sample_index,fp,perm", "0,0,", "1,0,"], (q, argv)
+
+
+@pytest.mark.parametrize("n", [0, 1, 6, 12])
+@pytest.mark.parametrize("count", [0, 1, 5])
+@pytest.mark.parametrize("tau", [None, "321", "132"])
+def test_sample_dumps_match_per_row_reference(capsys, n, count, tau):
+    # the dump formatted row by row from the sampler's own output, as CSV and JSON
+    q = "3/2" if tau is None else "1"
+    if tau is None:
+        arr = sampling.sample_biased_unrestricted_batch(n, q, sampling.RandomSource(5), count)
+    else:
+        arr, _ = sampling.biased_avoider_batch(n, 1, sampling.RandomSource(5), count, tau)
+    sigmas = [tuple(int(v) for v in row) for row in arr]
+    meta = {"seed": "5", "stream_id": "0", "n": str(n), "q": q, "tau": tau or ""}
+    emits = ("fp", "perm") if tau is None else ("perm",)
+    for emit in emits:
+        columns = ["sample_index", "fp"] + (["perm"] if emit == "perm" else [])
+        rows = [[i, fixed_points(s)] + ([format_perm(s)] if emit == "perm" else [])
+                for i, s in enumerate(sigmas)]
+        argv = ["sample", "--n", str(n), "--q", q, "--count", str(count), "--seed", "5",
+                "--emit", emit] + (["--tau", tau] if tau else [])
+        code, out, _ = run_cli(capsys, *argv)
+        csv = [f"# {k}={v}" for k, v in meta.items()] + [",".join(columns)]
+        csv += [",".join(str(v) for v in row) for row in rows]
+        assert code == 0 and out == "\n".join(csv) + "\n", (emit, "csv")
+        code, out, _ = run_cli(capsys, *argv, "--format", "json")
+        payload = {"columns": columns, "meta": meta, "rows": rows}
+        assert code == 0 and out == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def test_sample_refuses_negative_sizes(capsys):
+    for argv, why in ((["--n", "-1", "--q", "2", "--tau", "321", "--count", "2"], "n must be >= 0"),
+                      (["--n", "3", "--q", "2", "--count", "-3"], "count must be >= 0"),
+                      (["--n", "-1", "--q", "2", "--count", "2"], "n must be >= 0"),
+                      (["--n", "3", "--q", "1/2", "--tau", "321", "--count", "-1", "--emit", "perm"],
+                       "count must be >= 0"),
+                      (["--n", "3", "--q", "1", "--tau", "321", "--count", "-1", "--emit", "perm"],
+                       "count must be >= 0"),
+                      (["--n", "-1", "--q", "2", "--tau", "231", "--count", "2", "--emit", "perm"],
+                       "n must be >= 0")):
+        code, out, err = run_cli(capsys, "sample", *argv)
+        assert code == 2 and out == "", argv
+        assert err == f"error: {why}\n", argv
 
 
 def test_sample_refusal_exit_code(capsys):

@@ -37,6 +37,32 @@ def test_randbelow_exact_and_reproducible():
     assert all(abs(counts[i] / 9000 - 1 / 3) < 0.02 for i in range(3))
 
 
+@pytest.mark.parametrize("bound", [1, 2, 2**63, 2**64, 2**64 + 1, 2**128 - 1, 3**1000],
+                         ids=["1", "2", "2^63", "2^64", "2^64+1", "2^128-1", "3^1000"])
+def test_randbelow_batch_is_sequential_randbelow(bound):
+    # same values, and the generator left where the sequential calls leave it
+    for count in (0, 1, 7, 3000):
+        batch, seq = RandomSource(31, 2), RandomSource(31, 2)
+        assert batch.randbelow_batch(bound, count) == [seq.randbelow(bound) for _ in range(count)]
+        np.testing.assert_equal(batch.generator.bit_generator.state,
+                                seq.generator.bit_generator.state)
+
+
+def test_randbelow_batch_rounds_never_overdraw(monkeypatch):
+    # a cap of 3 candidates per round forces many rounds; a bound just past a
+    # power of two rejects about half the candidates, so rounds end short too
+    monkeypatch.setattr(sampling, "_MAX_BATCH_CELLS", 3 * 64 * 2)
+    for bound in (2**64 + 1, 2**127 + 1, 3 * 2**100):
+        batch, seq = RandomSource(8), RandomSource(8)
+        assert batch.randbelow_batch(bound, 500) == [seq.randbelow(bound) for _ in range(500)]
+        np.testing.assert_equal(batch.generator.bit_generator.state,
+                                seq.generator.bit_generator.state)
+    with pytest.raises(ValueError, match="bound must be positive"):
+        RandomSource(8).randbelow_batch(0, 3)
+    with pytest.raises(ValueError, match="count must be >= 0"):
+        RandomSource(8).randbelow_batch(5, -1)
+
+
 def test_dyck_path_invariants():
     DyckPath((1, 1, -1, -1))
     with pytest.raises(ValueError):
@@ -327,6 +353,31 @@ def test_biased_avoider_refusals():
         sampling.biased_avoider_permutation(20, 4, "321", rng)
     with pytest.raises(UnsupportedMeasureError, match="q <= 1"):
         sampling.biased_avoider_permutation(5, 2, "321", rng, route="rejection")
+
+
+def test_batch_samplers_refuse_negative_sizes():
+    calls = (
+        lambda n, c: sampling.sample_biased_unrestricted_batch(n, 2, RandomSource(1), c),
+        lambda n, c: sampling.sample_fp_count_batch(n, 2, "321", RandomSource(1), c),
+        lambda n, c: sampling.sample_fp_count_batch(n, 2, "321", RandomSource(1), c,
+                                                    mode="scaled-float"),
+        lambda n, c: sampling.biased_avoider_batch(n, F(1, 2), RandomSource(1), c)[0],
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="n must be >= 0"):
+            call(-1, 3)
+        with pytest.raises(ValueError, match="count must be >= 0"):
+            call(4, -1)
+        assert len(call(4, 0)) == 0
+
+
+def test_batch_rejection_with_huge_denominators():
+    # b^f >= 2^63 for every f >= 1: the exact big-integer accept branch
+    arr, _ = sampling.biased_avoider_batch(8, F(1, 10**30), RandomSource(4), 300, "132")
+    assert ((arr == np.arange(1, 9)).sum(axis=1) == 0).all()
+    near_one = F(2**64 - 1, 2**64)
+    arr, attempts = sampling.biased_avoider_batch(8, near_one, RandomSource(4), 300)
+    assert attempts == 300 and all(perms.avoids(tuple(r), "321") for r in arr)
 
 
 def test_rejection_rate_accounting():
