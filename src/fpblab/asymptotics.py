@@ -244,6 +244,8 @@ def convergence_table(kind: str, q, n_grid, m: int | None = None, law_id: int | 
     (predicted and ratio columns carry nan).
     """
     n_grid = sorted(int(n) for n in n_grid)
+    if n_grid and n_grid[0] < 0:
+        raise ValueError("n must be >= 0")
     q = as_rational(q)
     rows = []
     if kind == "growth":

@@ -44,6 +44,11 @@ def _parse_grid(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _check_n(n: int):
+    if n < 0:
+        raise ValueError("n must be >= 0")
+
+
 def load_verify_defaults() -> dict:
     with resources.files("fpblab").joinpath("data/verify_defaults.json").open() as fh:
         return json.load(fh)
@@ -77,6 +82,7 @@ class Emitter:
 
 def cmd_count(args) -> int:
     tau = args.tau
+    _check_n(args.n)
     if tau in TAU_CLASS:
         poly = series.avoider_polynomials(args.n)[args.n]
         counts = [poly.coefficient(k) for k in range(args.n + 1)]
@@ -94,6 +100,7 @@ def cmd_zn(args) -> int:
     if n_max is None:
         print("zn needs --n or --n-max", file=sys.stderr)
         return 2
+    _check_n(n_max)
     rows = []
     if args.tau is None:
         for n in range(n_max + 1):
@@ -240,6 +247,7 @@ def cmd_asym(args) -> int:
 
 
 def cmd_explore(args) -> int:
+    _check_n(args.n_max)
     qs = [Fraction(t) for t in args.q_grid.split(",")] if args.q_grid else [args.q]
     rows = []
     for n in range(1, args.n_max + 1):

@@ -9,7 +9,10 @@ permutation under one of the three measure families:
 
 Exact mode carries Fractions that sum to one exactly; float mode carries
 doubles from the positively-scaled column engine (entries accurate to
-machine-epsilon scale, sums normalized). Monte-Carlo estimates record
+machine-epsilon scale, sums normalized). That engine computes a whole
+table of rows n = 0..N with blocked matrix products, about N^2 k / 2
+multiply-adds with the table read once per 64 rows (one law at N = 2000
+and q = 3 takes about 0.1 s on a 2-core Xeon). Monte-Carlo estimates record
 (seed, stream_id, sample count) so checks are reproducible bit for bit.
 """
 from __future__ import annotations

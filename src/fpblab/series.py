@@ -34,6 +34,16 @@ g_n = Catalan(n+1). Every exact engine runs this first-order recurrence:
 The tests check these engines against the convolution recurrences of the
 square-root form and against exhaustive enumeration.
 
+Scaled-float columns (`scaled_weight_rows`, `avoider_columns` in
+scaled-float mode) run the positive column recurrence of the square-root
+form on t[n, k] = a[k][n] q^k / base^n instead: every term is nonnegative,
+so each entry keeps machine-epsilon relative accuracy at any n. The
+convolution over earlier rows is a product with the Toeplitz matrix of the
+scaled Catalan weights, taken in blocks of 64 rows: one BLAS matrix
+product per block for the rows before it, then a short product per row
+inside it. That is ~n^2 k_max / 2 multiply-adds in all, with the table
+read once per block.
+
 Unrestricted permutations use the closed form
     total_weight(n, q) = sum_k binom(n,k) * derangements(n-k) * q^k.
 
@@ -48,10 +58,12 @@ from fractions import Fraction
 from math import comb, factorial
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import check_budget
 
 TAU_CLASS = ("132", "321", "213")  # patterns sharing the generating function
+_BLOCK = 64  # rows per matrix product in the scaled-float column engine
 
 
 def as_rational(q) -> Fraction:
@@ -403,7 +415,19 @@ def avoider_columns(k_max: int, n_max: int, mode: str = "exact", budget: int | N
 
 def _scaled_weighted_columns(n_max: int, k_max: int, q: float, base: float) -> np.ndarray:
     """
-    Float table t[n, k] = a[k][n] * q^k / base^n by the positive column recurrence.
+    Float table t[n, k] = a[k][n] * q^k / base^n by the positive column recurrence
+
+        t[n, k] = (q/base) t[n-1, k-1] + sum_{j=2..n} w[j] t[n-j, k],
+
+    with w[j] = Catalan(j-1)/base^j. The rows are computed in blocks of
+    _BLOCK. What the rows before a block give it is one matrix product,
+    W[block, :n0] @ t[:n0], with W[n, m] = w[n-m] a Toeplitz matrix; the
+    rows inside the block are then finished one by one with the shift term
+    and a short product over the block rows already done. Only the columns
+    k < min(k_max+1, block end) can be nonzero, and only those are computed.
+    The work is the ~n_max^2 k_max / 2 multiply-adds of a row-by-row loop,
+    but the table is read once per block instead of once per row, and the
+    products run as BLAS matrix products.
 
     All recurrence terms are nonnegative, so relative float error stays at
     machine-epsilon scale; `base` is chosen by the caller to keep the row
@@ -411,20 +435,30 @@ def _scaled_weighted_columns(n_max: int, k_max: int, q: float, base: float) -> n
     """
     t = np.zeros((n_max + 1, k_max + 1))
     t[0, 0] = 1.0
-    # w[j] = Catalan(j-1)/base^j for j >= 2, via the Catalan ratio recurrence
-    w = np.zeros(n_max + 1)
+    # w[j] = Catalan(j-1)/base^j for j >= 2, via the Catalan ratio recurrence;
+    # wr is w reversed and then n_max zeros, so that the view
+    # toeplitz[n, m] = wr[n_max - n + m] = w[n - m] has all n_max + 1 rows
+    wr = np.zeros(2 * n_max + 1)
     if n_max >= 2:
+        w = wr[n_max::-1]
         w[2] = 1.0 / base**2
         for j in range(3, n_max + 1):
             w[j] = w[j - 1] * (2 * (2 * j - 3) / j) / base
-    wr = w[::-1].copy()  # contiguous reversed weights so the matvec hits BLAS
+    toeplitz = sliding_window_view(wr, n_max + 1)[n_max::-1]
+    # BLAS takes no negative strides, so each block of the view is copied here
+    block = np.empty((min(_BLOCK, n_max), n_max))
     qb = q / base
-    for n in range(1, n_max + 1):
-        row = np.zeros(k_max + 1)
-        row[1:] = qb * t[n - 1, : k_max]
-        if n >= 2:
-            row += wr[n_max - n : n_max - 1] @ t[: n - 1]
-        t[n] = row
+    for n0 in range(1, n_max + 1, _BLOCK):
+        n1 = min(n0 + _BLOCK, n_max + 1)
+        kc = min(k_max + 1, n1)
+        w_block = block[: n1 - n0, :n0]
+        np.copyto(w_block, toeplitz[n0:n1, :n0])
+        np.matmul(w_block, t[:n0, :kc], out=t[n0:n1, :kc])
+        for n in range(n0, n1):
+            row = t[n, :kc]
+            row[1:] += qb * t[n - 1, : kc - 1]
+            if n >= n0 + 2:
+                row += toeplitz[n, n0 : n - 1] @ t[n0 : n - 1, :kc]
     return t
 
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from fpblab import sampling
+from fpblab import sampling, series
 from fpblab.cli import main
 from fpblab.perms import fixed_points, format_perm
 
@@ -51,6 +51,21 @@ def test_pmf_scaled_float_sums_to_one(capsys):
         if not line.startswith("#") and not line.startswith("k,")
     )
     assert abs(total - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_pmf_scaled_float_matches_exact_moments_at_n2000(capsys, q):
+    n = 2000
+    code, out, _ = run_cli(capsys, "pmf", "--n", str(n), "--q", str(q), "--tau", "321",
+                           "--mode", "scaled-float")
+    assert code == 0
+    law = {int(k): float(p) for k, p in
+           (l.split(",") for l in out.splitlines() if not l.startswith(("#", "k,")))}
+    z = series.avoider_normalization(q, n)
+    moments = (sum(k * p for k, p in law.items()), sum(k * (k - 1) * p for k, p in law.items()))
+    for m, got in enumerate(moments, 1):
+        want = float(series.factorial_moment_coefficient(m, q, n) / z)
+        assert abs(got - want) <= 1e-9 * want, (m, got, want)
 
 
 def test_pmf_json_round_trip(capsys):
@@ -160,6 +175,20 @@ def test_sample_refuses_negative_sizes(capsys):
         code, out, err = run_cli(capsys, "sample", *argv)
         assert code == 2 and out == "", argv
         assert err == f"error: {why}\n", argv
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--tau", "321", "--n", "-1"],
+    ["count", "--tau", "231", "--n", "-1"],
+    ["asym", "--kind", "moments", "--q", "3", "--n-grid=-5,10", "--m", "1"],
+    ["asym", "--kind", "distance", "--q", "5", "--law", "5", "--n-grid=-5,10"],
+    ["zn", "--q", "2", "--n-max", "-1"],
+    ["zn", "--q", "2", "--tau", "321", "--n", "-1"],
+    ["explore", "--tau", "231", "--n-max", "-1"],
+])
+def test_negative_sizes_are_refused(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: n must be >= 0\n")
 
 
 def test_sample_refusal_exit_code(capsys):

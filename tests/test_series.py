@@ -3,6 +3,7 @@ import sys
 from fractions import Fraction
 from math import factorial
 
+import numpy as np
 import pytest
 
 from fpblab import perms, series
@@ -91,6 +92,30 @@ def oracle_columns(k_max, n_max):
             col[n] = acc + sum(cat[j - 1] * col[n - j] for j in range(2, n + 1))
         cols.append(col)
     return cols
+
+
+def oracle_scaled_columns(n_max, k_max, q, base):
+    """
+    t[n, k] = a[k][n] q^k / base^n by the column recurrence, one row at a time:
+    t[n] = (q/base) shift(t[n-1]) + sum_{j=2..n} Catalan(j-1)/base^j t[n-j],
+    with the same weights as the engine and one matrix-vector product per row.
+    """
+    t = np.zeros((n_max + 1, k_max + 1))
+    t[0, 0] = 1.0
+    w = np.zeros(n_max + 1)
+    if n_max >= 2:
+        w[2] = 1.0 / base**2
+        for j in range(3, n_max + 1):
+            w[j] = w[j - 1] * (2 * (2 * j - 3) / j) / base
+    wr = w[::-1].copy()
+    qb = q / base
+    for n in range(1, n_max + 1):
+        row = np.zeros(k_max + 1)
+        row[1:] = qb * t[n - 1, :k_max]
+        if n >= 2:
+            row += wr[n_max - n : n_max - 1] @ t[: n - 1]
+        t[n] = row
+    return t
 
 
 def test_series_match_convolution_oracle():
@@ -248,6 +273,22 @@ def test_scaled_float_columns_track_exact():
         for k in range(n + 1):
             worst = max(worst, abs(scaled.scaled_count(k, n) - exact.count(k, n) / 4.0**n))
     assert worst <= 1e-10, worst
+
+
+# 64 rows make one block of the engine: cover one block, its edges and a partial block
+@pytest.mark.parametrize("n_max", [0, 1, 2, 63, 64, 65, 128, 129, 300])
+@pytest.mark.parametrize("q,base", [(0.5, 4.0), (1.0, 4.0), (2.0, 4.0), (3.0, 4.0), (4.0, 4.5),
+                                    (5.0, 16 / 3)])
+def test_scaled_columns_match_row_by_row_oracle(n_max, q, base):
+    for k_max in sorted({0, 1, 5, n_max}):
+        want = oracle_scaled_columns(n_max, k_max, q, base)
+        got = series._scaled_weighted_columns(n_max, k_max, q, base)
+        assert got.shape == want.shape
+        assert np.array_equal(got == 0.0, want == 0.0), k_max
+        nz = want != 0.0
+        assert np.all(np.abs(got[nz] - want[nz]) <= 1e-12 * want[nz]), k_max
+        # seeded scaled-float dumps draw from these tables: a rerun must repeat them
+        assert np.array_equal(series._scaled_weighted_columns(n_max, k_max, q, base), got), k_max
 
 
 def test_unrestricted_closed_form():
