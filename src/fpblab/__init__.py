@@ -58,20 +58,14 @@ from .perms import (
     symmetry,
 )
 from .sampling import (
-    DyckPath,
     RandomSource,
     biased_avoider_permutation,
-    dyck_to_321_avoider,
     monte_carlo_fp_pmf,
     sample_biased_unrestricted,
     sample_fp_count,
     uniform_avoider,
-    uniform_dyck,
 )
 from .series import (
-    ColumnTable,
-    QPolynomial,
-    SeriesTable,
     avoider_columns,
     avoider_normalization,
     avoider_polynomials,
@@ -79,8 +73,6 @@ from .series import (
     catalan_numbers,
     derangement_numbers,
     factorial_moment_coefficient,
-    factorial_moment_series,
-    sqrt_series,
     unrestricted_normalization,
 )
 

@@ -225,15 +225,9 @@ class ConvergenceTable:
     rows: tuple[ConvergenceRow, ...]
     ratio_monotone: bool  # reported, not asserted: |ratio-1| nonincreasing
 
-    def to_csv(self) -> str:
-        lines = ["n,exact,predicted,ratio"]
-        for r in self.rows:
-            lines.append(f"{r.n},{r.exact!r},{r.predicted!r},{r.ratio!r}")
-        return "\n".join(lines) + "\n"
 
-
-def convergence_table(kind: str, q, n_grid, m: int | None = None, law_id: int | None = None,
-                      k_max: int | None = None) -> ConvergenceTable:
+def convergence_table(kind: str, q, n_grid, m: int | None = None,
+                      law_id: int | None = None) -> ConvergenceTable:
     """
     Exact-versus-predicted table along an n grid.
 
@@ -249,9 +243,9 @@ def convergence_table(kind: str, q, n_grid, m: int | None = None, law_id: int | 
     q = as_rational(q)
     rows = []
     if kind == "growth":
-        table = series.avoider_series(q, max(n_grid))
+        values = series.avoider_series(q, max(n_grid))
         for n in n_grid:
-            exact_log = special.log_of_fraction(table[n])
+            exact_log = special.log_of_fraction(values[n])
             pred_log = normalization_growth(q, n, log=True)
             rows.append(ConvergenceRow(n, exact_log, pred_log, math.exp(exact_log - pred_log)))
     elif kind == "moments":
@@ -272,7 +266,7 @@ def convergence_table(kind: str, q, n_grid, m: int | None = None, law_id: int | 
         spec_law = limit_law(law_id, q)
         tau = {1: None, 2: "123"}.get(spec_law.law_id, "321")
         for n in n_grid:
-            pmf = fp_pmf(MeasureSpec(n, q, tau), mode="scaled-float", k_max=k_max)
+            pmf = fp_pmf(MeasureSpec(n, q, tau), mode="scaled-float")
             if getattr(spec_law.law, "discrete", False):
                 d = tv_distance(pmf, spec_law.law)
             else:

@@ -84,12 +84,11 @@ def cmd_count(args) -> int:
     tau = args.tau
     _check_n(args.n)
     if tau in TAU_CLASS:
-        poly = series.avoider_polynomials(args.n)[args.n]
-        counts = [poly.coefficient(k) for k in range(args.n + 1)]
+        counts = series.avoider_polynomials(args.n)[args.n]
     else:
         counts = fixed_point_counts(enumerate_avoiders(args.n, tau), args.n)
     Emitter(args.format, args.out).emit(
-        ["k", "count"], [[k, str(c)] for k, c in enumerate(counts)],
+        ["k", "count"], [[k, series._value_to_text(c)] for k, c in enumerate(counts)],
         preamble=[f"tau={tau}", f"n={args.n}"],
     )
     return 0
@@ -110,8 +109,8 @@ def cmd_zn(args) -> int:
         if args.tau not in TAU_CLASS:
             print(f"zn: no series for tau={args.tau} (only {TAU_CLASS}); use explore", file=sys.stderr)
             return 2
-        table = series.avoider_series(args.q, n_max)
-        rows = [[n, series._value_to_text(table[n])] for n in range(n_max + 1)]
+        values = series.avoider_series(args.q, n_max)
+        rows = [[n, series._value_to_text(v)] for n, v in enumerate(values)]
     Emitter(args.format, args.out).emit(
         ["n", "value"], rows, preamble=[f"q={args.q}", f"tau={args.tau or ''}"]
     )
@@ -130,7 +129,7 @@ def cmd_pmf(args) -> int:
         else:
             sys.stdout.write(text)
         return 0
-    rows = [[k, dist._rat_text(v)] for k, v in pmf.weights.items()]
+    rows = [[k, series._value_to_text(v)] for k, v in pmf.weights.items()]
     Emitter(args.format, args.out).emit(
         ["k", "probability"], rows,
         preamble=[f"n={args.n}", f"q={args.q}", f"tau={args.tau or ''}", f"mode={pmf.mode}"],
@@ -260,7 +259,7 @@ def cmd_explore(args) -> int:
             if args.emit == "pmf":
                 for k, w in enumerate(weights):
                     if w:
-                        rows.append([n, str(q), k, dist._rat_text(w / z)])
+                        rows.append([n, str(q), k, series._value_to_text(w / z)])
             else:
                 rows.append([n, str(q), repr(float(mean)), repr(float(second - mean**2))])
     columns = ["n", "q", "k", "probability"] if args.emit == "pmf" else ["n", "q", "mean", "variance"]

@@ -1,9 +1,9 @@
 """
 Desk-scale budgets for the exact engines.
 
-Budgets are configuration, not constants: every engine entry point takes a
-`budget` override, and the environment variable FPBL_BUDGET can raise or
-lower them globally, e.g.
+Budgets are configuration, not constants. The environment variable
+FPBL_BUDGET is their one source besides the defaults below: it raises or
+lowers them for every engine and command, e.g.
 
     FPBL_BUDGET="poly=3000,eval=20000,columns=800"
 
@@ -45,8 +45,8 @@ def budgets() -> dict[str, int]:
     return out
 
 
-def check_budget(kind: str, requested: int, override: int | None = None, hint: str = "") -> None:
-    limit = override if override is not None else budgets()[kind]
+def check_budget(kind: str, requested: int, hint: str = "") -> None:
+    limit = budgets()[kind]
     if requested > limit:
         msg = f"requested {kind} size {requested} exceeds budget {limit}"
         if hint:

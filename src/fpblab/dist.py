@@ -7,13 +7,19 @@ permutation under one of the three measure families:
 - bias q on all of S_n                  (tau = None),
 - uniform / bias q on the avoiders of a length-3 pattern tau.
 
-Exact mode carries Fractions that sum to one exactly; float mode carries
-doubles from the positively-scaled column engine (entries accurate to
-machine-epsilon scale, sums normalized). That engine computes a whole
-table of rows n = 0..N with blocked matrix products, about N^2 k / 2
-multiply-adds with the table read once per 64 rows (one law at N = 2000
-and q = 3 takes about 0.1 s on a 2-core Xeon). Monte-Carlo estimates record
-(seed, stream_id, sample count) so checks are reproducible bit for bit.
+Exact mode carries Fractions that sum to one exactly, from the integer
+coefficient row of `series.avoider_polynomials`, the closed form or
+enumeration; float mode carries doubles from the positively-scaled column
+engine (entries accurate to machine-epsilon scale, sums normalized). That
+engine computes the whole table of rows n = 0..N with blocked matrix
+products, about N^2 / 2 multiply-adds per column with the table read once
+per 64 rows (one law at N = 2000 and q = 3 takes about 0.1 s on a 2-core
+Xeon). Monte-Carlo estimates record (seed, stream_id, sample count) so
+checks are reproducible bit for bit.
+
+`pmf_to_json` writes every exact number in full, past the interpreter's
+digit limit for int/str conversion, and `pmf_from_json` reads back every
+text it writes.
 """
 from __future__ import annotations
 
@@ -141,8 +147,7 @@ def _pmf_from_weights(spec: MeasureSpec, raw: Mapping[int, Fraction], kind: str)
     return FixedPointPMF(spec.n, weights, "exact", Provenance(kind), spec)
 
 
-def fp_pmf(spec: MeasureSpec, mode: str = "exact", rng=None, samples: int | None = None,
-           k_max: int | None = None) -> FixedPointPMF:
+def fp_pmf(spec: MeasureSpec, mode: str = "exact", rng=None, samples: int | None = None) -> FixedPointPMF:
     """
     The fixed-point law under the measure selected by `spec`.
 
@@ -159,8 +164,8 @@ def fp_pmf(spec: MeasureSpec, mode: str = "exact", rng=None, samples: int | None
         if tau is None:
             return _pmf_from_weights(spec, dict(enumerate(series.unrestricted_weights(q, n))), "closed-form")
         if tau in TAU_CLASS and n <= caps["poly"]:
-            poly = series.avoider_polynomials(n)[n]
-            raw = {k: poly.coefficient(k) * q**k for k in range(n + 1)}
+            row = series.avoider_polynomials(n)[n]
+            raw = {k: c * q**k for k, c in enumerate(row)}
             return _pmf_from_weights(spec, raw, "series")
         if n <= caps["enum"]:
             counts = fixed_point_counts(enumerate_avoiders(n, tau), n)
@@ -182,9 +187,7 @@ def fp_pmf(spec: MeasureSpec, mode: str = "exact", rng=None, samples: int | None
                 f"pattern {tau} has no large-n float route (only 132/321/213 do); "
                 f"enumeration is capped at n={caps['enum']}"
             )
-        km = n if k_max is None else min(k_max, n)
-        rows = series.scaled_weight_rows(qf, n, k_max=km)
-        w = rows[n]
+        w = series.scaled_weight_rows(qf, n)[n]
         total = float(w.sum())
         weights = {k: float(v) / total for k, v in enumerate(w) if v > 0.0}
         return FixedPointPMF(n, weights, "float", Provenance("series"), spec)
@@ -405,20 +408,14 @@ def pmf_moment(pmf: FixedPointPMF, m: int, kind: str = "raw"):
 # ---------------------------------------------------------------------------
 
 
-def _rat_text(v) -> str:
-    if isinstance(v, Fraction):
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    return repr(float(v))
-
-
 def pmf_to_json(pmf: FixedPointPMF) -> str:
     spec = pmf.spec
     payload = {
         "n": pmf.n,
-        "q": _rat_text(spec.q) if spec is not None else None,
+        "q": series._value_to_text(spec.q) if spec is not None else None,
         "tau": spec.tau if spec is not None else None,
         "mode": pmf.mode,
-        "weights": [[str(k), _rat_text(v)] for k, v in pmf.weights.items()],
+        "weights": [[str(k), series._value_to_text(v)] for k, v in pmf.weights.items()],
         "seed": pmf.provenance.seed,
         "stream_id": pmf.provenance.stream_id,
         "samples": pmf.provenance.samples,
@@ -428,18 +425,16 @@ def pmf_to_json(pmf: FixedPointPMF) -> str:
 
 
 def _parse_value(text: str):
-    if "/" in text:
-        return Fraction(text)
-    if "." in text or "e" in text or "inf" in text:
+    if "/" not in text and ("." in text or "e" in text or "inf" in text):
         return float(text)
-    return Fraction(int(text))
+    return series._text_to_rational(text)
 
 
 def pmf_from_json(text: str) -> FixedPointPMF:
     data = json.loads(text)
     spec = None
     if data.get("q") is not None:
-        spec = MeasureSpec(data["n"], Fraction(data["q"]), data.get("tau"))
+        spec = MeasureSpec(data["n"], series._text_to_rational(data["q"]), data.get("tau"))
     prov = Provenance(data.get("provenance", "series"), data.get("samples"),
                       data.get("seed"), data.get("stream_id"))
     weights = {int(k): _parse_value(v) for k, v in data["weights"]}

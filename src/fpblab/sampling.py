@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import bisect
 import threading
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import ceil, comb, exp, lgamma, log
@@ -57,7 +56,7 @@ import numpy as np
 from . import series
 from .config import budgets
 from .dist import FixedPointPMF, MeasureSpec, Provenance, UnsupportedMeasureError, fp_pmf
-from .perms import check_pattern, enumerate_avoiders, fixed_point_counts, fixed_points, profile_to_perm
+from .perms import check_pattern, enumerate_avoiders, fixed_point_counts, fixed_points
 from .series import as_rational
 
 _MAX_BATCH_CELLS = 8_000_000  # soft cap on rows*length per vectorized batch
@@ -129,33 +128,8 @@ class RandomSource:
         return f"RandomSource(seed={self.seed}, stream_id={self.stream_id})"
 
 
-@dataclass(frozen=True)
-class DyckPath:
-    """2n steps of +-1 with nonnegative prefix sums and zero total."""
-
-    steps: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(int(s) for s in self.steps))
-        if len(self.steps) % 2:
-            raise ValueError("a Dyck path has an even number of steps")
-        height = 0
-        for s in self.steps:
-            if s not in (1, -1):
-                raise ValueError("steps must be +1 or -1")
-            height += s
-            if height < 0:
-                raise ValueError("prefix sums must stay nonnegative")
-        if height != 0:
-            raise ValueError("total must be zero")
-
-    @property
-    def semilength(self) -> int:
-        return len(self.steps) // 2
-
-
 # ---------------------------------------------------------------------------
-# Dyck paths and the 321-avoider bijection (batch kernels + scalar wrappers)
+# Dyck paths and their maps to avoiders (batch kernels)
 # ---------------------------------------------------------------------------
 
 
@@ -245,13 +219,6 @@ def _batch_dyck_steps(n: int, rows: int, gen: np.random.Generator) -> np.ndarray
     return _dyck_from_walks(walks)
 
 
-def uniform_dyck(n: int, rng: RandomSource) -> DyckPath:
-    """One uniform Dyck path of semilength n."""
-    if n < 0:
-        raise ValueError("semilength must be >= 0")
-    return DyckPath(tuple(_batch_dyck_steps(n, 1, rng.generator)[0].tolist()))
-
-
 def _profiles_from_dyck(steps: np.ndarray) -> np.ndarray:
     """Profile H[x] = number of up-steps before the x-th down-step (rows, n)."""
     rows, two_n = steps.shape
@@ -322,19 +289,6 @@ def _fp_from_walks(walks: np.ndarray, reverse: bool = False) -> np.ndarray:
     return exc_part + fill.sum(axis=1)
 
 
-def dyck_to_321_avoider(path: DyckPath) -> tuple[int, ...]:
-    """
-    The documented bijection from Dyck paths to 321-avoiding permutations.
-
-    The path's profile (up-steps before each down-step) is the
-    weak-excedance profile of the permutation; see docs/dyck_321_bijection.md
-    for the construction and the full worked table at n = 4.
-    """
-    steps = np.array(path.steps, dtype=np.int8)[None, :]
-    prof = _profiles_from_dyck(steps)[0]
-    return profile_to_perm([int(h) for h in prof])
-
-
 def _perms_132_from_dyck(steps: np.ndarray) -> np.ndarray:
     """
     The 132-avoiders of a batch of Dyck paths, (rows, n) int32.
@@ -362,7 +316,12 @@ def _perms_132_from_dyck(steps: np.ndarray) -> np.ndarray:
 
 
 def _avoiders_from_dyck(steps: np.ndarray, tau: str) -> np.ndarray:
-    """Map a batch of Dyck paths to tau-avoiders for tau in {321, 123, 132, 213}."""
+    """
+    Map a batch of Dyck paths to tau-avoiders for tau in {321, 123, 132, 213}:
+    321 by the profile bijection of docs/dyck_321_bijection.md, 123 as its
+    reverse, 132 by the first-return decomposition and 213 as its
+    reverse-complement.
+    """
     if tau in ("321", "123"):
         sigma = _perms_from_profiles(_profiles_from_dyck(steps))
         return sigma[:, ::-1] if tau == "123" else sigma
@@ -581,8 +540,7 @@ def sample_biased_unrestricted_batch(n: int, q, rng: RandomSource, count: int) -
 def _avoider_integer_weights(n: int, q: Fraction, tau: str) -> list[int]:
     caps = budgets()
     if tau in series.TAU_CLASS and n <= caps["poly"]:
-        poly = series.avoider_polynomials(n)[n]
-        counts = [poly.coefficient(k) for k in range(n + 1)]
+        counts = series.avoider_polynomials(n)[n]
     elif n <= caps["enum"]:
         counts = fixed_point_counts(enumerate_avoiders(n, tau), n)
     else:
@@ -618,51 +576,39 @@ def sample_fp_count_batch(n: int, q, tau: str, rng: RandomSource, count: int,
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def biased_avoider_permutation(n: int, q, tau: str, rng: RandomSource,
-                               route: str | None = None) -> tuple[tuple[int, ...], int]:
+def biased_avoider_permutation(n: int, q, tau: str, rng: RandomSource) -> tuple[tuple[int, ...], int]:
     """
     One whole permutation under the biased avoiding measure, with the number
     of uniform-sampler attempts used (expected attempts = Catalan(n) over
     the normalization constant).
 
-    Routes: "rejection" (q <= 1, patterns 321/132/213/123: draw uniform
-    avoiders, accept with exact probability q^fp) or "enumeration" (n
-    within the enumeration cap, any q and any pattern: draw the fixed-point
-    count k by exact inverse cdf, then a uniform avoider with k fixed
-    points from the enumerated table). Supercritical whole-permutation
-    sampling at large n is refused by design.
+    For q <= 1 and the patterns 321/132/213/123 it draws uniform avoiders
+    and accepts one with exact probability q^fp. Otherwise, for n within the
+    enumeration cap and any q and pattern, it draws the fixed-point count k
+    by exact inverse cdf, then a uniform avoider with k fixed points from
+    the enumerated table. Supercritical whole-permutation sampling at large
+    n is refused by design.
     """
     q = _bias(q)
     tau = check_pattern(tau)
     caps = budgets()
-    if route is None:
-        if q <= 1 and tau in DYCK_PATTERNS:
-            route = "rejection"
-        elif n <= caps["enum"]:
-            route = "enumeration"
-        else:
-            why = ("rejection is exponentially slow above the phase point" if q > 1
-                   else f"rejection needs a uniform sampler, which pattern {tau} lacks")
-            raise UnsupportedMeasureError(
-                f"whole-permutation sampling for q={q}, tau={tau} at n={n} is unsupported ({why}); "
-                f"use sample_fp_count for the fixed-point law, or n <= {caps['enum']} for tables"
-            )
-    if route == "rejection":
-        if q > 1:
-            raise UnsupportedMeasureError("rejection route requires q <= 1")
+    if q <= 1 and tau in DYCK_PATTERNS:
         attempts = 0
         while True:
             attempts += 1
             sigma = uniform_avoider(n, tau, rng)
             if rng.bernoulli_power(q, fixed_points(sigma)):
                 return sigma, attempts
-    if route == "enumeration":
-        if n > caps["enum"]:
-            raise UnsupportedMeasureError(f"enumeration route capped at n={caps['enum']}")
+    if n <= caps["enum"]:
         groups = _enumeration_table(n, tau)
         k = int(_inverse_cdf(_bias_weights([len(g) for g in groups], q), 1, rng)[0])
         return groups[k][rng.randbelow(len(groups[k]))], 1
-    raise ValueError(f"unknown route {route!r}")
+    why = ("rejection is exponentially slow above the phase point" if q > 1
+           else f"rejection needs a uniform sampler, which pattern {tau} lacks")
+    raise UnsupportedMeasureError(
+        f"whole-permutation sampling for q={q}, tau={tau} at n={n} is unsupported ({why}); "
+        f"use sample_fp_count for the fixed-point law, or n <= {caps['enum']} for tables"
+    )
 
 
 _enum_tables: dict[tuple[int, str], list[list[tuple[int, ...]]]] = {}

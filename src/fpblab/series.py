@@ -18,42 +18,46 @@ with C the Catalan series, so for n >= 1
     (2 - q) g_n = Catalan(n) - (1 - q)^2 g_{n-1}.
 
 At q = 2 the constant term of the denominator vanishes; there G = C^2 and
-g_n = Catalan(n+1). Every exact engine runs this first-order recurrence:
+g_n = Catalan(n+1). Every exact engine runs this first-order recurrence and
+returns plain values:
 
-- normalizations at a rational q = a/b: on U_n = g_n b^n the recurrence
-  reads (2b-a) U_n = Catalan(n) b^(n+1) - (b-a)^2 U_{n-1}, with an exact
+- normalizations at a rational q = a/b (`avoider_series`, a list of
+  Fractions): on U_n = g_n b^n the recurrence reads
+  (2b-a) U_n = Catalan(n) b^(n+1) - (b-a)^2 U_{n-1}, with an exact
   division; O(n) big-integer operations up to n;
 - factorial moments: [z^n] m! (qz)^m G^(m+1) = q^m g_n^(m)(q), from the
   m-fold q-derivative (Leibniz) of the recurrence in O(m n) operations; at
-  q = 2 from the ballot coefficients of C^(2m+2) instead;
-- polynomial rows in q: one exact synthetic division by (2 - q) per n,
+  q = 2 one ballot coefficient of C^(2m+2) instead;
+- polynomial rows in q (`avoider_polynomials`, one tuple of n+1 integer
+  coefficients per n): one exact synthetic division by (2 - q) per n,
   O(n^2) coefficient operations up to n. The division is lower-triangular
   in the power of q, so rows truncated at k_max give the column table
-  a[k][n] exactly in O(n k_max).
+  a[k][n] (`avoider_columns`, integer lists indexed [k][n]) exactly in
+  O(n k_max).
 
 The tests check these engines against the convolution recurrences of the
-square-root form and against exhaustive enumeration.
+square-root form and against exhaustive enumeration. Every size is checked
+against the budgets of `config`, which FPBL_BUDGET alone sets.
 
-Scaled-float columns (`scaled_weight_rows`, `avoider_columns` in
-scaled-float mode) run the positive column recurrence of the square-root
-form on t[n, k] = a[k][n] q^k / base^n instead: every term is nonnegative,
-so each entry keeps machine-epsilon relative accuracy at any n. The
-convolution over earlier rows is a product with the Toeplitz matrix of the
-scaled Catalan weights, taken in blocks of 64 rows: one BLAS matrix
-product per block for the rows before it, then a short product per row
-inside it. That is ~n^2 k_max / 2 multiply-adds in all, with the table
-read once per block.
+Scaled-float columns (`scaled_weight_rows`) run the positive column
+recurrence of the square-root form on t[n, k] = a[k][n] q^k / base^n
+instead: every term is nonnegative, so each entry keeps machine-epsilon
+relative accuracy at any n. The convolution over earlier rows is a product
+with the Toeplitz matrix of the scaled Catalan weights, taken in blocks of
+64 rows: one BLAS matrix product per block for the rows before it, then a
+short product per row inside it. That is ~n^2 k_max / 2 multiply-adds in
+all, with the table read once per block.
 
 Unrestricted permutations use the closed form
     total_weight(n, q) = sum_k binom(n,k) * derangements(n-k) * q^k.
 
 Catalan and derangement numbers come from their own recurrences so they can
-serve as independent oracles for the series code.
+serve as independent oracles for the series code. `_value_to_text` is the
+one formatter of exact and float values, at any number of digits.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+import re
 from fractions import Fraction
 from math import comb, factorial
 
@@ -92,98 +96,12 @@ def catalan_numbers(n_max: int) -> list[int]:
     return c[: n_max + 1]
 
 
-def catalan_numbers_by_convolution(n_max: int) -> list[int]:
-    """Oracle route: C_0 = 1, C_{n+1} = sum_i C_i C_{n-i}."""
-    c = [1]
-    for n in range(n_max):
-        c.append(sum(c[i] * c[n - i] for i in range(n + 1)))
-    return c
-
-
 def derangement_numbers(n_max: int) -> list[int]:
     """D_0..D_n with D_0 = 1, D_1 = 0, D_n = (n-1)(D_{n-1} + D_{n-2})."""
     d = [1, 0]
     for n in range(2, n_max + 1):
         d.append((n - 1) * (d[n - 1] + d[n - 2]))
     return d[: n_max + 1]
-
-
-def sqrt_series(n_max: int) -> list[int]:
-    """
-    Coefficients of sqrt(1-4z): s_0 = 1 and s_n = -2*Catalan(n-1) for n >= 1.
-
-    The binomial route binom(1/2, n)*(-4)^n gives the same integers; the
-    tests check both and the self-convolution sum_j s_j s_{n-j} = [1, -4, 0, 0, ...].
-    """
-    cat = catalan_numbers(max(n_max - 1, 0))
-    return [1] + [-2 * cat[n - 1] for n in range(1, n_max + 1)]
-
-
-# ---------------------------------------------------------------------------
-# Polynomials in q with integer coefficients
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QPolynomial:
-    """Integer-coefficient polynomial in q; coeffs[k] multiplies q^k, trailing zeros trimmed."""
-
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self):
-        c = tuple(self.coeffs)
-        while c and c[-1] == 0:
-            c = c[:-1]
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    def coefficient(self, k: int) -> int:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
-    def __call__(self, q) -> Fraction:
-        q = as_rational(q)
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * q + c
-        return acc
-
-    def derivative(self) -> "QPolynomial":
-        return QPolynomial(tuple(k * c for k, c in enumerate(self.coeffs) if k >= 1))
-
-    def __str__(self) -> str:
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for k, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            term = f"{c}" if k == 0 else (f"{c}*q" if k == 1 else f"{c}*q^{k}")
-            parts.append(term)
-        return " + ".join(parts)
-
-
-@dataclass
-class SeriesTable:
-    """
-    Values of one generating function for n = 0..n_max.
-
-    mode: "exact-poly" (QPolynomial), "exact-eval" (Fraction), or
-    "scaled-float" (float). meta records which function and which q.
-    """
-
-    mode: str
-    values: list
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def n_max(self) -> int:
-        return len(self.values) - 1
-
-    def __getitem__(self, n: int):
-        return self.values[n]
 
 
 # ---------------------------------------------------------------------------
@@ -213,24 +131,26 @@ def _next_row(prev: list[int] | tuple[int, ...], cat_n: int, width: int) -> list
 
 # the only series cache: length-n weight polynomials, keyed by n and bounded
 # by the poly budget, because the scalar samplers ask for one row per draw
-_poly_cache: list[QPolynomial] = [QPolynomial((1,))]
+_poly_cache: list[tuple[int, ...]] = [(1,)]
 
 
-def avoider_polynomials(n_max: int, budget: int | None = None) -> SeriesTable:
+def avoider_polynomials(n_max: int) -> list[tuple[int, ...]]:
     """
-    Length-n fixed-point polynomials for the 132/321/213 avoidance classes.
+    Length-n fixed-point polynomials for the 132/321/213 avoidance classes,
+    as coefficient rows for n = 0..n_max.
 
-    values[n].coefficient(k) counts the avoiders of length n with exactly k
-    fixed points; values[n](1) is Catalan(n) and values[n](q) is the
-    normalization constant of the biased avoiding measure.
+    Row n has n+1 entries: entry k counts the avoiders of length n with
+    exactly k fixed points (the identity makes entry n a 1). The row sums
+    to Catalan(n), and sum_k row[k] q^k is the normalization constant of the
+    biased avoiding measure.
     """
-    check_budget("poly", n_max, budget, hint="use avoider_series or avoider_columns at large n")
+    check_budget("poly", n_max, hint="use avoider_series or avoider_columns at large n")
     g = _poly_cache
     cat = catalan_numbers(n_max)
     while len(g) <= n_max:
         n = len(g)
-        g.append(QPolynomial(tuple(_next_row(g[-1].coeffs, cat[n], n + 1))))
-    return SeriesTable(mode="exact-poly", values=g[: n_max + 1], meta={"function": "avoider-weights"})
+        g.append(tuple(_next_row(g[-1], cat[n], n + 1)))
+    return g[: n_max + 1]
 
 
 def _scaled_derivatives(q: Fraction, m_max: int, n_max: int) -> list[list[int]]:
@@ -271,46 +191,46 @@ def _scaled_normalizations(q: Fraction, n_max: int) -> list[int]:
     return _scaled_derivatives(q, 0, n_max)[0]
 
 
-def avoider_series(q, n_max: int, budget: int | None = None) -> SeriesTable:
+def avoider_series(q, n_max: int) -> list[Fraction]:
     """
     Exact normalization constants of the biased avoiding measure, n = 0..n_max.
 
-    values[n] = sum over avoiders of length n of q^(fixed points), as a
+    Entry n = sum over avoiders of length n of q^(fixed points), as a
     Fraction. At q = 1 these are the Catalan numbers; q = 0 counts the
     fixed-point-free avoiders (the measure itself needs q > 0, the series
     does not).
     """
     q = as_rational(q)
-    check_budget("eval", n_max, budget)
+    check_budget("eval", n_max)
     u, b = _scaled_normalizations(q, n_max), q.denominator
-    vals = [Fraction(u[n], b**n) for n in range(n_max + 1)]
-    return SeriesTable(mode="exact-eval", values=vals, meta={"function": "avoider-normalization", "q": str(q)})
+    return [Fraction(u[n], b**n) for n in range(n_max + 1)]
 
 
-def avoider_normalization(q, n: int, budget: int | None = None) -> Fraction:
+def avoider_normalization(q, n: int) -> Fraction:
     """Normalization constant of the biased avoiding measure at a single n."""
     q = as_rational(q)
-    check_budget("eval", n, budget)
+    check_budget("eval", n)
     return Fraction(_scaled_normalizations(q, n)[n], q.denominator**n)
 
 
-def _scaled_factorial_moments(m: int, q: Fraction, n_max: int) -> list[int]:
+def _scaled_factorial_moment(m: int, q: Fraction, n: int) -> int:
     """
-    r[n] = b^(n+m) * [z^n] m! (qz)^m G^(m+1) at q = a/b, for n = 0..n_max.
+    b^(n+m) * [z^n] m! (qz)^m G^(m+1) at q = a/b.
 
     That coefficient is q^m g_n^(m)(q). At q = 2, where the derivative
     recurrence would divide by zero, G^(m+1) = C^(2m+2), and powers of the
-    Catalan series have the ballot coefficients [z^j] C^r = r/(2j+r) binom(2j+r, j).
+    Catalan series have the ballot coefficients [z^j] C^r = r/(2j+r) binom(2j+r, j):
+    one of them, at j = n - m, is the answer.
     """
     if q == 2:
-        r, scale = 2 * m + 2, factorial(m) * 2**m
-        ballot = [r * comb(2 * j + r, j) // (2 * j + r) for j in range(n_max - m + 1)]
-        return ([0] * m + [scale * v for v in ballot])[: n_max + 1]
-    am = q.numerator**m
-    return [am * v for v in _scaled_derivatives(q, m, n_max)[m]]
+        if n < m:
+            return 0
+        r, j = 2 * m + 2, n - m
+        return factorial(m) * 2**m * (r * comb(2 * j + r, j) // (2 * j + r))
+    return q.numerator**m * _scaled_derivatives(q, m, n)[m][n]
 
 
-def factorial_moment_coefficient(m: int, q, n: int, budget: int | None = None) -> Fraction:
+def factorial_moment_coefficient(m: int, q, n: int) -> Fraction:
     """
     [z^n] of the m-th falling-factorial weight series at bias q, exactly.
 
@@ -321,19 +241,8 @@ def factorial_moment_coefficient(m: int, q, n: int, budget: int | None = None) -
     if m < 1:
         raise ValueError("moment order m must be >= 1")
     q = as_rational(q)
-    check_budget("eval", n, budget)
-    return Fraction(_scaled_factorial_moments(m, q, n)[n], q.denominator ** (n + m))
-
-
-def factorial_moment_series(m: int, q, n_max: int, budget: int | None = None) -> SeriesTable:
-    """Table of factorial-moment coefficients for n = 0..n_max at fixed q."""
-    if m < 1:
-        raise ValueError("moment order m must be >= 1")
-    q = as_rational(q)
-    check_budget("eval", n_max, budget)
-    r, b = _scaled_factorial_moments(m, q, n_max), q.denominator
-    vals = [Fraction(r[n], b ** (n + m)) for n in range(n_max + 1)]
-    return SeriesTable(mode="exact-eval", values=vals, meta={"function": f"factorial-moment-{m}", "q": str(q)})
+    check_budget("eval", n)
+    return Fraction(_scaled_factorial_moment(m, q, n), q.denominator ** (n + m))
 
 
 def unrestricted_normalization(q, n: int) -> Fraction:
@@ -361,56 +270,25 @@ def unrestricted_weights(q, n: int) -> list[Fraction]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ColumnTable:
+def avoider_columns(k_max: int, n_max: int) -> list[list[int]]:
     """
-    Per-fixed-point-count coefficients a[k][n] for the avoidance classes.
+    Counts a[k][n] of avoiders of length n with k fixed points, as integer
+    lists indexed [k][n], for k = 0..k_max and n = 0..n_max.
 
-    exact mode holds big integers; scaled-float mode holds a[k][n] / 4^n as
-    floats (a numpy array indexed [n, k]).
-    """
-
-    mode: str
-    k_max: int
-    n_max: int
-    exact: list[list[int]] | None = None  # indexed [k][n]
-    scaled: np.ndarray | None = None  # indexed [n, k]
-
-    def count(self, k: int, n: int) -> int:
-        if self.exact is None:
-            raise ValueError("counts only available in exact mode")
-        return self.exact[k][n]
-
-    def scaled_count(self, k: int, n: int) -> float:
-        if self.scaled is not None:
-            return float(self.scaled[n, k])
-        return self.exact[k][n] / 4.0**n
-
-
-def avoider_columns(k_max: int, n_max: int, mode: str = "exact", budget: int | None = None) -> ColumnTable:
-    """
-    Counts of avoiders by fixed-point number, k = 0..k_max and n = 0..n_max.
-
-    exact mode runs the polynomial-row division of `avoider_polynomials` with
-    every row truncated at k_max, which stays exact because that division is
-    lower-triangular in k: O(n_max * k_max) big-integer operations.
-    scaled-float mode runs the positive column recurrence on a[k][n]/4^n.
+    Runs the polynomial-row division of `avoider_polynomials` with every row
+    truncated at k_max, which stays exact because that division is
+    lower-triangular in k: O(n_max * k_max) big-integer operations. Their
+    scaled-float counterpart is `scaled_weight_rows(1, n_max, k_max)`.
     """
     if k_max > n_max:
         raise ValueError("k_max cannot exceed n_max (no length-n permutation has more than n fixed points)")
-    if mode == "exact":
-        check_budget("columns", k_max, budget, hint="use scaled-float mode for large tables")
-        check_budget("eval", n_max)
-        cat = catalan_numbers(n_max)
-        rows = [[1]]
-        for n in range(1, n_max + 1):
-            rows.append(_next_row(rows[-1], cat[n], min(n, k_max) + 1))
-        cols = [[row[k] if k < len(row) else 0 for row in rows] for k in range(k_max + 1)]
-        return ColumnTable(mode="exact", k_max=k_max, n_max=n_max, exact=cols)
-    if mode == "scaled-float":
-        scaled = _scaled_weighted_columns(n_max, k_max, q=1.0, base=4.0)
-        return ColumnTable(mode="scaled-float", k_max=k_max, n_max=n_max, scaled=scaled)
-    raise ValueError(f"unknown mode {mode!r} (expected 'exact' or 'scaled-float')")
+    check_budget("columns", k_max, hint="use scaled_weight_rows for large tables")
+    check_budget("eval", n_max)
+    cat = catalan_numbers(n_max)
+    rows = [[1]]
+    for n in range(1, n_max + 1):
+        rows.append(_next_row(rows[-1], cat[n], min(n, k_max) + 1))
+    return [[row[k] if k < len(row) else 0 for row in rows] for k in range(k_max + 1)]
 
 
 def _scaled_weighted_columns(n_max: int, k_max: int, q: float, base: float) -> np.ndarray:
@@ -481,24 +359,25 @@ def scaled_weight_rows(q: float, n_max: int, k_max: int | None = None, base: flo
 
 
 # ---------------------------------------------------------------------------
-# Export
+# Number text: what the lab prints, and reads back, at any number of digits
 # ---------------------------------------------------------------------------
 
+_RATIONAL_TEXT = re.compile(r"-?[0-9]+(/[0-9]+)?")  # what _value_to_text writes for exact values
 
-def _value_to_text(v, csv: bool = False) -> str:
-    if isinstance(v, QPolynomial):
-        if csv:  # CSV cells must stay comma-free
-            return " ".join(_int_to_str(c) for c in v.coeffs)
-        return json.dumps([_int_to_str(c) for c in v.coeffs])
+
+def _value_to_text(v) -> str:
+    """
+    "a" or "a/b" for an int or Fraction, at any number of digits, and
+    repr(float(v)) for anything else (a numpy float's own repr would read
+    np.float64(...)).
+    """
     if isinstance(v, Fraction):
         if v.denominator == 1:
             return _int_to_str(v.numerator)
         return f"{_int_to_str(v.numerator)}/{_int_to_str(v.denominator)}"
-    if isinstance(v, float):
-        return repr(v)
     if isinstance(v, int):
         return _int_to_str(v)
-    raise TypeError(f"cannot serialize {type(v).__name__}")
+    return repr(float(v))
 
 
 def _int_to_str(x: int) -> str:
@@ -513,29 +392,15 @@ def _int_to_str(x: int) -> str:
         return str(Decimal(x))
 
 
-def table_to_json(table: SeriesTable) -> str:
-    payload = {
-        "mode": table.mode,
-        "meta": table.meta,
-        "values": [_value_to_text(v) for v in table.values],
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+def _text_to_rational(text: str) -> Fraction:
+    """Fraction(text), which also reads `_value_to_text`'s exact texts past the digit limit."""
+    try:
+        return Fraction(text)
+    except ValueError:
+        if not _RATIONAL_TEXT.fullmatch(text):
+            raise
+    # Fraction() and int() stop at the digit limit; Decimal parses exactly
+    from decimal import Decimal
 
-
-def table_to_csv(table: SeriesTable) -> str:
-    lines = ["n,value,mode"]
-    for n, v in enumerate(table.values):
-        lines.append(f"{n},{_value_to_text(v, csv=True)},{table.mode}")
-    return "\n".join(lines) + "\n"
-
-
-def columns_to_csv(table: ColumnTable) -> str:
-    lines = ["n,k,value,mode"]
-    for n in range(table.n_max + 1):
-        for k in range(min(n, table.k_max) + 1):
-            if table.mode == "exact":
-                val = _int_to_str(table.count(k, n))
-            else:
-                val = repr(table.scaled_count(k, n))
-            lines.append(f"{n},{k},{val},{table.mode}")
-    return "\n".join(lines) + "\n"
+    num, _, den = text.partition("/")
+    return Fraction(int(Decimal(num)), int(Decimal(den or "1")))

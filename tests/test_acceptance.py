@@ -21,6 +21,7 @@ import pytest
 from fpblab import asymptotics as asym
 from fpblab import perms, sampling, series, special
 from fpblab.dist import MeasureSpec, fp_pmf, kolmogorov_distance, tv_distance
+from test_series import catalan_numbers_by_convolution
 
 MC_SEED_BERNOULLI = 20250
 MC_SEED_UNRESTRICTED = {F(1, 2): 31001, F(2): 31110}
@@ -36,9 +37,9 @@ def report(name: str, ok: bool, detail: str) -> None:
 
 
 def test_criterion_01_series_equals_enumeration():
-    cat = series.catalan_numbers_by_convolution(10)
+    cat = catalan_numbers_by_convolution(10)
     polys = series.avoider_polynomials(10)
-    cols = series.avoider_columns(10, 10, mode="exact")
+    cols = series.avoider_columns(10, 10)
     ok = True
     for n in range(11):
         reference = None
@@ -47,8 +48,8 @@ def test_criterion_01_series_equals_enumeration():
             if reference is None:
                 reference = counts
             ok &= counts == reference  # identical across the three patterns
-            ok &= all(polys[n].coefficient(k) == counts[k] for k in range(n + 1))
-            ok &= all(cols.count(k, n) == counts[k] for k in range(n + 1))
+            ok &= all(polys[n][k] == counts[k] for k in range(n + 1))
+            ok &= all(cols[k][n] == counts[k] for k in range(n + 1))
         ok &= sum(reference) == cat[n]
     report("criterion-01 series-vs-enumeration", ok, "n <= 10, patterns 132/321/213, both routes")
     assert ok

@@ -1,9 +1,11 @@
 """CLI surface: outputs, determinism, exit codes, round trips."""
+import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
-from fpblab import sampling, series
+from fpblab import dist, sampling, series
 from fpblab.cli import main
 from fpblab.perms import fixed_points, format_perm
 
@@ -75,6 +77,43 @@ def test_pmf_json_round_trip(capsys):
     data = json.loads(out)
     assert json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n" == out
     assert data["q"] == "1/3" and data["tau"] == "132"
+
+
+def test_pmf_prints_numbers_past_the_digit_limit(capsys):
+    # its probabilities have 4900-digit denominators, which str() refuses
+    q = "1/1" + "0" * 49
+    want = dist.fp_pmf(dist.MeasureSpec(100, Fraction(q), "321"))
+    code, out, err = run_cli(capsys, "pmf", "--n", "100", "--q", q, "--tau", "321")
+    assert code == 0 and err == ""
+    rows = [line.split(",") for line in out.splitlines() if not line.startswith("#")][1:]
+    assert {int(k): series._text_to_rational(p) for k, p in rows} == want.weights
+    assert max(len(p) for _, p in rows) > 4300
+    code, out, err = run_cli(capsys, "pmf", "--n", "100", "--q", q, "--tau", "321",
+                             "--format", "json")
+    assert code == 0 and err == ""
+    assert out == dist.pmf_to_json(want)
+    assert dist.pmf_to_json(dist.pmf_from_json(out)) == out
+
+
+# sha256 of stdout: exact values and canonical JSON must stay byte-identical
+# through any rework of the engines, the number formatter or the table writer
+CANONICAL_STDOUT = {
+    "count --tau 321 --n 300": "0fdc9402cad0ce611032d05e056d66c0c9e0bd625c5469f6959b60e74601a301",
+    "zn --q 7/3 --tau 321 --n-max 1000 --format json":
+        "bcc486e343c1f1356a039c8c189da240cb4fef93d14d54d45d3d9b1a01e30862",
+    "pmf --n 300 --q 3 --tau 321 --format json":
+        "9acc1fd49f5e8238d9b0d8db5950e96d9d37ff60dc20805748d74fa4777ed8ee",
+    "asym --kind moments --q 3 --n-grid 400,800,1200 --m 2":
+        "71e0669a9fe11e38a145907abb7c1cca258fce6006a7d27234c967f662c8c664",
+    "verify --growth --q 2 --n 1200": "916ee26448c784076c55e96642ad435367c8a1f674fbdaaaf3d82d391e192516",
+}
+
+
+@pytest.mark.parametrize("argv", list(CANONICAL_STDOUT))
+def test_canonical_exact_outputs_are_pinned(capsys, argv):
+    code, out, err = run_cli(capsys, *argv.split())
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == CANONICAL_STDOUT[argv]
 
 
 def test_table_json_round_trip(capsys):

@@ -230,6 +230,19 @@ def test_pmf_json_round_trip():
     assert pmf_from_json(flt).mode == "float"
 
 
+def test_pmf_json_round_trip_past_the_digit_limit():
+    # q = 10^-49 at n = 100 gives weights with 4900-digit denominators, and
+    # q = 10^-5000 a q field of 5001 digits: more than int/str convert at once
+    limit_bits = 4300 * math.log2(10)
+    for spec in (MeasureSpec(100, F(1, 10**49), "321"), MeasureSpec(2, F(1, 10**5000), "132")):
+        pmf = fp_pmf(spec)
+        assert max(v.denominator.bit_length() for v in pmf.weights.values()) > limit_bits
+        text = pmf_to_json(pmf)
+        back = pmf_from_json(text)
+        assert back.weights == pmf.weights and back.spec == spec
+        assert pmf_to_json(back) == text
+
+
 def test_monte_carlo_mode_reweights_123():
     rng = sampling.RandomSource(21)
     est = fp_pmf(MeasureSpec(60, 2, "123"), mode="monte-carlo", rng=rng, samples=4000)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpblab import perms
-from fpblab.series import catalan_numbers, catalan_numbers_by_convolution
+from fpblab.series import catalan_numbers
+from test_series import catalan_numbers_by_convolution
 
 
 def all_perms(n):

@@ -11,7 +11,7 @@ import pytest
 
 from fpblab import dist, perms, sampling, series
 from fpblab.dist import MeasureSpec, UnsupportedMeasureError, fp_pmf
-from fpblab.sampling import DyckPath, RandomSource
+from fpblab.sampling import RandomSource
 
 F = Fraction
 
@@ -63,27 +63,31 @@ def test_randbelow_batch_rounds_never_overdraw(monkeypatch):
         RandomSource(8).randbelow_batch(5, -1)
 
 
-def test_dyck_path_invariants():
-    DyckPath((1, 1, -1, -1))
-    with pytest.raises(ValueError):
-        DyckPath((1, -1, -1, 1))  # dips below zero
-    with pytest.raises(ValueError):
-        DyckPath((1, 1, -1))  # odd length
-    with pytest.raises(ValueError):
-        DyckPath((1, 1, -1, 1))  # nonzero total
+def all_dyck_paths(n):
+    """Every Dyck path of semilength n, as tuples of +-1 steps."""
+    def extend(ups, downs, h, pre):
+        if ups == 0 and downs == 0:
+            yield tuple(pre)
+            return
+        if ups:
+            yield from extend(ups - 1, downs, h + 1, pre + [1])
+        if downs and h > 0:
+            yield from extend(ups, downs - 1, h - 1, pre + [-1])
+
+    return list(extend(n, n, 0, []))
 
 
 def test_uniform_dyck_semilength_one():
-    rng = RandomSource(1)
-    for _ in range(10):
-        assert sampling.uniform_dyck(1, rng).steps == (1, -1)
+    steps = sampling._batch_dyck_steps(1, 10, RandomSource(1).generator)
+    assert steps.tolist() == [[1, -1]] * 10
 
 
 def test_uniform_dyck_frequencies():
-    # Catalan(3) = 5 paths, each within 4 sigma of 1/5 at this fixed seed
-    rng = RandomSource(8)
-    counts = collections.Counter(sampling.uniform_dyck(3, rng).steps for _ in range(30000))
-    assert len(counts) == 5
+    # the batch kernel every sampler runs: its rows are exactly the
+    # Catalan(3) = 5 Dyck paths, each within 4 sigma of 1/5 at this fixed seed
+    steps = sampling._batch_dyck_steps(3, 30000, RandomSource(8).generator)
+    counts = collections.Counter(map(tuple, steps.tolist()))
+    assert set(counts) == set(all_dyck_paths(3))
     band = 4 * math.sqrt(0.2 * 0.8 / 30000)
     assert all(abs(c / 30000 - 0.2) < band for c in counts.values())
 
@@ -150,24 +154,13 @@ def test_walks_match_big_integer_oracle_at_word_edges():
 
 
 def test_dyck_bijection_exhaustive():
-    def all_dyck(n, ups, downs, h, pre):
-        if ups == 0 and downs == 0:
-            yield tuple(pre)
-            return
-        if ups:
-            yield from all_dyck(n, ups - 1, downs, h + 1, pre + [1])
-        if downs and h > 0:
-            yield from all_dyck(n, ups, downs - 1, h - 1, pre + [-1])
-
+    # the batch map of the samplers, on every path at once: injective, onto S_n(tau)
     for n in range(1, 8):
-        paths = list(all_dyck(n, n, n, 0, []))
-        images = {sampling.dyck_to_321_avoider(DyckPath(s)) for s in paths}
-        assert images == set(perms.enumerate_avoiders(n, "321"))
-        # the first-return map to 132-avoiders: injective, onto S_n(132)
-        images = [tuple(int(v) for v in row)
-                  for row in sampling._perms_132_from_dyck(np.array(paths, dtype=np.int8))]
-        assert len(set(images)) == len(paths)
-        assert set(images) == set(perms.enumerate_avoiders(n, "132"))
+        paths = np.array(all_dyck_paths(n), dtype=np.int8)
+        for tau in sampling.DYCK_PATTERNS:
+            images = [tuple(row) for row in sampling._avoiders_from_dyck(paths, tau).tolist()]
+            assert len(set(images)) == len(paths), (n, tau)
+            assert set(images) == set(perms.enumerate_avoiders(n, tau)), (n, tau)
 
 
 def test_profile_fp_kernels_match_materialization():
@@ -342,7 +335,7 @@ def test_enumeration_table_is_shared_across_q(monkeypatch):
     monkeypatch.setattr(sampling, "_enum_tables", {})
     rng = RandomSource(10)
     for q in (F(1, 3), 2, F(7, 2)):
-        sigma, _ = sampling.biased_avoider_permutation(6, q, "231", rng, route="enumeration")
+        sigma, _ = sampling.biased_avoider_permutation(6, q, "231", rng)
         assert perms.avoids(sigma, "231")
     assert list(sampling._enum_tables) == [(6, "231")]
 
@@ -352,7 +345,7 @@ def test_biased_avoider_refusals():
     with pytest.raises(UnsupportedMeasureError, match="sample_fp_count"):
         sampling.biased_avoider_permutation(20, 4, "321", rng)
     with pytest.raises(UnsupportedMeasureError, match="q <= 1"):
-        sampling.biased_avoider_permutation(5, 2, "321", rng, route="rejection")
+        sampling.biased_avoider_batch(5, 2, rng, 1)
 
 
 def test_batch_samplers_refuse_negative_sizes():
@@ -431,9 +424,9 @@ def test_documented_bijection_table_n4():
     }
     assert len(set(table.values())) == 14
     assert set(table.values()) == set(perms.enumerate_avoiders(4, "321"))
-    for word, sigma in table.items():
-        steps = tuple(1 if c == "U" else -1 for c in word)
-        assert sampling.dyck_to_321_avoider(DyckPath(steps)) == sigma
+    steps = np.array([[1 if c == "U" else -1 for c in word] for word in table], dtype=np.int8)
+    got = sampling._avoiders_from_dyck(steps, "321").tolist()
+    assert [tuple(row) for row in got] == list(table.values())
 
 
 def test_batch_samplers_are_deterministic():

@@ -28,10 +28,18 @@ def brute_counts(n, tau):
 # ---------------------------------------------------------------------------
 
 
+def catalan_numbers_by_convolution(n_max):
+    """Catalan numbers by C_0 = 1, C_{n+1} = sum_i C_i C_{n-i} (the engine uses the ratio route)."""
+    c = [1]
+    for n in range(n_max):
+        c.append(sum(c[i] * c[n - i] for i in range(n + 1)))
+    return c
+
+
 def _oracle_scaled_series(q, n_max):
     """U_n = g_n * b^n at q = a/b, all integers (weights Catalan(j-1) * b^j)."""
     a, b = q.numerator, q.denominator
-    cat = series.catalan_numbers_by_convolution(n_max)
+    cat = catalan_numbers_by_convolution(n_max)
     w = [0] + [cat[j - 1] * b**j for j in range(1, n_max + 1)]
     u = [1]
     for n in range(1, n_max + 1):
@@ -62,7 +70,7 @@ def oracle_factorial_moments(m, q, n_max):
 
 def oracle_polynomial_rows(n_max):
     """Coefficient lists of g_n(q) for n = 0..n_max, by the convolution in q."""
-    cat = series.catalan_numbers_by_convolution(n_max)
+    cat = catalan_numbers_by_convolution(n_max)
     g = [[1]]
     for n in range(1, n_max + 1):
         acc = [0] * (n + 1)
@@ -81,7 +89,7 @@ def oracle_columns(k_max, n_max):
     a[k][n] from alpha*A_k = 2z*A_{k-1}, alpha = 1 + 2z + sqrt(1-4z):
     a[k][n] = a[k-1][n-1] + sum_{j=2..n} Catalan(j-1) a[k][n-j].
     """
-    cat = series.catalan_numbers_by_convolution(n_max)
+    cat = catalan_numbers_by_convolution(n_max)
     cols = []
     for k in range(k_max + 1):
         col = [0] * (n_max + 1)
@@ -121,7 +129,7 @@ def oracle_scaled_columns(n_max, k_max, q, base):
 def test_series_match_convolution_oracle():
     for q in ORACLE_QS:
         expect = oracle_series(q, 60)
-        assert series.avoider_series(q, 60).values == expect, q
+        assert series.avoider_series(q, 60) == expect, q
         assert [series.avoider_normalization(q, n) for n in (0, 1, 2, 59, 60)] == [
             expect[n] for n in (0, 1, 2, 59, 60)
         ], q
@@ -130,7 +138,7 @@ def test_series_match_convolution_oracle():
 def test_polynomial_rows_match_convolution_oracle():
     table = series.avoider_polynomials(60)
     expect = oracle_polynomial_rows(60)
-    assert [list(table[n].coeffs) for n in range(61)] == expect
+    assert [list(table[n]) for n in range(61)] == expect
 
 
 def test_factorial_moments_match_power_oracle():
@@ -138,45 +146,41 @@ def test_factorial_moments_match_power_oracle():
         for m in (1, 2, 3):
             expect = oracle_factorial_moments(m, q, 40)
             assert [series.factorial_moment_coefficient(m, q, n) for n in range(41)] == expect, (q, m)
-            # the table is built once and sliced; it must equal the per-n values
-            assert series.factorial_moment_series(m, q, 40).values == expect, (q, m)
 
 
 def test_huge_denominator_matches_oracle():
     q = HUGE_Q
     assert q.denominator.bit_length() == 10_000
-    assert series.avoider_series(q, 20).values == oracle_series(q, 20)
+    assert series.avoider_series(q, 20) == oracle_series(q, 20)
     for m in (1, 2, 3):
         expect = oracle_factorial_moments(m, q, 20)
-        assert series.factorial_moment_series(m, q, 20).values == expect, m
-        assert series.factorial_moment_coefficient(m, q, 20) == expect[20], m
+        assert [series.factorial_moment_coefficient(m, q, n) for n in range(21)] == expect, m
 
 
 def test_columns_match_recurrence_oracle():
     for k_max in (0, 1, 5, 12):
-        assert series.avoider_columns(k_max, 40, mode="exact").exact == oracle_columns(k_max, 40), k_max
-    assert series.avoider_columns(12, 12, mode="exact").exact == oracle_columns(12, 12)
+        assert series.avoider_columns(k_max, 40) == oracle_columns(k_max, 40), k_max
+    assert series.avoider_columns(12, 12) == oracle_columns(12, 12)
 
 
 def test_lengths_zero_and_one():
     for q in ORACLE_QS + (HUGE_Q,):
-        assert series.avoider_series(q, 0).values == [1]
-        assert series.avoider_series(q, 1).values == [1, q]
+        assert series.avoider_series(q, 0) == [1]
+        assert series.avoider_series(q, 1) == [1, q]
         assert series.avoider_normalization(q, 0) == 1
         assert series.avoider_normalization(q, 1) == q
         for m in (1, 2, 3):
             assert series.factorial_moment_coefficient(m, q, 0) == 0
             assert series.factorial_moment_coefficient(m, q, 1) == (q if m == 1 else 0)
-            assert series.factorial_moment_series(m, q, 1).values == [0, q if m == 1 else 0]
-    assert series.avoider_polynomials(0)[0].coeffs == (1,)
-    assert series.avoider_polynomials(1)[1].coeffs == (0, 1)
-    assert series.avoider_columns(0, 0, mode="exact").exact == [[1]]
-    assert series.avoider_columns(0, 1, mode="exact").exact == [[1, 0]]
-    assert series.avoider_columns(1, 1, mode="exact").exact == [[1, 0], [0, 1]]
+    assert series.avoider_polynomials(0) == [(1,)]
+    assert series.avoider_polynomials(1) == [(1,), (0, 1)]
+    assert series.avoider_columns(0, 0) == [[1]]
+    assert series.avoider_columns(0, 1) == [[1, 0]]
+    assert series.avoider_columns(1, 1) == [[1, 0], [0, 1]]
 
 
 def test_catalan_routes_agree():
-    assert series.catalan_numbers(60) == series.catalan_numbers_by_convolution(60)
+    assert series.catalan_numbers(60) == catalan_numbers_by_convolution(60)
     assert series.catalan_numbers(5) == [1, 1, 2, 5, 14, 42]
 
 
@@ -188,63 +192,43 @@ def test_derangements():
         assert series.derangement_numbers(n)[n] == brute
 
 
-def test_sqrt_series_values_and_binomial_oracle():
-    s = series.sqrt_series(4)
-    assert s == [1, -2, -2, -4, -10]
-    # generalized binomial oracle: binom(1/2, n) * (-4)^n
-    coeffs = series.sqrt_series(25)
-    for n in range(26):
-        num = Fraction(1)
-        for i in range(n):
-            num *= Fraction(1, 2) - i
-        for i in range(1, n + 1):
-            num /= i
-        assert num * Fraction(-4) ** n == coeffs[n]
-
-
-def test_sqrt_series_self_convolution_is_one_minus_4z():
-    s = series.sqrt_series(30)
-    for n in range(31):
-        conv = sum(s[j] * s[n - j] for j in range(n + 1))
-        assert conv == {0: 1, 1: -4}.get(n, 0)
-
-
 def test_polynomials_match_enumeration_for_all_three_patterns():
     table = series.avoider_polynomials(9)
     for n in range(10):
         for tau in series.TAU_CLASS:
             counts = brute_counts(n, tau)
-            assert [table[n].coefficient(k) for k in range(n + 1)] == counts, (n, tau)
+            assert list(table[n]) == counts, (n, tau)
 
 
 def test_polynomial_examples():
     table = series.avoider_polynomials(4)
-    assert table[1].coeffs == (0, 1)  # q
-    assert table[3].coeffs == (2, 2, 0, 1)  # q^3 + 2q + 2
-    assert table[4].coeffs == (6, 4, 3, 0, 1)  # q^4 + 3q^2 + 4q + 6
+    assert table[1] == (0, 1)  # q
+    assert table[3] == (2, 2, 0, 1)  # q^3 + 2q + 2
+    assert table[4] == (6, 4, 3, 0, 1)  # q^4 + 3q^2 + 4q + 6
 
 
 def test_polynomial_invariants():
     cat = series.catalan_numbers(40)
     table = series.avoider_polynomials(40)
     for n in range(41):
-        poly = table[n]
-        assert all(c >= 0 for c in poly.coeffs)
-        assert sum(poly.coeffs) == cat[n]  # mass identity at q = 1
+        row = table[n]
+        assert len(row) == n + 1
+        assert all(c >= 0 for c in row)
+        assert sum(row) == cat[n]  # mass identity at q = 1
         if n >= 2:
-            assert poly.coefficient(n - 1) == 0  # no permutation has n-1 fixed points
-        assert poly.coefficient(n) == 1  # only the identity has n fixed points
+            assert row[n - 1] == 0  # no permutation has n-1 fixed points
+        assert row[n] == 1  # only the identity has n fixed points
 
 
 def test_eval_engine():
-    assert [int(v) for v in series.avoider_series(1, 12).values] == series.catalan_numbers(12)
+    assert [int(v) for v in series.avoider_series(1, 12)] == series.catalan_numbers(12)
     assert series.avoider_series(2, 3)[3] == 14  # 8 + 4 + 2
     assert series.avoider_series(0, 4)[4] == 6  # fixed-point-free 321-avoiders of length 4
     table = series.avoider_polynomials(10)
-    for q in (Fraction(1, 2), Fraction(7, 3), 5):
+    for q in (Fraction(1, 2), Fraction(7, 3), Fraction(5)):
         ser = series.avoider_series(q, 10)
         for n in range(11):
-            assert ser[n] == table[n](q), (q, n)
+            assert ser[n] == sum(c * q**k for k, c in enumerate(table[n])), (q, n)
 
 
 def test_eval_engine_float_rejected():
@@ -255,23 +239,23 @@ def test_eval_engine_float_rejected():
 def test_columns_match_polynomials():
     # cross-method identity for n <= 30
     table = series.avoider_polynomials(30)
-    cols = series.avoider_columns(30, 30, mode="exact")
+    cols = series.avoider_columns(30, 30)
     for n in range(31):
         for k in range(n + 1):
-            assert cols.count(k, n) == table[n].coefficient(k)
-    assert [cols.count(0, n) for n in range(5)] == [1, 0, 1, 2, 6]
-    assert all(cols.count(n, n) == 1 for n in range(31))
+            assert cols[k][n] == table[n][k]
+    assert [cols[0][n] for n in range(5)] == [1, 0, 1, 2, 6]
+    assert all(cols[n][n] == 1 for n in range(31))
 
 
 def test_scaled_float_columns_track_exact():
     # spec regression band: absolute error <= 1e-10 for n <= 200, k <= n
     n_max = 200
-    exact = series.avoider_columns(n_max, n_max, mode="exact")
-    scaled = series.avoider_columns(n_max, n_max, mode="scaled-float")
+    exact = series.avoider_columns(n_max, n_max)
+    scaled = series.scaled_weight_rows(1, n_max)  # a[k][n] / 4^n, indexed [n, k]
     worst = 0.0
     for n in range(n_max + 1):
         for k in range(n + 1):
-            worst = max(worst, abs(scaled.scaled_count(k, n) - exact.count(k, n) / 4.0**n))
+            worst = max(worst, abs(float(scaled[n, k]) - exact[k][n] / 4.0**n))
     assert worst <= 1e-10, worst
 
 
@@ -318,14 +302,14 @@ def test_factorial_moments_match_coefficient_sums():
     table = series.avoider_polynomials(30)
     for q in (Fraction(3), Fraction(1, 2)):
         for n in (5, 12, 30):
-            poly = table[n]
+            row = table[n]
             for m in (1, 2, 3):
                 direct = Fraction(0)
                 for k in range(n + 1):
                     falling = 1
                     for i in range(m):
                         falling *= k - i
-                    direct += falling * poly.coefficient(k) * q**k
+                    direct += falling * row[k] * q**k
                 assert series.factorial_moment_coefficient(m, q, n) == direct, (q, n, m)
 
 
@@ -342,13 +326,19 @@ def test_factorial_moments_match_enumeration():
             assert series.factorial_moment_coefficient(m, 2, n) == direct
 
 
-def test_budget_refusals():
+def test_budget_refusals(monkeypatch):
+    # FPBL_BUDGET is the one source of the budgets
+    monkeypatch.setenv("FPBL_BUDGET", "poly=5,eval=10,columns=10")
     with pytest.raises(BudgetExceededError, match="poly"):
-        series.avoider_polynomials(10, budget=5)
+        series.avoider_polynomials(10)
     with pytest.raises(BudgetExceededError, match="eval"):
-        series.avoider_series(2, 50, budget=10)
+        series.avoider_series(2, 50)
+    with pytest.raises(BudgetExceededError, match="eval"):
+        series.avoider_normalization(2, 50)
+    with pytest.raises(BudgetExceededError, match="eval"):
+        series.factorial_moment_coefficient(1, 2, 50)
     with pytest.raises(BudgetExceededError, match="columns"):
-        series.avoider_columns(30, 30, mode="exact", budget=10)
+        series.avoider_columns(30, 30)
     with pytest.raises(ValueError, match="k_max"):
         series.avoider_columns(5, 3)
 
@@ -365,32 +355,6 @@ def test_budget_env_override(monkeypatch):
         budgets()
 
 
-def test_qpolynomial_behaviour():
-    p = series.QPolynomial((2, 2, 0, 1, 0, 0))
-    assert p.coeffs == (2, 2, 0, 1)  # trailing zeros trimmed
-    assert p.degree == 3
-    assert p(2) == 14
-    assert p(Fraction(1, 2)) == Fraction(25, 8)
-    assert p.derivative().coeffs == (2, 0, 3)
-    assert str(p) == "2 + 2*q + 1*q^3"
-
-
-def test_exports_round_trip():
-    import json
-
-    table = series.avoider_series(Fraction(1, 2), 6)
-    text = series.table_to_json(table)
-    data = json.loads(text)
-    assert json.dumps(data, sort_keys=True, separators=(",", ":")) + "\n" == text
-    assert data["values"][3] == "25/8"
-    csv_text = series.table_to_csv(table)
-    assert csv_text.splitlines()[0] == "n,value,mode"
-    cols = series.avoider_columns(3, 5, mode="exact")
-    lines = series.columns_to_csv(cols).splitlines()
-    assert lines[0] == "n,k,value,mode"
-    assert "4,2,3,exact" in lines  # a[2][4] = 3
-
-
 def test_scaled_weight_rows_supercritical_base():
     # above the phase point the rows are rescaled so that entries stay finite
     import numpy as np
@@ -398,10 +362,10 @@ def test_scaled_weight_rows_supercritical_base():
     rows = series.scaled_weight_rows(4.0, 300)
     assert np.isfinite(rows).all()
     assert rows[300].sum() > 0
-    poly = series.avoider_polynomials(60)[60]
-    z = poly(4)
+    row = series.avoider_polynomials(60)[60]
+    z = sum(c * 4**k for k, c in enumerate(row))
     w = rows[60]
-    pmf_exact = [float(Fraction(poly.coefficient(k)) * Fraction(4) ** k / z) for k in range(61)]
+    pmf_exact = [float(Fraction(c * 4**k, z)) for k, c in enumerate(row)]
     pmf_float = w / w.sum()
     assert max(abs(a - b) for a, b in zip(pmf_exact, pmf_float)) < 1e-12
 
@@ -416,11 +380,22 @@ def test_int_to_str_restores_digit_limit():
             assert series._int_to_str(12345) == "12345"
             assert sys.get_int_max_str_digits() == limit
         sys.set_int_max_str_digits(4300)
-        table = series.SeriesTable("exact-eval", [Fraction(10**9000, 7)])
-        assert series.table_to_csv(table) == f"n,value,mode\n0,1{'0' * 9000}/7,exact-eval\n"
+        assert series._value_to_text(Fraction(10**9000, 7)) == f"1{'0' * 9000}/7"
         assert sys.get_int_max_str_digits() == 4300
     finally:
         sys.set_int_max_str_digits(before)
+
+
+def test_value_text_reads_back_past_the_digit_limit():
+    # the one number formatter of the lab and its reader, for numbers of any size
+    big = Fraction(3**20000, 7**9000)  # 9546 and 7606 digits
+    for v in (Fraction(0), Fraction(12), Fraction(-5, 3), big, -big, Fraction(3**20000)):
+        assert series._text_to_rational(series._value_to_text(v)) == v
+    assert series._value_to_text(10**5000) == "1" + "0" * 5000
+    assert series._value_to_text(np.float64(0.1)) == "0.1"  # not np.float64(0.1)
+    assert series._value_to_text(2.5) == "2.5"
+    with pytest.raises(ValueError):
+        series._text_to_rational("1" * 5000 + "/x")
 
 
 def test_int_to_str_leaves_digit_limit_setting_alone(monkeypatch):
