@@ -142,11 +142,13 @@ def cmd_sample(args) -> int:
     emit_perm = args.emit == "perm"
     rows = []
     perms_arr = None
-    if args.tau is None:
-        perms_arr = sampling.sample_biased_unrestricted_batch(args.n, args.q, rng, args.count)
-    elif not emit_perm:
-        ks = sampling.sample_fp_count_batch(args.n, args.q, args.tau, rng, args.count, mode=args.fp_mode)
+    if not emit_perm:
+        # the counts alone: without --tau the law is exact, whatever --fp-mode says
+        mode = args.fp_mode if args.tau else "exact"
+        ks = sampling.sample_fp_count_batch(args.n, args.q, args.tau, rng, args.count, mode=mode)
         rows = [[i, int(k)] for i, k in enumerate(ks)]
+    elif args.tau is None:
+        perms_arr = sampling.sample_biased_unrestricted_batch(args.n, args.q, rng, args.count)
     elif args.tau in sampling.DYCK_PATTERNS and as_rational(args.q) == 1:
         # the uniform measure: the batch sampler keeps every row it draws
         perms_arr, _ = sampling.biased_avoider_batch(args.n, 1, rng, args.count, args.tau)
@@ -157,11 +159,7 @@ def cmd_sample(args) -> int:
             rows.append([i, fixed_points(sigma), format_perm(sigma)])
     if perms_arr is not None:
         fps = (perms_arr == np.arange(1, args.n + 1)).sum(axis=1).tolist()
-        if emit_perm:
-            texts = format_perms(perms_arr)
-            rows = [[i, f, t] for i, (f, t) in enumerate(zip(fps, texts))]
-        else:
-            rows = [[i, f] for i, f in enumerate(fps)]
+        rows = [[i, f, t] for i, (f, t) in enumerate(zip(fps, format_perms(perms_arr)))]
     columns = ["sample_index", "fp"] + (["perm"] if emit_perm else [])
     Emitter(args.format, args.out).emit(
         columns, rows,

@@ -27,6 +27,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Rational
 from typing import Mapping
 
 from . import series, special
@@ -69,13 +70,27 @@ class Provenance:
     stream_id: int | None = None
 
 
+def _exact_sum(values) -> Fraction:
+    """
+    Sum of rationals, adding the numerators over each distinct denominator
+    first: one big-integer gcd per denominator instead of one per term (the
+    terms of one law mostly share a denominator).
+    """
+    by_denominator: dict[int, int] = {}
+    for v in values:
+        v = Fraction(v)
+        by_denominator[v.denominator] = by_denominator.get(v.denominator, 0) + v.numerator
+    return sum((Fraction(num, den) for den, num in by_denominator.items()), Fraction(0))
+
+
 class FixedPointPMF:
     """
     Law of the fixed-point count; weights indexed by k with sum 1.
 
     mode "exact" holds Fractions (exact sum); mode "float" holds doubles
-    (sum within 1e-12 after normalization). No measure puts mass on
-    k = n-1 when n >= 2, and that is enforced here.
+    (sum within 1e-12 after normalization). Weights must be nonnegative and
+    finite, and rational in exact mode. No measure puts mass on k = n-1
+    when n >= 2, and that is enforced here.
     """
 
     def __init__(self, n: int, weights: Mapping[int, Fraction | float], mode: str,
@@ -87,15 +102,23 @@ class FixedPointPMF:
         self.provenance = provenance
         self.spec = spec
         clean = {k: v for k, v in weights.items() if v != 0}
+        for v in clean.values():
+            if not isinstance(v, (int, Fraction)) and not math.isfinite(v):
+                raise ValueError(f"weights must be finite, got {v!r}")
+            if v < 0:
+                raise ValueError(f"weights must be nonnegative, got {v}")
         if any(k < 0 or k > n for k in clean):
             raise ValueError("support must lie in 0..n")
         if n >= 2 and clean.get(n - 1, 0) != 0:
             raise ValueError(f"impossible mass at k = n-1 = {n - 1}")
-        total = sum(clean.values())
         if mode == "exact":
+            if not all(isinstance(v, Rational) for v in clean.values()):
+                raise ValueError("exact weights must be rationals")
+            total = _exact_sum(clean.values())
             if total != 1:
                 raise ValueError(f"exact weights must sum to 1, got {total}")
         else:
+            total = sum(clean.values())
             if not math.isclose(float(total), 1.0, rel_tol=0, abs_tol=1e-9):
                 raise ValueError(f"float weights sum to {float(total)}, expected 1")
             clean = {k: float(v) / float(total) for k, v in clean.items()}
@@ -139,12 +162,13 @@ class FixedPointPMF:
                              "float", self.provenance, self.spec)
 
 
-def _pmf_from_weights(spec: MeasureSpec, raw: Mapping[int, Fraction], kind: str) -> FixedPointPMF:
-    z = sum(raw.values())
+def _pmf_from_weights(spec: MeasureSpec, weights: list[int], kind: str) -> FixedPointPMF:
+    """The exact law proportional to integer weights by fixed-point count (`series.bias_weights`)."""
+    z = sum(weights)
     if z == 0:
         raise UnsupportedMeasureError(f"no permutations match {spec.describe()}")
-    weights = {k: Fraction(v, 1) / z if not isinstance(v, Fraction) else v / z for k, v in raw.items()}
-    return FixedPointPMF(spec.n, weights, "exact", Provenance(kind), spec)
+    probs = {k: Fraction(w, z) for k, w in enumerate(weights) if w}
+    return FixedPointPMF(spec.n, probs, "exact", Provenance(kind), spec)
 
 
 def fp_pmf(spec: MeasureSpec, mode: str = "exact", rng=None, samples: int | None = None) -> FixedPointPMF:
@@ -162,15 +186,12 @@ def fp_pmf(spec: MeasureSpec, mode: str = "exact", rng=None, samples: int | None
     n, q, tau = spec.n, spec.q, spec.tau
     if mode == "exact":
         if tau is None:
-            return _pmf_from_weights(spec, dict(enumerate(series.unrestricted_weights(q, n))), "closed-form")
+            return _pmf_from_weights(spec, series.unrestricted_weights(q, n), "closed-form")
         if tau in TAU_CLASS and n <= caps["poly"]:
-            row = series.avoider_polynomials(n)[n]
-            raw = {k: c * q**k for k, c in enumerate(row)}
-            return _pmf_from_weights(spec, raw, "series")
+            return _pmf_from_weights(spec, series.bias_weights(series.avoider_polynomials(n)[n], q), "series")
         if n <= caps["enum"]:
             counts = fixed_point_counts(enumerate_avoiders(n, tau), n)
-            raw = {k: counts[k] * q**k for k in range(n + 1)}
-            return _pmf_from_weights(spec, raw, "enumeration")
+            return _pmf_from_weights(spec, series.bias_weights(counts, q), "enumeration")
         raise UnsupportedMeasureError(
             f"no exact route for {spec.describe()}: enumeration is capped at n={caps['enum']}"
             + (", use mode='scaled-float'" if tau in TAU_CLASS else
@@ -431,11 +452,19 @@ def _parse_value(text: str):
 
 
 def pmf_from_json(text: str) -> FixedPointPMF:
-    data = json.loads(text)
-    spec = None
-    if data.get("q") is not None:
-        spec = MeasureSpec(data["n"], series._text_to_rational(data["q"]), data.get("tau"))
-    prov = Provenance(data.get("provenance", "series"), data.get("samples"),
-                      data.get("seed"), data.get("stream_id"))
-    weights = {int(k): _parse_value(v) for k, v in data["weights"]}
-    return FixedPointPMF(data["n"], weights, data["mode"], prov, spec)
+    """Read back `pmf_to_json`; text that does not hold a valid law raises ValueError."""
+    try:
+        data = json.loads(text)
+        n = data["n"]
+        if not isinstance(n, int) or n < 0:
+            raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+        spec = None
+        if data.get("q") is not None:
+            spec = MeasureSpec(n, series._text_to_rational(data["q"]), data.get("tau"))
+        prov = Provenance(data.get("provenance", "series"), data.get("samples"),
+                          data.get("seed"), data.get("stream_id"))
+        weights = {int(k): _parse_value(v) for k, v in data["weights"]}
+        return FixedPointPMF(n, weights, data["mode"], prov, spec)
+    except (KeyError, TypeError, AttributeError, ZeroDivisionError, OverflowError) as exc:
+        # wrong types or shapes, a zero denominator, a float too large to read
+        raise ValueError(f"not a fixed-point law: {exc!r}") from exc

@@ -18,8 +18,10 @@ their reverses; 132-avoiders come through the first-return decomposition
 U A D B of the path (A is the head above the maximum, B the tail below
 it), and 213-avoiders are reverse-complements of 132-avoiders.
 
-The fixed-point batch sampler counts 321/123 fixed points straight from
-the walks, without rotating them to Dyck paths or building the
+A walk becomes its Dyck path by one gather from strided windows of the
+doubled walk (the row twice over), with no index array. The fixed-point
+batch sampler counts 321/123 fixed points from the down-step indices of
+those paths, _BLOCK rows at a time, with no sort and without building the
 permutations. It draws batch i+1 on one helper thread while the main
 thread counts batch i; only the helper draws, in batch order, so the
 random stream is the one of drawing the batches one after another.
@@ -49,7 +51,7 @@ import bisect
 import threading
 from fractions import Fraction
 from itertools import accumulate
-from math import ceil, comb, exp, lgamma, log
+from math import ceil, exp, lgamma, log
 
 import numpy as np
 
@@ -60,6 +62,8 @@ from .perms import check_pattern, enumerate_avoiders, fixed_point_counts, fixed_
 from .series import as_rational
 
 _MAX_BATCH_CELLS = 8_000_000  # soft cap on rows*length per vectorized batch
+_BLOCK = 256  # rows per block of the fixed-point count, which keeps its temporaries in cache
+_BYTE_SCAN_CELLS = 16_384  # steps from which `_dyck_starts` scans bytes (about where that pays)
 
 
 class RandomSource:
@@ -183,33 +187,74 @@ def _walk_job(n: int, rows: int, gen: np.random.Generator):
     return walks, fill
 
 
+def _byte_tables():
+    """
+    For each byte of 8 steps (first step in the high bit, bit 1 a
+    down-step): its net sum, its lowest prefix sum less that net sum, and
+    the last position (0..7) where that lowest prefix sum is reached.
+    """
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+    prefix = np.cumsum(1 - 2 * bits.astype(np.int8), axis=1)
+    net = prefix[:, -1]
+    return (net.astype(np.int8), (prefix.min(axis=1) - net).astype(np.int8),
+            7 - np.argmin(prefix[:, ::-1], axis=1))
+
+
+_BYTE_NET, _BYTE_LOW, _BYTE_LAST = _byte_tables()
+
+
 def _dyck_starts(walks: np.ndarray, dtype) -> np.ndarray:
     """
     Column of each walk where its Dyck path starts (cycle lemma), in
-    [2, m+1] for walks of length m: read it modulo m.
+    [2, m+1] for walks of length m: a column of the doubled row (the row
+    twice over), so the path is the 2n steps from there on.
 
     The walk sums to +1; read cyclically from just after the last minimum of
     its prefix sums every prefix is positive, and dropping that leading
     up-step leaves a uniform Dyck path, whose first step is therefore two
     columns after the last minimum.
+
+    From _BYTE_SCAN_CELLS steps on, the prefix sums run over bytes, an
+    eighth of the columns: `packbits` packs 8 steps per byte, and the byte
+    tables give each byte's net sum, lowest prefix sum and last position
+    of it. Padding bits read as up-steps, so they never reach a minimum.
+    Fewer steps take the plain prefix sum, which needs fewer numpy calls
+    (the one-path samplers draw one walk per call).
     """
-    m = walks.shape[1]
-    prefix = np.cumsum(walks, axis=1, dtype=dtype)
-    # the last minimum sits at column m-1-argmin of the reversed sums
-    return m + 1 - np.argmin(prefix[:, ::-1], axis=1)
+    rows, m = walks.shape
+    if walks.size < _BYTE_SCAN_CELLS:
+        prefix = np.cumsum(walks, axis=1, dtype=dtype)
+        # the last minimum sits at column m-1-argmin of the reversed sums
+        return m + 1 - np.argmin(prefix[:, ::-1], axis=1)
+    packed = np.packbits(walks < 0, axis=1)
+    low = np.cumsum(_BYTE_NET[packed], axis=1, dtype=dtype)
+    low += _BYTE_LOW[packed]  # the lowest prefix sum within each byte
+    byte = packed.shape[1] - 1 - np.argmin(low[:, ::-1], axis=1)  # the last byte reaching the minimum
+    return 8 * byte + _BYTE_LAST[packed[np.arange(rows), byte]] + 2
 
 
 def _walk_dtype(n: int):
-    """The narrowest dtype holding a walk's prefix sums and its column offsets (up to 2n+2)."""
+    """The narrowest dtype holding a walk's prefix sums and the rank counts of `_fp_from_walks` (up to 2n)."""
     return np.int16 if 2 * n + 2 < 2**15 else np.int32
 
 
 def _dyck_from_walks(walks: np.ndarray) -> np.ndarray:
-    """The Dyck paths of a batch of walks, as (rows, 2n) +-1."""
+    """
+    The Dyck paths of a batch of walks, as (rows, 2n) +-1.
+
+    Each path is the window of 2n steps of its doubled row that begins at
+    the Dyck start: one gather from a strided view holding every such
+    window, with no index array and no modulo.
+    """
     rows, m = walks.shape
     start = _dyck_starts(walks, _walk_dtype(m // 2))
-    idx = (np.arange(m - 1)[None, :] + start[:, None]) % m
-    return walks[np.arange(rows)[:, None], idx]
+    doubled = np.concatenate((walks, walks), axis=1)
+    row_stride, step = doubled.strides
+    # windows[r, c] = doubled[r, c : c + m-1] for every start c in [0, m+1];
+    # the ndarray constructor makes this view at a fraction of as_strided's
+    # cost, which one-path calls would pay on every draw
+    windows = np.ndarray((rows, m + 2, m - 1), doubled.dtype, doubled, 0, (row_stride, step, step))
+    return windows[np.arange(rows), start]
 
 
 def _batch_dyck_steps(n: int, rows: int, gen: np.random.Generator) -> np.ndarray:
@@ -246,47 +291,62 @@ def _perms_from_profiles(profiles: np.ndarray) -> np.ndarray:
     return sigma
 
 
+def _after_up(down: np.ndarray) -> np.ndarray:
+    """
+    Whether the step before each down-step is an up-step, from the sorted
+    flat indices of the down-steps of a block of Dyck paths (row r, step t
+    at r*2n + t): the gap to the down-step before it exceeds 1. Across a
+    row boundary the gap is t_0 + 1 > 1, right for the path's first
+    down-step, since the path before it ends with a down-step at 2n-1.
+    """
+    flags = np.empty(len(down), dtype=bool)
+    flags[:1] = True
+    np.greater(np.diff(down), 1, out=flags[1:])
+    return flags
+
+
 def _fp_from_walks(walks: np.ndarray, reverse: bool = False) -> np.ndarray:
     """
     Fixed-point counts of the 321-avoiders that a batch of walks encode, or
-    with reverse=True of their reverses (the 123-avoiders), without rotating
-    the walks or materializing the permutations.
+    with reverse=True of their reverses (the 123-avoiders), without
+    materializing the permutations; see docs/dyck_321_bijection.md,
+    "Counting from the down-step indices".
 
-    The down-step columns, shifted cyclically by the Dyck start and sorted,
-    are the Dyck indices t of the down-steps, and the profile is
-    H = t - arange(n). Position x+1 is a weak excedance when the step before
-    its down-step is an up-step; a fixed point is one with H = x+1. A fixed
-    point of the reverse is a point on the anti-diagonal: the excedance one
-    is the down-step at Dyck index n, if an up-step precedes it, and the
-    fill one is where the fill rank of position x+1 equals the rank of the
-    unused value n-x among unused values; see docs/dyck_321_bijection.md.
+    The walks are counted _BLOCK rows at a time, so that the temporaries
+    stay in cache. Each block is rotated to its Dyck paths, and one
+    `flatnonzero` gives the down-step indices t in order. Position x+1 is a
+    weak excedance when an up-step precedes its down-step, and a fixed
+    point when also t = 2x+1. A fixed point of the reverse lies on the
+    anti-diagonal: the excedance one is a peak at Dyck index n, and the
+    fill one is where the fill position x+1 and the unused value n-x have
+    the same rank. Value n-x is unused when the (x+1)-th down-step of the
+    reverse-complement path, whose down-steps are this path's up-steps read
+    backwards, follows a down-step; the two ranks are equal when the
+    running count of fill positions and unused values reaches
+    n - peaks + 1 there.
     """
     rows, m = walks.shape
     n = m // 2
+    out = np.zeros(rows, dtype=np.int64)
+    if n == 0:
+        return out
     dt = _walk_dtype(n)
-    start = _dyck_starts(walks, dt)
-    cols = np.flatnonzero(walks < 0).reshape(rows, n)
-    cols -= (np.arange(rows) * m)[:, None]
-    t = cols.astype(dt)
-    del cols
-    t -= start.astype(dt)[:, None]
-    t %= dt(m)
-    t.sort(axis=1)
-    exc = np.diff(t, axis=1, prepend=dt(-1)) > 1
-    if not reverse:
-        return (exc & (t == np.arange(1, m, 2, dtype=dt))).sum(axis=1)
-    r = np.arange(rows)
-    exc_part = (walks[r, (start + n) % m] < 0) & (walks[r, (start + n - 1) % m] > 0)
-    t -= np.arange(n, dtype=dt)  # the profile H, values 1..n
-    used = np.zeros((rows, n + 1), dtype=bool)
-    np.put_along_axis(used, t, True, axis=1)
-    used = used[:, 1:]
-    pos = np.arange(1, n + 1, dtype=dt)
-    fill_rank = pos - np.cumsum(exc, axis=1, dtype=dt)
-    value_rank = pos - np.cumsum(used, axis=1, dtype=dt)
-    # position x+1 targets the value n-x: read the value ranks reversed
-    fill = ~exc & ~used[:, ::-1] & (value_rank[:, ::-1] == fill_rank)
-    return exc_part + fill.sum(axis=1)
+    for i in range(0, rows, _BLOCK):
+        path = _dyck_from_walks(walks[i : i + _BLOCK])
+        b = len(path)
+        down = np.flatnonzero(path < 0)
+        exc = _after_up(down).reshape(b, n)
+        if not reverse:
+            # at flat index k = r*n + x, t = 2x+1 reads down[k] = 2k+1
+            fixed = exc & (down == np.arange(1, 2 * b * n, 2)).reshape(b, n)
+            out[i : i + b] = fixed.sum(axis=1)
+            continue
+        fill = ~exc
+        unused = ~_after_up(np.flatnonzero(path[:, ::-1] > 0)).reshape(b, n)
+        ranks = np.cumsum(fill.view(np.int8) + unused.view(np.int8), axis=1, dtype=dt)
+        crossing = fill & unused & (ranks == fill.sum(axis=1, dtype=dt)[:, None] + dt(1))
+        out[i : i + b] = (path[:, n - 1] > path[:, n]) + crossing.sum(axis=1)
+    return out
 
 
 def _perms_132_from_dyck(steps: np.ndarray) -> np.ndarray:
@@ -460,13 +520,6 @@ def _bias(q) -> Fraction:
     return q
 
 
-def _bias_weights(counts: list[int], q: Fraction) -> list[int]:
-    """Integer weights c_k a^k b^(n-k), proportional to c_k q^k for q = a/b."""
-    n = len(counts) - 1
-    a, b = q.numerator, q.denominator
-    return [c * a**k * b ** (n - k) for k, c in enumerate(counts)]
-
-
 def _inverse_cdf(weights: list[int], count: int, rng: RandomSource) -> np.ndarray:
     """`count` exact draws of k with probability weights[k] / sum(weights)."""
     total = sum(weights)
@@ -482,11 +535,6 @@ def _inverse_cdf(weights: list[int], count: int, rng: RandomSource) -> np.ndarra
 # ---------------------------------------------------------------------------
 # Exact sampler for the biased measure on all of S_n
 # ---------------------------------------------------------------------------
-
-
-def _unrestricted_integer_weights(n: int, q: Fraction) -> list[int]:
-    d = series.derangement_numbers(n)
-    return _bias_weights([comb(n, k) * d[n - k] for k in range(n + 1)], q)
 
 
 def sample_biased_unrestricted(n: int, q, rng: RandomSource) -> tuple[int, ...]:
@@ -507,7 +555,7 @@ def sample_biased_unrestricted_batch(n: int, q, rng: RandomSource, count: int) -
     """
     _check_sizes(n, count)
     q = _bias(q)
-    ks = _inverse_cdf(_unrestricted_integer_weights(n, q), count, rng)
+    ks = _inverse_cdf(series.unrestricted_weights(q, n), count, rng)
     gen = rng.generator
     perm_rows = np.tile(np.arange(n, dtype=np.int32), (count, 1))
     perm_rows = gen.permuted(perm_rows, axis=1)
@@ -547,25 +595,33 @@ def _avoider_integer_weights(n: int, q: Fraction, tau: str) -> list[int]:
         raise UnsupportedMeasureError(
             f"no exact weights for pattern {tau} at n={n} (enumeration cap {caps['enum']})"
         )
-    return _bias_weights(counts, q)
+    return series.bias_weights(counts, q)
 
 
-def sample_fp_count(n: int, q, tau: str, rng: RandomSource, mode: str = "exact") -> int:
+def sample_fp_count(n: int, q, tau: str | None, rng: RandomSource, mode: str = "exact") -> int:
     """
-    Draw the fixed-point count of a biased tau-avoider (the law itself,
-    no permutation is constructed). Exact inverse cdf over big-integer
-    weights, or float inverse cdf in scaled-float mode.
+    Draw the fixed-point count of a biased tau-avoider, or with tau=None of
+    a biased permutation of S_n (the law itself, no permutation is
+    constructed). Exact inverse cdf over big-integer weights, or float
+    inverse cdf in scaled-float mode.
     """
     return int(sample_fp_count_batch(n, q, tau, rng, 1, mode=mode)[0])
 
 
-def sample_fp_count_batch(n: int, q, tau: str, rng: RandomSource, count: int,
+def sample_fp_count_batch(n: int, q, tau: str | None, rng: RandomSource, count: int,
                           mode: str = "exact") -> np.ndarray:
+    """
+    `count` draws of `sample_fp_count`. With tau=None in exact mode these
+    are the fixed-point counts K that `sample_biased_unrestricted_batch`
+    draws first, from the same stream.
+    """
     _check_sizes(n, count)
     q = _bias(q)
-    tau = check_pattern(tau)
+    if tau is not None:
+        tau = check_pattern(tau)
     if mode == "exact":
-        return _inverse_cdf(_avoider_integer_weights(n, q, tau), count, rng)
+        weights = series.unrestricted_weights(q, n) if tau is None else _avoider_integer_weights(n, q, tau)
+        return _inverse_cdf(weights, count, rng)
     if mode == "scaled-float":
         pmf = fp_pmf(MeasureSpec(n, q, tau), mode="scaled-float")
         ks = np.array(pmf.support)
@@ -601,7 +657,7 @@ def biased_avoider_permutation(n: int, q, tau: str, rng: RandomSource) -> tuple[
                 return sigma, attempts
     if n <= caps["enum"]:
         groups = _enumeration_table(n, tau)
-        k = int(_inverse_cdf(_bias_weights([len(g) for g in groups], q), 1, rng)[0])
+        k = int(_inverse_cdf(series.bias_weights([len(g) for g in groups], q), 1, rng)[0])
         return groups[k][rng.randbelow(len(groups[k]))], 1
     why = ("rejection is exponentially slow above the phase point" if q > 1
            else f"rejection needs a uniform sampler, which pattern {tau} lacks")

@@ -258,11 +258,21 @@ def unrestricted_normalization(q, n: int) -> Fraction:
     return sum(comb(n, k) * d[n - k] * q**k for k in range(n + 1))
 
 
-def unrestricted_weights(q, n: int) -> list[Fraction]:
-    """Unnormalized weights by fixed-point count: w[k] = binom(n,k)*D_{n-k}*q^k."""
-    q = as_rational(q)
+def bias_weights(counts, q: Fraction) -> list[int]:
+    """
+    Integer weights c_k a^k b^(n-k) for counts c_0..c_n by fixed-point
+    number and q = a/b: b^n times the bias weights c_k q^k, so the law
+    they give is the same, with one common denominator.
+    """
+    n = len(counts) - 1
+    a, b = q.numerator, q.denominator
+    return [c * a**k * b ** (n - k) for k, c in enumerate(counts)]
+
+
+def unrestricted_weights(q, n: int) -> list[int]:
+    """Integer weights of all of S_n by fixed-point count k: `bias_weights` of binom(n,k)*D_{n-k}."""
     d = derangement_numbers(n)
-    return [comb(n, k) * d[n - k] * q**k for k in range(n + 1)]
+    return bias_weights([comb(n, k) * d[n - k] for k in range(n + 1)], as_rational(q))
 
 
 # ---------------------------------------------------------------------------

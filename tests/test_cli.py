@@ -201,6 +201,21 @@ def test_sample_dumps_match_per_row_reference(capsys, n, count, tau):
         assert code == 0 and out == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
 
 
+@pytest.mark.parametrize("n", [0, 1, 6, 200])
+@pytest.mark.parametrize("q", ["1/2", "2"])
+def test_unrestricted_fp_dump_is_the_perm_dump_fp_column(capsys, n, q):
+    # the counts alone are the K that the whole-permutation sampler draws first
+    argv = ["sample", "--n", str(n), "--q", q, "--count", "300", "--seed", "13"]
+    code, fp_out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    code, perm_out, _ = run_cli(capsys, *argv, "--emit", "perm")
+    assert code == 0
+    fp_rows = fp_out.splitlines()[6:]
+    perm_rows = perm_out.splitlines()[6:]
+    assert len(fp_rows) == len(perm_rows) == 300
+    assert fp_rows == [row.rsplit(",", 1)[0] for row in perm_rows]
+
+
 def test_sample_refuses_negative_sizes(capsys):
     for argv, why in ((["--n", "-1", "--q", "2", "--tau", "321", "--count", "2"], "n must be >= 0"),
                       (["--n", "3", "--q", "2", "--count", "-3"], "count must be >= 0"),

@@ -4,6 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fpblab import dist, perms, sampling, series
 from fpblab.dist import (
@@ -241,6 +243,58 @@ def test_pmf_json_round_trip_past_the_digit_limit():
         back = pmf_from_json(text)
         assert back.weights == pmf.weights and back.spec == spec
         assert pmf_to_json(back) == text
+
+
+def test_pmf_from_json_refuses_negative_and_undefined_mass():
+    def text(weights, mode="exact"):
+        return json.dumps({"n": 2, "mode": mode, "weights": weights})
+
+    with pytest.raises(ValueError, match="nonnegative"):
+        pmf_from_json(text([["0", "3/2"], ["2", "-1/2"]]))
+    with pytest.raises(ValueError, match="nonnegative"):
+        pmf_from_json(text([["0", "1.5"], ["2", "-0.5"]], "float"))
+    with pytest.raises(ValueError, match="finite"):
+        pmf_from_json(text([["0", "1e999"], ["2", "-1e999"]], "float"))
+    with pytest.raises(ValueError):
+        pmf_from_json(text([["0", "1/0"]]))
+    with pytest.raises(ValueError):
+        pmf_from_json(json.dumps({"n": 2, "mode": "exact", "q": "1/0", "weights": [["0", "1"]]}))
+    with pytest.raises(ValueError, match="finite"):
+        FixedPointPMF(2, {0: float("nan"), 2: 1.0}, "float", Provenance("series"))
+
+
+_NUMBER_TEXTS = st.sampled_from(["0", "1", "-1", "1/2", "-1/2", "3/2", "2/4", "1/0", "0/0", "0.5",
+                                 "-0.5", "1e999", "-1e999", "inf", "-inf", "nan", "1e-400", "x", ""])
+_JSON_SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 5), st.floats(), st.text(max_size=4),
+                          _NUMBER_TEXTS, st.integers().map(str))
+_JSON_VALUES = st.recursive(_JSON_SCALARS, lambda inner: st.lists(inner, max_size=3), max_leaves=6)
+_WEIGHT_ROWS = st.lists(st.one_of(st.tuples(st.one_of(st.integers(-1, 5).map(str), _JSON_SCALARS),
+                                            st.one_of(_NUMBER_TEXTS, _JSON_SCALARS)).map(list),
+                                  _JSON_VALUES), max_size=4)
+_PAYLOADS = st.fixed_dictionaries(
+    {"n": st.one_of(st.integers(-2, 5), _JSON_SCALARS),
+     "mode": st.one_of(st.sampled_from(["exact", "float"]), _JSON_SCALARS),
+     "weights": st.one_of(_WEIGHT_ROWS, _JSON_VALUES)},
+    optional={"q": st.one_of(_NUMBER_TEXTS, _JSON_SCALARS),
+              "tau": st.one_of(st.sampled_from(["321", "123", "231"]), _JSON_SCALARS),
+              "provenance": _JSON_VALUES, "samples": _JSON_VALUES, "seed": _JSON_VALUES},
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(_PAYLOADS.map(json.dumps), _JSON_VALUES.map(json.dumps), st.text(max_size=20)))
+def test_pmf_from_json_returns_a_law_or_raises_value_error(text):
+    try:
+        pmf = pmf_from_json(text)
+    except ValueError:
+        return
+    assert isinstance(pmf.n, int) and pmf.n >= 0
+    assert all(0 <= k <= pmf.n and v > 0 for k, v in pmf.weights.items())
+    if pmf.mode == "exact":
+        assert sum(pmf.weights.values()) == 1
+    else:
+        assert all(math.isfinite(v) for v in pmf.weights.values())
+        assert math.isclose(sum(pmf.weights.values()), 1.0, abs_tol=1e-9)
 
 
 def test_monte_carlo_mode_reweights_123():

@@ -1,5 +1,6 @@
 """Samplers: determinism, exactness against enumeration, rate accounting."""
 import collections
+import itertools
 import math
 import sys
 import threading
@@ -163,9 +164,42 @@ def test_dyck_bijection_exhaustive():
             assert set(images) == set(perms.enumerate_avoiders(n, tau)), (n, tau)
 
 
+def _dyck_path_by_cycle_lemma(walk):
+    """The Dyck path of a walk of n+1 up-steps and n down-steps, rotated step by step."""
+    m = len(walk)
+    for r in range(m):
+        rot = walk[r:] + walk[:r]
+        if all(sum(rot[: j + 1]) > 0 for j in range(m)):
+            return rot[1:]  # drop the leading up-step
+    raise AssertionError("no rotation with positive prefixes")
+
+
+@pytest.mark.parametrize("byte_scan_cells", [0, 10**9])
+def test_walk_kernels_match_cycle_lemma_oracle(monkeypatch, byte_scan_cells):
+    # every walk for n <= 6, rotated and mapped in pure Python (perms.profile_to_perm);
+    # three rows per block, so that blocks split the batch, and the Dyck
+    # starts found by the byte scan everywhere, or by the plain prefix sum
+    monkeypatch.setattr(sampling, "_BLOCK", 3)
+    monkeypatch.setattr(sampling, "_BYTE_SCAN_CELLS", byte_scan_cells)
+    for n in range(7):
+        walks = [tuple(1 if j in ups else -1 for j in range(2 * n + 1))
+                 for ups in itertools.combinations(range(2 * n + 1), n + 1)]
+        paths = [_dyck_path_by_cycle_lemma(w) for w in walks]
+        sigmas = []
+        for path in paths:
+            downs = [j for j, step in enumerate(path) if step < 0]
+            sigmas.append(perms.profile_to_perm([t - x for x, t in enumerate(downs)]))
+        arr = np.array(walks, dtype=np.int8).reshape(len(walks), 2 * n + 1)
+        assert sampling._dyck_from_walks(arr).tolist() == [list(p) for p in paths], n
+        want = [perms.fixed_points(s) for s in sigmas]
+        assert sampling._fp_from_walks(arr).tolist() == want, n
+        want_rev = [perms.fixed_points(s[::-1]) for s in sigmas]
+        assert sampling._fp_from_walks(arr, reverse=True).tolist() == want_rev, n
+
+
 def test_profile_fp_kernels_match_materialization():
     gen = RandomSource(17).generator
-    # column offsets reach 2n+2: n = 16382 is the last int16 size, 16383 the first int32
+    # _walk_dtype widens where 2n+2 reaches 2^15: n = 16382 is the last int16 size, 16383 the first int32
     for n, rows in ((3, 500), (9, 500), (33, 500), (16382, 3), (16383, 3)):
         walks, fill = sampling._walk_job(n, rows, gen)
         fill()
