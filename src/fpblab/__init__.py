@@ -37,6 +37,7 @@ from .dist import (
     Provenance,
     Rayleigh,
     UnsupportedMeasureError,
+    fixed_point_row,
     fp_pmf,
     kolmogorov_distance,
     pmf_from_json,
@@ -69,6 +70,7 @@ from .series import (
     avoider_columns,
     avoider_normalization,
     avoider_polynomials,
+    avoider_polynomials_231,
     avoider_series,
     catalan_numbers,
     derangement_numbers,

@@ -8,7 +8,7 @@ Subcommands:
     sample   seeded sample dumps (whole permutations or fixed-point counts)
     verify   limit-law and growth checks with PASS/FAIL lines
     asym     convergence tables (exact vs predicted)
-    explore  brute-force tables for the patterns without a series route
+    explore  exact mean/variance or law tables along n, for any pattern
 
 Every subcommand is deterministic given its full flag set (seeds included).
 Exit status: 0 when all requested checks pass, 1 when a verify check fails,
@@ -28,8 +28,7 @@ import numpy as np
 from . import asymptotics, dist, sampling, series
 from .config import BudgetExceededError
 from .dist import MeasureSpec, UnsupportedMeasureError, fp_pmf
-from .perms import (PATTERNS, enumerate_avoiders, fixed_point_counts, fixed_points, format_perm,
-                    format_perms)
+from .perms import PATTERNS, fixed_points, format_perm, format_perms
 from .series import TAU_CLASS, as_rational
 
 
@@ -83,10 +82,7 @@ class Emitter:
 def cmd_count(args) -> int:
     tau = args.tau
     _check_n(args.n)
-    if tau in TAU_CLASS:
-        counts = series.avoider_polynomials(args.n)[args.n]
-    else:
-        counts = fixed_point_counts(enumerate_avoiders(args.n, tau), args.n)
+    counts = dist.fixed_point_row(args.n, tau)
     Emitter(args.format, args.out).emit(
         ["k", "count"], [[k, series._value_to_text(c)] for k, c in enumerate(counts)],
         preamble=[f"tau={tau}", f"n={args.n}"],
@@ -248,7 +244,7 @@ def cmd_explore(args) -> int:
     qs = [Fraction(t) for t in args.q_grid.split(",")] if args.q_grid else [args.q]
     rows = []
     for n in range(1, args.n_max + 1):
-        counts = fixed_point_counts(enumerate_avoiders(n, args.tau), n)
+        counts = dist.fixed_point_row(n, args.tau)
         for q in qs:
             weights = [c * q**k for k, c in enumerate(counts)]
             z = sum(weights)
@@ -334,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.set_defaults(func=cmd_asym)
 
-    p = sub.add_parser("explore", help="brute-force tables (patterns without a series route)")
+    p = sub.add_parser("explore", help="exact mean/variance or law tables along n, for any pattern")
     p.add_argument("--tau", required=True, choices=PATTERNS)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--q", type=_parse_q, default=Fraction(1))

@@ -8,9 +8,11 @@ lowers them for every engine and command, e.g.
     FPBL_BUDGET="poly=3000,eval=20000,columns=800"
 
 Keys: poly (full polynomial series), eval (fixed-q exact series), columns
-(exact column extraction), enum (avoider enumeration cap), enum_plain
-(unrestricted enumeration cap). These are the only caps: the enumerators in
-`perms` read enum and enum_plain from here.
+(exact column extraction), enum (cap of the exact tables outside
+132/321/213: the 231/312 series rows, 123 enumeration, and the enumerated
+tables of whole avoiders), enum_plain (unrestricted enumeration cap). These
+are the only caps: the enumerators in `perms` read enum and enum_plain from
+here.
 """
 from __future__ import annotations
 

@@ -7,9 +7,10 @@ permutation under one of the three measure families:
 - bias q on all of S_n                  (tau = None),
 - uniform / bias q on the avoiders of a length-3 pattern tau.
 
-Exact mode carries Fractions that sum to one exactly, from the integer
-coefficient row of `series.avoider_polynomials`, the closed form or
-enumeration; float mode carries doubles from the positively-scaled column
+Exact mode carries Fractions that sum to one exactly, from the closed
+form or from the integer row of counts that `fixed_point_row` takes from
+the series engines (132/321/213 and 231/312) or from enumeration (123);
+float mode carries doubles from the positively-scaled column
 engine (entries accurate to machine-epsilon scale, sums normalized). That
 engine computes the whole table of rows n = 0..N with blocked matrix
 products, about N^2 / 2 multiply-adds per column with the table read once
@@ -31,8 +32,8 @@ from numbers import Rational
 from typing import Mapping
 
 from . import series, special
-from .config import budgets
-from .perms import check_pattern, enumerate_avoiders, fixed_point_counts
+from .config import BudgetExceededError, budgets
+from .perms import EnumerationCapError, check_pattern, enumerate_avoiders, fixed_point_counts
 from .series import TAU_CLASS, as_rational
 
 
@@ -171,32 +172,51 @@ def _pmf_from_weights(spec: MeasureSpec, weights: list[int], kind: str) -> Fixed
     return FixedPointPMF(spec.n, probs, "exact", Provenance(kind), spec)
 
 
+def fixed_point_row(n: int, tau: str) -> tuple[int, ...]:
+    """
+    Counts (F_0..F_n) of the tau-avoiders of length n by fixed-point number;
+    every exact law on an avoidance class is F_k q^k / sum_j F_j q^j.
+
+    The row comes from `series.avoider_polynomials` for 132/321/213 (within
+    the poly budget), from `series.avoider_polynomials_231` for 231/312 and
+    from enumeration for 123 (both within the enum budget). Past its budget
+    a route raises `BudgetExceededError`, or `EnumerationCapError` for 123.
+    """
+    tau = check_pattern(tau)
+    if tau in TAU_CLASS:
+        return series.avoider_polynomials(n)[n]
+    if tau != "123":
+        return series.avoider_polynomials_231(n)[n]
+    return tuple(fixed_point_counts(enumerate_avoiders(n, tau), n))
+
+
 def fp_pmf(spec: MeasureSpec, mode: str = "exact", rng=None, samples: int | None = None) -> FixedPointPMF:
     """
     The fixed-point law under the measure selected by `spec`.
 
-    mode "exact": closed form (no pattern), series coefficients (132/321/213
-    within the polynomial budget), or exhaustive enumeration (any pattern,
-    n <= enumeration cap). mode "scaled-float": the positive column engine,
-    any n within desk range. mode "monte-carlo": empirical law from the
-    samplers (uniform for q = 1; for pattern 123 any q via exact
-    reweighting over the finite support {0,1,2}); needs `rng` and `samples`.
+    mode "exact": closed form (no pattern), or the counts of
+    `fixed_point_row`: series rows for 132/321/213 (n within the poly
+    budget) and for 231/312 (n within the enum budget), enumeration for 123
+    (n within the enum budget). mode "scaled-float": the positive column
+    engine for 132/321/213 at any n within desk range, the exact law
+    elsewhere. mode "monte-carlo": empirical law from the samplers (uniform
+    for q = 1; for pattern 123 any q via exact reweighting over the finite
+    support {0,1,2}); needs `rng` and `samples`.
     """
     caps = budgets()
     n, q, tau = spec.n, spec.q, spec.tau
     if mode == "exact":
         if tau is None:
             return _pmf_from_weights(spec, series.unrestricted_weights(q, n), "closed-form")
-        if tau in TAU_CLASS and n <= caps["poly"]:
-            return _pmf_from_weights(spec, series.bias_weights(series.avoider_polynomials(n)[n], q), "series")
-        if n <= caps["enum"]:
-            counts = fixed_point_counts(enumerate_avoiders(n, tau), n)
-            return _pmf_from_weights(spec, series.bias_weights(counts, q), "enumeration")
-        raise UnsupportedMeasureError(
-            f"no exact route for {spec.describe()}: enumeration is capped at n={caps['enum']}"
-            + (", use mode='scaled-float'" if tau in TAU_CLASS else
-               " and this pattern has no series route (only 132/321/213 do)")
-        )
+        try:
+            counts = fixed_point_row(n, tau)
+        except (BudgetExceededError, EnumerationCapError) as exc:
+            raise UnsupportedMeasureError(
+                f"no exact route for {spec.describe()}: {exc}"
+                + ("; mode='scaled-float' serves any n" if tau in TAU_CLASS else "")
+            ) from exc
+        kind = "enumeration" if tau == "123" else "series"
+        return _pmf_from_weights(spec, series.bias_weights(counts, q), kind)
     if mode == "scaled-float":
         qf = float(q)
         if tau is None:
@@ -206,7 +226,7 @@ def fp_pmf(spec: MeasureSpec, mode: str = "exact", rng=None, samples: int | None
                 return fp_pmf(spec, mode="exact").as_float()
             raise UnsupportedMeasureError(
                 f"pattern {tau} has no large-n float route (only 132/321/213 do); "
-                f"enumeration is capped at n={caps['enum']}"
+                f"its exact rows are capped at n={caps['enum']}"
             )
         w = series.scaled_weight_rows(qf, n)[n]
         total = float(w.sum())

@@ -365,8 +365,7 @@ def enumerate_avoiders(n: int, tau: str | None = None, cap: int | None = None) -
         cap = budgets()["enum"]
     if n > cap:
         raise EnumerationCapError(
-            f"avoider enumeration capped at n={cap}; got n={n}. "
-            f"Use the series engine (counts) or samplers instead."
+            f"{tau}-avoider enumeration is capped at n={cap} (the enum budget); got n={n}"
         )
     if n == 0:
         yield ()

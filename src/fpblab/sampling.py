@@ -57,8 +57,8 @@ import numpy as np
 
 from . import series
 from .config import budgets
-from .dist import FixedPointPMF, MeasureSpec, Provenance, UnsupportedMeasureError, fp_pmf
-from .perms import check_pattern, enumerate_avoiders, fixed_point_counts, fixed_points
+from .dist import FixedPointPMF, MeasureSpec, Provenance, UnsupportedMeasureError, fixed_point_row, fp_pmf
+from .perms import check_pattern, enumerate_avoiders, fixed_points
 from .series import as_rational
 
 _MAX_BATCH_CELLS = 8_000_000  # soft cap on rows*length per vectorized batch
@@ -585,19 +585,6 @@ def sample_biased_unrestricted_batch(n: int, q, rng: RandomSource, count: int) -
 # ---------------------------------------------------------------------------
 
 
-def _avoider_integer_weights(n: int, q: Fraction, tau: str) -> list[int]:
-    caps = budgets()
-    if tau in series.TAU_CLASS and n <= caps["poly"]:
-        counts = series.avoider_polynomials(n)[n]
-    elif n <= caps["enum"]:
-        counts = fixed_point_counts(enumerate_avoiders(n, tau), n)
-    else:
-        raise UnsupportedMeasureError(
-            f"no exact weights for pattern {tau} at n={n} (enumeration cap {caps['enum']})"
-        )
-    return series.bias_weights(counts, q)
-
-
 def sample_fp_count(n: int, q, tau: str | None, rng: RandomSource, mode: str = "exact") -> int:
     """
     Draw the fixed-point count of a biased tau-avoider, or with tau=None of
@@ -620,7 +607,10 @@ def sample_fp_count_batch(n: int, q, tau: str | None, rng: RandomSource, count: 
     if tau is not None:
         tau = check_pattern(tau)
     if mode == "exact":
-        weights = series.unrestricted_weights(q, n) if tau is None else _avoider_integer_weights(n, q, tau)
+        if tau is None:
+            weights = series.unrestricted_weights(q, n)
+        else:
+            weights = series.bias_weights(fixed_point_row(n, tau), q)
         return _inverse_cdf(weights, count, rng)
     if mode == "scaled-float":
         pmf = fp_pmf(MeasureSpec(n, q, tau), mode="scaled-float")
@@ -661,9 +651,13 @@ def biased_avoider_permutation(n: int, q, tau: str, rng: RandomSource) -> tuple[
         return groups[k][rng.randbelow(len(groups[k]))], 1
     why = ("rejection is exponentially slow above the phase point" if q > 1
            else f"rejection needs a uniform sampler, which pattern {tau} lacks")
+    if tau in series.TAU_CLASS:
+        alt = "the fixed-point count alone is served by sample_fp_count (CLI: sample without --emit perm)"
+    else:
+        alt = f"the fixed-point count of pattern {tau} has no route past that cap either"
     raise UnsupportedMeasureError(
-        f"whole-permutation sampling for q={q}, tau={tau} at n={n} is unsupported ({why}); "
-        f"use sample_fp_count for the fixed-point law, or n <= {caps['enum']} for tables"
+        f"whole-permutation sampling for q={q}, tau={tau} at n={n} is unsupported ({why}; "
+        f"the enumeration route is capped at n={caps['enum']}); {alt}"
     )
 
 

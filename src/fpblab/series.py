@@ -35,6 +35,20 @@ returns plain values:
   a[k][n] (`avoider_columns`, integer lists indexed [k][n]) exactly in
   O(n k_max).
 
+The 231 and 312 avoiders (the same rows: inversion keeps fixed points)
+have no such closed form. Their rows (`avoider_polynomials_231`) come from
+the continued fraction of Elizalde ("Fixed points and excedances in
+restricted permutations", Electron. J. Combin. 18(2), 2011),
+
+    F_j(z) = 1 / (1 - z F_{j+1}(z) - (q - 1) Catalan(j) z^(j+1)),
+
+with F_0 the generating function of the rows. Level j first changes the
+coefficient of z^(2j+1) in F_0, so rows up to N need the levels
+j <= (N-1)/2 alone, level j only through z^(N-j), and below the last one
+F = C, the Catalan series (the q = 1 solution). Expanding them costs about
+N^3 / 7 products of integers of up to 2 N^2 bits (q packed into each
+integer).
+
 The tests check these engines against the convolution recurrences of the
 square-root form and against exhaustive enumeration. Every size is checked
 against the budgets of `config`, which FPBL_BUDGET alone sets.
@@ -64,7 +78,7 @@ from math import comb, factorial
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .config import check_budget
+from .config import BudgetExceededError, budgets, check_budget
 
 TAU_CLASS = ("132", "321", "213")  # patterns sharing the generating function
 _BLOCK = 64  # rows per matrix product in the scaled-float column engine
@@ -151,6 +165,46 @@ def avoider_polynomials(n_max: int) -> list[tuple[int, ...]]:
         n = len(g)
         g.append(tuple(_next_row(g[-1], cat[n], n + 1)))
     return g[: n_max + 1]
+
+
+def avoider_polynomials_231(n_max: int) -> list[tuple[int, ...]]:
+    """
+    Length-n fixed-point polynomials for the 231 and 312 avoidance classes,
+    as coefficient rows for n = 0..n_max, from Elizalde's continued fraction.
+
+    Row n has n+1 entries: entry k counts the 231-avoiders (equally the
+    312-avoiders, their inverses) of length n with exactly k fixed points.
+    The row sums to Catalan(n).
+
+    The levels of the continued fraction (see the module docstring) are
+    expanded from the deepest one up at q = x = 2^bits, with x above
+    Catalan(n_max): the coefficient of z^n in F_0 is then one integer whose
+    base-x digits are row n, since every entry lies in 0..Catalan(n). Sizes
+    past the `enum` budget are refused.
+
+    >>> avoider_polynomials_231(4)
+    [(1,), (0, 1), (1, 0, 1), (1, 3, 0, 1), (4, 4, 5, 0, 1)]
+    """
+    cap = budgets()["enum"]
+    if n_max > cap:
+        raise BudgetExceededError(
+            f"the 231/312 series rows are capped at n={cap} (the enum budget); got n={n_max}"
+        )
+    cat = catalan_numbers(n_max)
+    bits = cat[n_max].bit_length()
+    x = 1 << bits
+    depth = (n_max - 1) // 2
+    f = cat[: n_max - depth]  # below the last level q no longer shows: F = C
+    for j in range(depth, -1, -1):
+        tail, f = f, [1]  # F_{j+1} through z^(n_max-j-1), then F_j through z^(n_max-j)
+        shift = (x - 1) * cat[j]
+        for m in range(1, n_max - j + 1):
+            v = sum(t * g for t, g in zip(tail, reversed(f)))
+            if m > j:
+                v += shift * f[m - j - 1]
+            f.append(v)
+    mask = x - 1
+    return [tuple((f[n] >> (bits * k)) & mask for k in range(n + 1)) for n in range(n_max + 1)]
 
 
 def _scaled_derivatives(q: Fraction, m_max: int, n_max: int) -> list[list[int]]:

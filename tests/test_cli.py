@@ -106,6 +106,10 @@ CANONICAL_STDOUT = {
     "asym --kind moments --q 3 --n-grid 400,800,1200 --m 2":
         "71e0669a9fe11e38a145907abb7c1cca258fce6006a7d27234c967f662c8c664",
     "verify --growth --q 2 --n 1200": "916ee26448c784076c55e96642ad435367c8a1f674fbdaaaf3d82d391e192516",
+    "explore --tau 231 --n-max 10 --q-grid 1/2,2,4":
+        "09f4891e05405d28647da2786762c07f142dcb28c54e50ab452698e413ff6a57",
+    "pmf --n 11 --q 2 --tau 312": "872dfd7efccbbed31df8e2354f72075493ffcca4fb0116d48f9bf2294d5935d2",
+    "count --tau 231 --n 12": "8bf179c8d5858629c86531a6f2793514e8fd0dcfc01d3e2bb78f1432b986a341",
 }
 
 

@@ -1,4 +1,5 @@
 """Fixed-point laws, reference laws, distances, moments, serialization."""
+import functools
 import json
 import math
 from fractions import Fraction
@@ -61,13 +62,51 @@ def test_fp_pmf_routes_agree():
 
 
 def test_fp_pmf_enumeration_patterns():
-    for tau in ("123", "231", "312"):
+    for tau, kind in (("123", "enumeration"), ("231", "series"), ("312", "series")):
         pmf = fp_pmf(MeasureSpec(6, F(3, 2), tau))
-        assert pmf.provenance.kind == "enumeration"
+        assert pmf.provenance.kind == kind
         assert sum(pmf.weights.values()) == 1
     # support of the 123-avoiding law is {0, 1, 2}
     pmf = fp_pmf(MeasureSpec(9, 2, "123"))
     assert set(pmf.support) <= {0, 1, 2}
+
+
+def test_fixed_point_row_routes_every_pattern():
+    for tau in perms.PATTERNS:
+        for n in range(9):
+            assert list(dist.fixed_point_row(n, tau)) == _enumerated_counts(n, tau), (n, tau)
+
+
+@functools.cache
+def _enumerated_counts(n, tau):
+    return perms.fixed_point_counts(perms.enumerate_avoiders(n, tau), n)
+
+
+# q from the named biases, and rationals with up to 4096-bit terms; larger
+# terms at larger n are slow only in the Fraction(w_k, Z) gcds of the law
+_LAW_QS = st.one_of(st.sampled_from([F(2), F(3), F(1, 2)]),
+                    st.builds(F, st.integers(1, 2**4096), st.integers(1, 2**4096)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 12), _LAW_QS)
+def test_231_and_312_laws_equal_the_enumerated_law(n, q):
+    _check_231_and_312_laws(n, q)
+
+
+def test_231_and_312_laws_at_a_million_bit_denominator():
+    # pinned outside @example, whose report would repr q past the digit limit
+    for n in (0, 1):
+        _check_231_and_312_laws(n, 1 + F(1, 2**999_999))
+
+
+def _check_231_and_312_laws(n, q):
+    counts = _enumerated_counts(n, "231")
+    assert _enumerated_counts(n, "312") == counts
+    z = sum(c * q**k for k, c in enumerate(counts))
+    want = {k: c * q**k / z for k, c in enumerate(counts) if c}
+    assert fp_pmf(MeasureSpec(n, q, "231")).weights == want
+    assert fp_pmf(MeasureSpec(n, q, "312")).weights == want
 
 
 def test_fp_pmf_mass_invariants():

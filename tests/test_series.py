@@ -174,6 +174,8 @@ def test_lengths_zero_and_one():
             assert series.factorial_moment_coefficient(m, q, 1) == (q if m == 1 else 0)
     assert series.avoider_polynomials(0) == [(1,)]
     assert series.avoider_polynomials(1) == [(1,), (0, 1)]
+    assert series.avoider_polynomials_231(0) == [(1,)]
+    assert series.avoider_polynomials_231(1) == [(1,), (0, 1)]
     assert series.avoider_columns(0, 0) == [[1]]
     assert series.avoider_columns(0, 1) == [[1, 0]]
     assert series.avoider_columns(1, 1) == [[1, 0], [0, 1]]
@@ -218,6 +220,26 @@ def test_polynomial_invariants():
         if n >= 2:
             assert row[n - 1] == 0  # no permutation has n-1 fixed points
         assert row[n] == 1  # only the identity has n fixed points
+
+
+def test_231_rows_match_enumeration():
+    # one continued fraction serves both patterns: inversion keeps fixed points
+    table = series.avoider_polynomials_231(12)
+    for n in range(13):
+        for tau in ("231", "312"):
+            assert list(table[n]) == brute_counts(n, tau), (n, tau)
+
+
+def test_231_rows_one_call_equals_separate_calls(monkeypatch):
+    # the truncation depth and the packing width both follow n_max
+    monkeypatch.setenv("FPBL_BUDGET", "enum=40")
+    cat = series.catalan_numbers(40)
+    table = series.avoider_polynomials_231(40)
+    for n in range(41):
+        assert series.avoider_polynomials_231(n) == table[: n + 1], n
+        row = table[n]
+        assert len(row) == n + 1 and sum(row) == cat[n]
+        assert row[n] == 1 and (n < 2 or row[n - 1] == 0)
 
 
 def test_eval_engine():
@@ -328,9 +350,12 @@ def test_factorial_moments_match_enumeration():
 
 def test_budget_refusals(monkeypatch):
     # FPBL_BUDGET is the one source of the budgets
-    monkeypatch.setenv("FPBL_BUDGET", "poly=5,eval=10,columns=10")
+    monkeypatch.setenv("FPBL_BUDGET", "poly=5,eval=10,columns=10,enum=5")
     with pytest.raises(BudgetExceededError, match="poly"):
         series.avoider_polynomials(10)
+    with pytest.raises(BudgetExceededError, match="capped at n=5"):
+        series.avoider_polynomials_231(6)
+    assert len(series.avoider_polynomials_231(5)) == 6
     with pytest.raises(BudgetExceededError, match="eval"):
         series.avoider_series(2, 50)
     with pytest.raises(BudgetExceededError, match="eval"):
