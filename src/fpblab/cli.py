@@ -22,6 +22,7 @@ import json
 import sys
 from fractions import Fraction
 from importlib import resources
+from itertools import chain
 
 import numpy as np
 
@@ -60,14 +61,19 @@ class Emitter:
         self.fmt = fmt
         self.out_path = out_path
 
-    def emit(self, columns: list[str], rows: list[list], preamble: list[str] = ()):
+    def emit(self, columns: list[str], rows, preamble: list[str] = ()):
+        """
+        `rows` is any iterable of sequences of len(columns) values. CSV fills
+        one "%s,...,%s" line template per row with a single `%` over the
+        flattened rows, which prints each value as `str` does.
+        """
         if self.fmt == "csv":
-            lines = [f"# {line}" for line in preamble]
-            lines.append(",".join(columns))
-            lines += [",".join(map(str, row)) for row in rows]
-            text = "\n".join(lines) + "\n"
+            flat = tuple(chain.from_iterable(rows))
+            template = ",".join(["%s"] * len(columns)) + "\n"
+            text = "".join(f"# {line}\n" for line in preamble) + ",".join(columns) + "\n"
+            text += template * (len(flat) // len(columns)) % flat
         else:
-            payload = {"columns": columns, "rows": rows}
+            payload = {"columns": columns, "rows": list(rows)}
             for line in preamble:
                 key, _, value = line.partition("=")
                 payload.setdefault("meta", {})[key] = value
@@ -136,13 +142,12 @@ def cmd_pmf(args) -> int:
 def cmd_sample(args) -> int:
     rng = sampling.RandomSource(args.seed, args.stream)
     emit_perm = args.emit == "perm"
-    rows = []
     perms_arr = None
     if not emit_perm:
         # the counts alone: without --tau the law is exact, whatever --fp-mode says
         mode = args.fp_mode if args.tau else "exact"
         ks = sampling.sample_fp_count_batch(args.n, args.q, args.tau, rng, args.count, mode=mode)
-        rows = [[i, int(k)] for i, k in enumerate(ks)]
+        rows = zip(range(len(ks)), ks.tolist())
     elif args.tau is None:
         perms_arr = sampling.sample_biased_unrestricted_batch(args.n, args.q, rng, args.count)
     elif args.tau in sampling.DYCK_PATTERNS and as_rational(args.q) == 1:
@@ -150,12 +155,13 @@ def cmd_sample(args) -> int:
         perms_arr, _ = sampling.biased_avoider_batch(args.n, 1, rng, args.count, args.tau)
     else:
         sampling._check_sizes(args.n, args.count)
+        rows = []
         for i in range(args.count):
             sigma, _ = sampling.biased_avoider_permutation(args.n, args.q, args.tau, rng)
-            rows.append([i, fixed_points(sigma), format_perm(sigma)])
+            rows.append((i, fixed_points(sigma), format_perm(sigma)))
     if perms_arr is not None:
         fps = (perms_arr == np.arange(1, args.n + 1)).sum(axis=1).tolist()
-        rows = [[i, f, t] for i, (f, t) in enumerate(zip(fps, format_perms(perms_arr)))]
+        rows = zip(range(len(fps)), fps, format_perms(perms_arr))
     columns = ["sample_index", "fp"] + (["perm"] if emit_perm else [])
     Emitter(args.format, args.out).emit(
         columns, rows,

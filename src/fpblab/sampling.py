@@ -19,7 +19,11 @@ U A D B of the path (A is the head above the maximum, B the tail below
 it), and 213-avoiders are reverse-complements of 132-avoiders.
 
 A walk becomes its Dyck path by one gather from strided windows of the
-doubled walk (the row twice over), with no index array. The fixed-point
+doubled walk (the row twice over), with no index array. The per-call
+sampler `uniform_avoider` draws one walk per call and runs the same steps
+in plain Python ints (`_one_dyck_path`, `_avoider_from_path`): the same
+`random_raw` calls, chunk for chunk, so it draws what a one-row batch
+would draw and leaves the generator where that would. The fixed-point
 batch sampler counts 321/123 fixed points from the down-step indices of
 those paths, _BLOCK rows at a time, with no sort and without building the
 permutations. It draws batch i+1 on one helper thread while the main
@@ -58,12 +62,11 @@ import numpy as np
 from . import series
 from .config import budgets
 from .dist import FixedPointPMF, MeasureSpec, Provenance, UnsupportedMeasureError, fixed_point_row, fp_pmf
-from .perms import check_pattern, enumerate_avoiders, fixed_points
+from .perms import check_pattern, enumerate_avoiders, fixed_points, profile_to_perm
 from .series import as_rational
 
 _MAX_BATCH_CELLS = 8_000_000  # soft cap on rows*length per vectorized batch
 _BLOCK = 256  # rows per block of the fixed-point count, which keeps its temporaries in cache
-_BYTE_SCAN_CELLS = 16_384  # steps from which `_dyck_starts` scans bytes (about where that pays)
 
 
 class RandomSource:
@@ -94,10 +97,11 @@ class RandomSource:
         `count` exact uniform integers in [0, bound): the values of `count`
         `randbelow` calls, leaving the generator in the same state.
 
-        A candidate is the uint64 words that hold the bits of bound - 1,
-        read big-endian and masked to them; it is kept iff it is below
-        bound. Each round draws one candidate per draw still owed, at most
-        _MAX_BATCH_CELLS bits, in one call. Every owed draw takes at least
+        A candidate is the raw uint64 words (`bit_generator.random_raw`,
+        the words `integers(0, 2**64, dtype=np.uint64)` returns) that hold
+        the bits of bound - 1, read big-endian and masked to them; it is
+        kept iff it is below bound. Each round draws one candidate per draw
+        still owed, at most _MAX_BATCH_CELLS bits, in one call. Every owed draw takes at least
         one candidate, so a round never draws past the candidate where the
         sequential calls would stop.
         """
@@ -113,7 +117,7 @@ class RandomSource:
         out: list[int] = []
         while len(out) < count:
             need = min(count - len(out), cap)
-            raw = self.generator.integers(0, 2**64, size=need * words, dtype=np.uint64)
+            raw = self.generator.bit_generator.random_raw(need * words)
             buf = raw.astype(">u8").tobytes()
             for j in range(0, len(buf), size):
                 x = int.from_bytes(buf[j : j + size], "big") & mask
@@ -137,38 +141,53 @@ class RandomSource:
 # ---------------------------------------------------------------------------
 
 
+def _raw_layout(n: int):
+    """
+    How the walks of n+1 up-steps and n down-steps are drawn from raw words:
+    the uint64 words per raw row (2n+1 bits, bit j giving column j), the mask
+    of the bits of the last word, and the call that sizes a chunk of raw
+    rows for `need` more walks. `_walk_job` and `_one_walk` both read it, so
+    that they draw the same chunks and hence the same walks.
+
+    About 2/sqrt(pi n) of the raw rows are kept, so a chunk is sized from
+    that rate with three spare rows, which nearly always makes one chunk
+    suffice, and capped at _MAX_BATCH_CELLS bits.
+    """
+    m = 2 * n + 1
+    words = (m + 63) // 64
+    mask = (1 << (m - 64 * (words - 1))) - 1
+    # 2 C(m, n) / 2^m sizes the chunks only and never decides a row
+    rate = 2 * exp(lgamma(m + 1) - lgamma(n + 1) - lgamma(n + 2) - m * log(2))
+    max_raw = max(1, _MAX_BATCH_CELLS // m)
+    return words, mask, lambda need: min(ceil((need + 3) / rate), max_raw)
+
+
 def _walk_job(n: int, rows: int, gen: np.random.Generator):
     """
     A (rows, 2n+1) int8 buffer and the call that fills it with independent
-    uniform walks of n+1 up-steps (+1) and n down-steps (-1). Every uniform
-    Dyck path starts here, so the stream is the same whether the call runs
-    at once or on a helper thread.
+    uniform walks of n+1 up-steps (+1) and n down-steps (-1). Every batch of
+    uniform Dyck paths starts here, so the stream is the same whether the
+    call runs at once or on a helper thread.
 
     Exact bit rejection (docs/dyck_321_bijection.md, "Drawing the walk"): a
     raw row is 2n+1 bits of raw Philox words, the last word masked, bit j
     giving column j. Rows with n+1 ones are kept as drawn and rows with n
     ones complemented; the complement maps the second set one-to-one onto
     the first, so every walk has exactly two preimages and is drawn
-    uniformly. The test compares integer popcounts and never rounds. About
-    2/sqrt(pi n) of the raw rows are kept (3.6% at n = 1000), so the cost
-    per walk grows like n^1.5, against n for a per-row shuffle: the shuffle
-    wins only from about n = 60 000, above every default and every test.
-    Raw rows are drawn in chunks sized from that rate, with a few spare
-    rows so that one chunk nearly always suffices, and capped at
-    _MAX_BATCH_CELLS bits.
+    uniformly. The test compares integer popcounts and never rounds. The
+    cost per walk grows like n^1.5, against n for a per-row shuffle: the
+    shuffle wins only from about n = 60 000, above every default and every
+    test. Raw rows are drawn in the chunks that `_raw_layout` sizes.
     """
     m = 2 * n + 1
-    words = (m + 63) // 64
-    mask = np.uint64((1 << (m - 64 * (words - 1))) - 1)  # the bits of the last word
-    # 2 C(m, n) / 2^m sizes the chunks only and never decides a row
-    rate = 2 * exp(lgamma(m + 1) - lgamma(n + 1) - lgamma(n + 2) - m * log(2))
-    max_raw = max(1, _MAX_BATCH_CELLS // m)
+    words, mask, chunk = _raw_layout(n)
+    mask = np.uint64(mask)
     walks = np.empty((rows, m), dtype=np.int8)
 
     def fill():
         got = 0
         while got < rows:
-            size = min(ceil((rows - got + 3) / rate), max_raw)
+            size = chunk(rows - got)
             raw = gen.bit_generator.random_raw(size * words).reshape(size, words)
             raw[:, -1] &= mask
             # ones - n is 1 for a row kept as drawn and 0 for one complemented
@@ -187,6 +206,27 @@ def _walk_job(n: int, rows: int, gen: np.random.Generator):
     return walks, fill
 
 
+def _one_walk(n: int, gen: np.random.Generator) -> int:
+    """
+    The walk `_walk_job(n, 1, gen)` draws, from the same words, as an int
+    whose bit j is set where column j is an up-step. Each raw row is read as
+    one int (little-endian words, so bit j is column j); the first row with
+    n+1 ones is kept as drawn, or complemented if it has n.
+    """
+    words, mask, chunk = _raw_layout(n)
+    width = 8 * words
+    full = (mask + 1 << 64 * (words - 1)) - 1  # the last word masked, the others whole
+    while True:
+        buf = gen.bit_generator.random_raw(chunk(1) * words).astype("<u8", copy=False).tobytes()
+        for i in range(0, len(buf), width):
+            row = int.from_bytes(buf[i : i + width], "little") & full
+            ones = row.bit_count()
+            if ones == n + 1:
+                return row
+            if ones == n:
+                return row ^ full
+
+
 def _byte_tables():
     """
     For each byte of 8 steps (first step in the high bit, bit 1 a
@@ -201,6 +241,10 @@ def _byte_tables():
 
 
 _BYTE_NET, _BYTE_LOW, _BYTE_LAST = _byte_tables()
+# the same tables as lists, indexed by bytes whose first step is in the low bit
+_BIT_REVERSED = np.packbits(np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1),
+                            axis=1, bitorder="little")[:, 0]
+_LSB_NET, _LSB_LOW, _LSB_LAST = (t[_BIT_REVERSED].tolist() for t in (_BYTE_NET, _BYTE_LOW, _BYTE_LAST))
 
 
 def _dyck_starts(walks: np.ndarray, dtype) -> np.ndarray:
@@ -214,23 +258,40 @@ def _dyck_starts(walks: np.ndarray, dtype) -> np.ndarray:
     up-step leaves a uniform Dyck path, whose first step is therefore two
     columns after the last minimum.
 
-    From _BYTE_SCAN_CELLS steps on, the prefix sums run over bytes, an
-    eighth of the columns: `packbits` packs 8 steps per byte, and the byte
-    tables give each byte's net sum, lowest prefix sum and last position
-    of it. Padding bits read as up-steps, so they never reach a minimum.
-    Fewer steps take the plain prefix sum, which needs fewer numpy calls
-    (the one-path samplers draw one walk per call).
+    The prefix sums run over bytes, an eighth of the columns: `packbits`
+    packs 8 steps per byte, and the byte tables give each byte's net sum,
+    lowest prefix sum and last position of it. Padding bits read as
+    up-steps, so they never reach a minimum. (One walk at a time goes
+    through `_one_dyck_path` instead, in plain Python.)
     """
-    rows, m = walks.shape
-    if walks.size < _BYTE_SCAN_CELLS:
-        prefix = np.cumsum(walks, axis=1, dtype=dtype)
-        # the last minimum sits at column m-1-argmin of the reversed sums
-        return m + 1 - np.argmin(prefix[:, ::-1], axis=1)
+    rows = len(walks)
     packed = np.packbits(walks < 0, axis=1)
     low = np.cumsum(_BYTE_NET[packed], axis=1, dtype=dtype)
     low += _BYTE_LOW[packed]  # the lowest prefix sum within each byte
     byte = packed.shape[1] - 1 - np.argmin(low[:, ::-1], axis=1)  # the last byte reaching the minimum
     return 8 * byte + _BYTE_LAST[packed[np.arange(rows), byte]] + 2
+
+
+def _one_dyck_path(n: int, gen: np.random.Generator) -> str:
+    """
+    The Dyck path `_batch_dyck_steps(n, 1, gen)` draws, from the same words,
+    as a string of 2n steps, "1" up and "0" down, in plain Python.
+
+    The path starts two columns after the last minimum of the walk's prefix
+    sums, read cyclically. The sums run over the bytes of the down-steps
+    with the byte tables of `_dyck_starts`, first step in the low bit;
+    padding bits read as up-steps.
+    """
+    m = 2 * n + 1
+    walk = _one_walk(n, gen)
+    height, low, last_min = 0, m, 0
+    for i, byte in enumerate((walk ^ (1 << m) - 1).to_bytes((m + 7) // 8, "little")):
+        height += _LSB_NET[byte]
+        if height + _LSB_LOW[byte] <= low:
+            low = height + _LSB_LOW[byte]
+            last_min = 8 * i + _LSB_LAST[byte]
+    steps = format(walk, f"0{m}b")[::-1]  # column j at index j
+    return (steps + steps)[last_min + 2 : last_min + 2 + 2 * n]
 
 
 def _walk_dtype(n: int):
@@ -251,8 +312,7 @@ def _dyck_from_walks(walks: np.ndarray) -> np.ndarray:
     doubled = np.concatenate((walks, walks), axis=1)
     row_stride, step = doubled.strides
     # windows[r, c] = doubled[r, c : c + m-1] for every start c in [0, m+1];
-    # the ndarray constructor makes this view at a fraction of as_strided's
-    # cost, which one-path calls would pay on every draw
+    # the ndarray constructor makes this view at a fraction of as_strided's cost
     windows = np.ndarray((rows, m + 2, m - 1), doubled.dtype, doubled, 0, (row_stride, step, step))
     return windows[np.arange(rows), start]
 
@@ -390,6 +450,32 @@ def _avoiders_from_dyck(steps: np.ndarray, tau: str) -> np.ndarray:
     return sigma.shape[1] + 1 - sigma[:, ::-1] if tau == "213" else sigma
 
 
+def _avoider_from_path(path: str, tau: str) -> tuple[int, ...]:
+    """
+    The tau-avoider of one Dyck path given as a string of "1" (up) and "0"
+    (down) steps: the map of `_avoiders_from_dyck`, in plain Python.
+
+    321: the profile of the x-th down-step (x from 0, at index t_x) is t_x - x,
+    the up-steps before it, a running sum of the runs of up-steps that
+    `split` cuts out; 123 is the reverse. 132: read left to right, a stack
+    matches each down-step, the d-th, with its up-step, the k-th, and puts
+    n+1-k at position d; 213 is the reverse-complement.
+    """
+    n = len(path) // 2
+    if tau in ("321", "123"):
+        sigma = profile_to_perm(list(accumulate(map(len, path.split("0")[:n]))))
+        return sigma[::-1] if tau == "123" else sigma
+    sigma, open_ups, k = [], [], 0
+    for step in path:
+        if step == "1":
+            k += 1
+            open_ups.append(k)
+        else:
+            sigma.append(n + 1 - open_ups.pop())
+    # reverse-complement: sigma'_x = n+1 - sigma_{n+1-x}
+    return tuple(n + 1 - v for v in reversed(sigma)) if tau == "213" else tuple(sigma)
+
+
 def _batch_rows(n: int, remaining: int) -> int:
     return max(1, min(remaining, _MAX_BATCH_CELLS // max(2 * n + 1, 1), 200_000))
 
@@ -423,8 +509,7 @@ def uniform_avoider(n: int, tau: str, rng: RandomSource) -> tuple[int, ...]:
     tau = _dyck_pattern(tau)
     if n < 0:
         raise ValueError("n must be >= 0")
-    steps = _batch_dyck_steps(n, 1, rng.generator)
-    return tuple(_avoiders_from_dyck(steps, tau)[0].tolist())
+    return _avoider_from_path(_one_dyck_path(n, rng.generator), tau)
 
 
 def _walk_batches(n: int, count: int, gen: np.random.Generator):
@@ -637,7 +722,6 @@ def biased_avoider_permutation(n: int, q, tau: str, rng: RandomSource) -> tuple[
     """
     q = _bias(q)
     tau = check_pattern(tau)
-    caps = budgets()
     if q <= 1 and tau in DYCK_PATTERNS:
         attempts = 0
         while True:
@@ -645,6 +729,7 @@ def biased_avoider_permutation(n: int, q, tau: str, rng: RandomSource) -> tuple[
             sigma = uniform_avoider(n, tau, rng)
             if rng.bernoulli_power(q, fixed_points(sigma)):
                 return sigma, attempts
+    caps = budgets()
     if n <= caps["enum"]:
         groups = _enumeration_table(n, tau)
         k = int(_inverse_cdf(series.bias_weights([len(g) for g in groups], q), 1, rng)[0])

@@ -110,6 +110,15 @@ CANONICAL_STDOUT = {
         "09f4891e05405d28647da2786762c07f142dcb28c54e50ab452698e413ff6a57",
     "pmf --n 11 --q 2 --tau 312": "872dfd7efccbbed31df8e2354f72075493ffcca4fb0116d48f9bf2294d5935d2",
     "count --tau 231 --n 12": "8bf179c8d5858629c86531a6f2793514e8fd0dcfc01d3e2bb78f1432b986a341",
+    # seeded dumps: the per-draw rejection route (q < 1) and the unrestricted batch
+    "sample --n 60 --q 1/2 --tau 321 --count 2000 --emit perm --seed 7":
+        "55b3b1bc272aa3b0570c2c26e155cde7cc7c6b558945dcbd2c2d6b7ccf12dbe7",
+    "sample --n 60 --q 1/2 --tau 123 --count 2000 --emit perm --seed 7":
+        "4d6d73e55fcd9a87269ae7f837d30078b2ec78661f85ea61d46988c261722706",
+    "sample --n 12 --q 1/2 --tau 132 --count 50 --emit perm --seed 7":
+        "15e7c605533050dd47a169f0a360ec22d0e45d4c562f00adfc77673aa5a75544",
+    "sample --n 6 --q 1/2 --count 20000 --emit perm --seed 7":
+        "2637cdfd60ef8192e9f2280212f3f3834999f26ccfc8909cc1c7c97859132055",
 }
 
 

@@ -49,6 +49,23 @@ def test_randbelow_batch_is_sequential_randbelow(bound):
                                 seq.generator.bit_generator.state)
 
 
+def test_randbelow_reads_the_words_of_full_range_integers():
+    # a candidate is whole raw words: those that `integers(0, 2**64, uint64)`
+    # returns from an independent generator of the same key, read big-endian
+    # and masked; the first candidate below the bound is the draw
+    for bound in (2, 2**64, 3**100):
+        bits = (bound - 1).bit_length()
+        words = (bits + 63) // 64
+        rng, ref = RandomSource(57), RandomSource(57).generator
+        for _ in range(20):
+            x = bound
+            while x >= bound:
+                raw = ref.integers(0, 2**64, size=words, dtype=np.uint64).tolist()
+                x = sum(w << 64 * (words - 1 - i) for i, w in enumerate(raw)) & (1 << bits) - 1
+            assert rng.randbelow(bound) == x, bound
+        np.testing.assert_equal(rng.generator.bit_generator.state, ref.bit_generator.state)
+
+
 def test_randbelow_batch_rounds_never_overdraw(monkeypatch):
     # a cap of 3 candidates per round forces many rounds; a bound just past a
     # power of two rejects about half the candidates, so rounds end short too
@@ -155,13 +172,32 @@ def test_walks_match_big_integer_oracle_at_word_edges():
 
 
 def test_dyck_bijection_exhaustive():
-    # the batch map of the samplers, on every path at once: injective, onto S_n(tau)
+    # the batch map of the samplers, on every path at once: injective, onto
+    # S_n(tau); the one-walk map of the per-call sampler agrees path by path
     for n in range(1, 8):
-        paths = np.array(all_dyck_paths(n), dtype=np.int8)
+        paths = all_dyck_paths(n)
         for tau in sampling.DYCK_PATTERNS:
-            images = [tuple(row) for row in sampling._avoiders_from_dyck(paths, tau).tolist()]
+            batch = sampling._avoiders_from_dyck(np.array(paths, dtype=np.int8), tau)
+            images = [tuple(row) for row in batch.tolist()]
             assert len(set(images)) == len(paths), (n, tau)
             assert set(images) == set(perms.enumerate_avoiders(n, tau)), (n, tau)
+            one = [sampling._avoider_from_path("".join("1" if s > 0 else "0" for s in p), tau)
+                   for p in paths]
+            assert one == images, (n, tau)
+
+
+@pytest.mark.parametrize("tau", ["321", "123", "132", "213"])
+def test_one_walk_path_is_the_batch_kernel_of_one_row(tau):
+    # the same avoiders from the same words, and the generator left in the
+    # same state; 2n+1 either side of the first three 64-bit word boundaries
+    for n in (0, 1, 2, 4, 31, 32, 33, 63, 64, 65, 200):
+        one, batch = RandomSource(47, n), RandomSource(47, n)
+        for _ in range(40):
+            steps = sampling._batch_dyck_steps(n, 1, batch.generator)
+            want = tuple(sampling._avoiders_from_dyck(steps, tau)[0].tolist())
+            assert sampling.uniform_avoider(n, tau, one) == want, (n, tau)
+        np.testing.assert_equal(one.generator.bit_generator.state,
+                                batch.generator.bit_generator.state)
 
 
 def _dyck_path_by_cycle_lemma(walk):
@@ -174,13 +210,10 @@ def _dyck_path_by_cycle_lemma(walk):
     raise AssertionError("no rotation with positive prefixes")
 
 
-@pytest.mark.parametrize("byte_scan_cells", [0, 10**9])
-def test_walk_kernels_match_cycle_lemma_oracle(monkeypatch, byte_scan_cells):
+def test_walk_kernels_match_cycle_lemma_oracle(monkeypatch):
     # every walk for n <= 6, rotated and mapped in pure Python (perms.profile_to_perm);
-    # three rows per block, so that blocks split the batch, and the Dyck
-    # starts found by the byte scan everywhere, or by the plain prefix sum
+    # three rows per block, so that blocks split the batch
     monkeypatch.setattr(sampling, "_BLOCK", 3)
-    monkeypatch.setattr(sampling, "_BYTE_SCAN_CELLS", byte_scan_cells)
     for n in range(7):
         walks = [tuple(1 if j in ups else -1 for j in range(2 * n + 1))
                  for ups in itertools.combinations(range(2 * n + 1), n + 1)]
