@@ -24,12 +24,15 @@ sampler `uniform_avoider` draws one walk per call and runs the same steps
 in plain Python ints (`_one_dyck_path`, `_avoider_from_path`): the same
 `random_raw` calls, chunk for chunk, so it draws what a one-row batch
 would draw and leaves the generator where that would. The fixed-point
-batch sampler counts 321/123 fixed points from the down-step indices of
-those paths, _BLOCK rows at a time, with no sort and without building the
-permutations. It draws batch i+1 on one helper thread while the main
-thread counts batch i; only the helper draws, in batch order, so the
-random stream is the one of drawing the batches one after another.
-Every other sampler draws on the calling thread.
+batch sampler counts 321/123 fixed points from the down-step and up-step
+indices of those paths, _BLOCK rows at a time, with no sort and without
+building the permutations. Two threads share the count: while the
+calling thread counts the blocks of batch i, one helper thread draws
+batch i+1 and then counts blocks of batch i too. Only the helper draws,
+in batch order, so the random stream is the one of drawing the batches
+one after another, and each block writes its own slice of the result,
+so no count depends on which thread made it. Every other sampler draws
+and maps on the calling thread.
 
 Every exact discrete draw over big-integer weights (fixed-point counts,
 the enumeration route) goes through one inverse-cdf helper. Once the total
@@ -54,6 +57,7 @@ from __future__ import annotations
 import bisect
 import threading
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate
 from math import ceil, exp, lgamma, log
 
@@ -66,7 +70,9 @@ from .perms import check_pattern, enumerate_avoiders, fixed_points, profile_to_p
 from .series import as_rational
 
 _MAX_BATCH_CELLS = 8_000_000  # soft cap on rows*length per vectorized batch
-_BLOCK = 256  # rows per block of the fixed-point count, which keeps its temporaries in cache
+# rows per block of the fixed-point count: small enough that its temporaries stay in
+# cache and that the helper thread's malloc arena holds little memory once the count ends
+_BLOCK = 128
 
 
 class RandomSource:
@@ -89,8 +95,24 @@ class RandomSource:
         return RandomSource(self.seed, stream_id)
 
     def randbelow(self, bound: int) -> int:
-        """Exact uniform integer in [0, bound), for arbitrary-size bounds."""
-        return self.randbelow_batch(bound, 1)[0]
+        """
+        Exact uniform integer in [0, bound), for arbitrary-size bounds: the
+        first candidate below bound, each candidate the words of one
+        `random_raw` call read big-endian and masked, as in `randbelow_batch`.
+        """
+        if bound <= 0:
+            raise ValueError("bound must be positive")
+        bits = max((bound - 1).bit_length(), 1)
+        words = (bits + 63) // 64
+        mask = (1 << bits) - 1
+        raw = self.generator.bit_generator.random_raw
+        while True:
+            if words == 1:
+                x = raw() & mask
+            else:
+                x = int.from_bytes(raw(words).astype(">u8").tobytes(), "big") & mask
+            if x < bound:
+                return x
 
     def randbelow_batch(self, bound: int, count: int) -> list[int]:
         """
@@ -141,6 +163,7 @@ class RandomSource:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=256)
 def _raw_layout(n: int):
     """
     How the walks of n+1 up-steps and n down-steps are drawn from raw words:
@@ -151,15 +174,15 @@ def _raw_layout(n: int):
 
     About 2/sqrt(pi n) of the raw rows are kept, so a chunk is sized from
     that rate with three spare rows, which nearly always makes one chunk
-    suffice, and capped at _MAX_BATCH_CELLS bits.
+    suffice, and capped at _MAX_BATCH_CELLS bits (read at each call, so the
+    cached layout follows the cap).
     """
     m = 2 * n + 1
     words = (m + 63) // 64
     mask = (1 << (m - 64 * (words - 1))) - 1
     # 2 C(m, n) / 2^m sizes the chunks only and never decides a row
     rate = 2 * exp(lgamma(m + 1) - lgamma(n + 1) - lgamma(n + 2) - m * log(2))
-    max_raw = max(1, _MAX_BATCH_CELLS // m)
-    return words, mask, lambda need: min(ceil((need + 3) / rate), max_raw)
+    return words, mask, lambda need: min(ceil((need + 3) / rate), max(1, _MAX_BATCH_CELLS // m))
 
 
 def _walk_job(n: int, rows: int, gen: np.random.Generator):
@@ -295,7 +318,7 @@ def _one_dyck_path(n: int, gen: np.random.Generator) -> str:
 
 
 def _walk_dtype(n: int):
-    """The narrowest dtype holding a walk's prefix sums and the rank counts of `_fp_from_walks` (up to 2n)."""
+    """The narrowest dtype holding a walk's prefix sums (up to 2n+1 in size)."""
     return np.int16 if 2 * n + 2 < 2**15 else np.int32
 
 
@@ -378,34 +401,42 @@ def _fp_from_walks(walks: np.ndarray, reverse: bool = False) -> np.ndarray:
     weak excedance when an up-step precedes its down-step, and a fixed
     point when also t = 2x+1. A fixed point of the reverse lies on the
     anti-diagonal: the excedance one is a peak at Dyck index n, and the
-    fill one is where the fill position x+1 and the unused value n-x have
-    the same rank. Value n-x is unused when the (x+1)-th down-step of the
-    reverse-complement path, whose down-steps are this path's up-steps read
-    backwards, follows a down-step; the two ranks are equal when the
-    running count of fill positions and unused values reaches
-    n - peaks + 1 there.
+    fill one is a fill position y that receives the value n+1-y. Value v
+    is unused when the v-th up-step is followed by an up-step, which a
+    second `flatnonzero`, of the up-steps, reads off as a gap of 1. The
+    i-th fill position of a row receives its i-th unused value, and a row
+    has as many of each, so the two lists of flat indices pair them up
+    entry by entry.
     """
     rows, m = walks.shape
     n = m // 2
     out = np.zeros(rows, dtype=np.int64)
     if n == 0:
         return out
-    dt = _walk_dtype(n)
     for i in range(0, rows, _BLOCK):
         path = _dyck_from_walks(walks[i : i + _BLOCK])
         b = len(path)
         down = np.flatnonzero(path < 0)
-        exc = _after_up(down).reshape(b, n)
+        exc = _after_up(down)
         if not reverse:
             # at flat index k = r*n + x, t = 2x+1 reads down[k] = 2k+1
-            fixed = exc & (down == np.arange(1, 2 * b * n, 2)).reshape(b, n)
-            out[i : i + b] = fixed.sum(axis=1)
+            fixed = exc & (down == np.arange(1, 2 * b * n, 2))
+            out[i : i + b] = fixed.reshape(b, n).sum(axis=1)
             continue
+        # unused[r*n + v-1]: the v-th up-step is followed by an up-step; the gap
+        # across a row boundary is 2n - t >= 2 for the last up-step at t <= 2n-2
+        up = np.flatnonzero(path > 0)
+        unused = np.empty(b * n, dtype=bool)
+        np.equal(np.diff(up), 1, out=unused[:-1])
+        unused[-1] = False
         fill = ~exc
-        unused = ~_after_up(np.flatnonzero(path[:, ::-1] > 0)).reshape(b, n)
-        ranks = np.cumsum(fill.view(np.int8) + unused.view(np.int8), axis=1, dtype=dt)
-        crossing = fill & unused & (ranks == fill.sum(axis=1, dtype=dt)[:, None] + dt(1))
-        out[i : i + b] = (path[:, n - 1] > path[:, n]) + crossing.sum(axis=1)
+        # a fill position r*n + x and its value r*n + v-1 lie on the
+        # anti-diagonal when x+1 + v = n+1, that is when they sum to 2rn + n-1
+        fill_at = np.flatnonzero(fill)
+        per_row = n - np.count_nonzero(exc.reshape(b, n), axis=1)
+        target = np.repeat(np.arange(n - 1, 2 * n * b, 2 * n), per_row)
+        hit = fill_at[fill_at + np.flatnonzero(unused) == target]
+        out[i : i + b] = (path[:, n - 1] > path[:, n]) + np.bincount(hit // n, minlength=b)
     return out
 
 
@@ -512,34 +543,44 @@ def uniform_avoider(n: int, tau: str, rng: RandomSource) -> tuple[int, ...]:
     return _avoider_from_path(_one_dyck_path(n, rng.generator), tau)
 
 
-def _walk_batches(n: int, count: int, gen: np.random.Generator):
+def _count_batch(walks: np.ndarray, out: np.ndarray, count_block, draw=None):
     """
-    Uniform walks for `count` paths, in `_batch_rows` batches.
+    Fill `out` with `count_block` of `walks`, _BLOCK rows at a time, on the
+    calling thread and a helper thread together.
 
-    While the caller maps batch i, a helper thread draws batch i+1. Only the
-    helper touches `gen`, in batch order, so the stream is the one of
-    drawing the batches one after another. The helper runs `_walk_job`'s
-    fill: Philox draws, popcounts and bit unpacking, numpy calls that
-    release the GIL for all but their Python glue. It is joined before each
-    batch is handed out, and when the caller stops early.
+    The helper first runs `draw` (the fill of the next batch), then both
+    threads take blocks from one iterator until none is left. Each block
+    writes only its own slice of `out`, so the result does not depend on
+    which thread counts which block. `draw` and `count_block` are mostly
+    numpy calls that release the GIL, and must call only private kernels:
+    a traced public function would open its span on the helper thread.
+    The helper is joined before this returns or raises, and its error is
+    re-raised here.
     """
-    sizes, done = [], 0
-    while done < count:
-        sizes.append(_batch_rows(n, count - done))
-        done += sizes[-1]
-    if not sizes:
+    lock = threading.Lock()
+    starts = iter(range(0, len(walks), _BLOCK))
+
+    def count_blocks():
+        while True:
+            with lock:
+                i = next(starts, None)
+            if i is None:
+                return
+            out[i : i + _BLOCK] = count_block(walks[i : i + _BLOCK])
+
+    def helper():
+        if draw is not None:
+            draw()
+        count_blocks()
+
+    if draw is None and len(walks) <= _BLOCK:
+        count_blocks()  # one block and nothing to draw: no work for a helper
         return
-    walks, fill = _walk_job(n, sizes[0], gen)
-    fill()
-    for rows in sizes[1:]:
-        following, fill = _walk_job(n, rows, gen)
-        join = _start_helper(fill)
-        try:
-            yield walks
-        finally:
-            join()
-        walks = following
-    yield walks
+    join = _start_helper(helper)
+    try:
+        count_blocks()
+    finally:
+        join()
 
 
 def _start_helper(job):
@@ -552,7 +593,7 @@ def _start_helper(job):
         except BaseException as exc:  # handed to the joining thread
             failed.append(exc)
 
-    thread = threading.Thread(target=run, name="fpblab-walks")
+    thread = threading.Thread(target=run, name="fpblab-batch")
     thread.start()
 
     def join():
@@ -564,23 +605,43 @@ def _start_helper(job):
 
 
 def uniform_avoider_fp_batch(n: int, tau: str, count: int, rng: RandomSource) -> np.ndarray:
-    """Fixed-point counts of `count` uniform tau-avoiders, drawn in vectorized batches."""
+    """
+    Fixed-point counts of `count` uniform tau-avoiders, drawn in vectorized
+    batches of `_batch_rows` walks.
+
+    While batch i is counted, a helper thread draws batch i+1 and then
+    counts blocks of batch i alongside the calling thread (`_count_batch`).
+    Only the helper draws after the first batch, in batch order, so the
+    stream is the one of drawing the batches one after another, and every
+    count is a function of its walk alone.
+    """
     tau = _dyck_pattern(tau)
+    if tau in ("321", "123"):
+        reverse = tau == "123"
+
+        def count_block(walks):
+            return _fp_from_walks(walks, reverse)
+    else:
+        ident = np.arange(1, n + 1)
+
+        def count_block(walks):
+            # reverse-complement preserves fixed points, so 213 counts those of 132
+            return (_perms_132_from_dyck(_dyck_from_walks(walks)) == ident).sum(axis=1)
+
     out = np.empty(count, dtype=np.int64)
+    if not count:
+        return out
+    gen = rng.generator
+    walks, fill = _walk_job(n, _batch_rows(n, count), gen)
+    fill()
     done = 0
-    batches = _walk_batches(n, count, rng.generator)
-    try:
-        for walks in batches:
-            b = len(walks)
-            if tau in ("321", "123"):
-                out[done : done + b] = _fp_from_walks(walks, reverse=(tau == "123"))
-            else:
-                # reverse-complement preserves fixed points, so 213 counts those of 132
-                sigma = _perms_132_from_dyck(_dyck_from_walks(walks))
-                out[done : done + b] = (sigma == np.arange(1, n + 1)).sum(axis=1)
-            done += b
-    finally:
-        batches.close()  # joins the helper thread if the loop stops early
+    while walks is not None:
+        b = len(walks)
+        following, fill = (_walk_job(n, _batch_rows(n, count - done - b), gen)
+                           if done + b < count else (None, None))
+        _count_batch(walks, out[done : done + b], count_block, fill)
+        walks = following
+        done += b
     return out
 
 

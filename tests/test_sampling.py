@@ -233,7 +233,9 @@ def test_walk_kernels_match_cycle_lemma_oracle(monkeypatch):
 def test_profile_fp_kernels_match_materialization():
     gen = RandomSource(17).generator
     # _walk_dtype widens where 2n+2 reaches 2^15: n = 16382 is the last int16 size, 16383 the first int32
-    for n, rows in ((3, 500), (9, 500), (33, 500), (16382, 3), (16383, 3)):
+    # 2n+1 either side of the first two 64-bit word boundaries: 31..33, 63..65
+    for n, rows in ((3, 500), (9, 500), (33, 500), (16382, 3), (16383, 3),
+                    (31, 500), (32, 500), (63, 500), (64, 500), (65, 500)):
         walks, fill = sampling._walk_job(n, rows, gen)
         fill()
         steps = sampling._dyck_from_walks(walks)
@@ -286,6 +288,104 @@ def test_fp_batch_waits_for_a_slow_shuffle(monkeypatch):
     monkeypatch.setattr(sampling, "_walk_job", slow_job)
     got = sampling.uniform_avoider_fp_batch(9, "123", 25, RandomSource(31))
     assert (got == want).all()
+
+
+def _count_by_thread(monkeypatch, on_caller=None, on_helper=None):
+    """
+    Wrap the two count kernels of `uniform_avoider_fp_batch` so that each
+    block runs `on_caller` or `on_helper` first, by the thread counting it;
+    returns the list of threads (True for the caller) that counted blocks.
+    """
+    caller, counted = threading.get_ident(), []
+
+    def wrap(kernel):
+        def counting(*args, **kwargs):
+            mine = threading.get_ident() == caller
+            counted.append(mine)
+            hook = on_caller if mine else on_helper
+            if hook is not None:
+                hook()
+            return kernel(*args, **kwargs)
+        return counting
+
+    monkeypatch.setattr(sampling, "_fp_from_walks", wrap(sampling._fp_from_walks))
+    monkeypatch.setattr(sampling, "_perms_132_from_dyck", wrap(sampling._perms_132_from_dyck))
+    return counted
+
+
+def test_fp_batch_shared_count_matches_one_thread_oracle(monkeypatch):
+    # 3 rows per count block and 7 walks per batch, so every full batch has
+    # three blocks for the two threads to share; the oracle draws the same
+    # batches one after another on this thread and maps every path
+    monkeypatch.setattr(sampling, "_BLOCK", 3)
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for n in (0, 1, 2, 9, 33):
+            monkeypatch.setattr(sampling, "_MAX_BATCH_CELLS", 7 * (2 * n + 1))
+            ident = np.arange(1, n + 1)
+            for tau in ("321", "123", "132", "213"):
+                for count in (0, 1, 25):
+                    rng = RandomSource(29, n)
+                    got = sampling.uniform_avoider_fp_batch(n, tau, count, rng)
+                    gen = RandomSource(29, n).generator
+                    sizes = [7] * (count // 7) + [count % 7] * (count % 7 > 0)
+                    want = [(sampling._avoiders_from_dyck(sampling._batch_dyck_steps(n, b, gen), tau)
+                             == ident).sum(axis=1) for b in sizes]
+                    assert got.tolist() == np.concatenate([np.zeros(0, np.int64), *want]).tolist(), (n, tau, count)
+                    np.testing.assert_equal(rng.generator.bit_generator.state, gen.bit_generator.state)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+
+
+def test_fp_batch_surfaces_a_helper_count_error(monkeypatch):
+    # the calling thread counts slowly, so the helper takes blocks, and the
+    # first block it takes raises
+    monkeypatch.setattr(sampling, "_BLOCK", 3)
+    monkeypatch.setattr(sampling, "_MAX_BATCH_CELLS", 7 * 19)
+    threads = threading.active_count()
+
+    def fail():
+        raise RuntimeError("count failed on the helper")
+
+    _count_by_thread(monkeypatch, on_caller=lambda: time.sleep(0.05), on_helper=fail)
+    for tau in ("123", "132"):
+        with pytest.raises(RuntimeError, match="count failed on the helper"):
+            sampling.uniform_avoider_fp_batch(9, tau, 25, RandomSource(37))
+        assert threading.active_count() == threads
+
+
+def test_fp_batch_joins_the_helper_when_the_caller_fails(monkeypatch):
+    # the helper is still busy with its slow blocks when the calling thread
+    # raises, so only a join before the error propagates leaves no thread
+    monkeypatch.setattr(sampling, "_BLOCK", 3)
+    monkeypatch.setattr(sampling, "_MAX_BATCH_CELLS", 7 * 19)
+    threads = threading.active_count()
+
+    def fail():
+        raise RuntimeError("count failed on the calling thread")
+
+    _count_by_thread(monkeypatch, on_caller=fail, on_helper=lambda: time.sleep(0.05))
+    with pytest.raises(RuntimeError, match="count failed on the calling thread"):
+        sampling.uniform_avoider_fp_batch(9, "321", 25, RandomSource(37))
+    assert threading.active_count() == threads
+
+
+def test_fp_batch_slow_caller_count_gives_the_same_counts(monkeypatch):
+    # each block the calling thread counts outlasts the helper's draw, so the
+    # helper counts the other blocks of every batch; the counts stay the same
+    monkeypatch.setattr(sampling, "_BLOCK", 3)
+    monkeypatch.setattr(sampling, "_MAX_BATCH_CELLS", 7 * 19)
+    taus = ("321", "123", "132", "213")
+    want = [sampling.uniform_avoider_fp_batch(9, tau, 25, RandomSource(41)) for tau in taus]
+    counted = _count_by_thread(monkeypatch, on_caller=lambda: time.sleep(0.05))
+    for tau, expect in zip(taus, want):
+        counted.clear()
+        got = sampling.uniform_avoider_fp_batch(9, tau, 25, RandomSource(41))
+        assert (got == expect).all(), tau
+        assert False in counted, tau  # the helper counted blocks
 
 
 def test_uniform_avoider_outputs_avoid():
