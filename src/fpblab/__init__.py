@@ -71,6 +71,7 @@ from .series import (
     avoider_normalization,
     avoider_polynomials,
     avoider_polynomials_231,
+    avoider_row,
     avoider_series,
     catalan_numbers,
     derangement_numbers,

@@ -10,11 +10,10 @@ permutation under one of the three measure families:
 Exact mode carries Fractions that sum to one exactly, from the closed
 form or from the integer row of counts that `fixed_point_row` takes from
 the series engines (132/321/213 and 231/312) or from enumeration (123);
-float mode carries doubles from the positively-scaled column
-engine (entries accurate to machine-epsilon scale, sums normalized). That
-engine computes the whole table of rows n = 0..N with blocked matrix
-products, about N^2 / 2 multiply-adds per column with the table read once
-per 64 rows (one law at N = 2000 and q = 3 takes about 0.1 s on a 2-core
+float mode carries doubles from the positively-scaled row engine
+`series.scaled_weight_row` (entries accurate to machine-epsilon scale, sums
+normalized). It runs the O(n) positive recurrence of the closed form for
+row n alone (one law at n = 2000 and q = 3 takes about 3 ms on a 2-core
 Xeon). Monte-Carlo estimates record (seed, stream_id, sample count) so
 checks are reproducible bit for bit.
 
@@ -177,14 +176,14 @@ def fixed_point_row(n: int, tau: str) -> tuple[int, ...]:
     Counts (F_0..F_n) of the tau-avoiders of length n by fixed-point number;
     every exact law on an avoidance class is F_k q^k / sum_j F_j q^j.
 
-    The row comes from `series.avoider_polynomials` for 132/321/213 (within
-    the poly budget), from `series.avoider_polynomials_231` for 231/312 and
+    The row comes from `series.avoider_row` for 132/321/213 (within the
+    poly budget), from `series.avoider_polynomials_231` for 231/312 and
     from enumeration for 123 (both within the enum budget). Past its budget
     a route raises `BudgetExceededError`, or `EnumerationCapError` for 123.
     """
     tau = check_pattern(tau)
     if tau in TAU_CLASS:
-        return series.avoider_polynomials(n)[n]
+        return series.avoider_row(n)
     if tau != "123":
         return series.avoider_polynomials_231(n)[n]
     return tuple(fixed_point_counts(enumerate_avoiders(n, tau), n))
@@ -197,8 +196,8 @@ def fp_pmf(spec: MeasureSpec, mode: str = "exact", rng=None, samples: int | None
     mode "exact": closed form (no pattern), or the counts of
     `fixed_point_row`: series rows for 132/321/213 (n within the poly
     budget) and for 231/312 (n within the enum budget), enumeration for 123
-    (n within the enum budget). mode "scaled-float": the positive column
-    engine for 132/321/213 at any n within desk range, the exact law
+    (n within the enum budget). mode "scaled-float": the positive row
+    engine for 132/321/213 at any n, the exact law
     elsewhere. mode "monte-carlo": empirical law from the samplers (uniform
     for q = 1; for pattern 123 any q via exact reweighting over the finite
     support {0,1,2}); needs `rng` and `samples`.
@@ -228,9 +227,8 @@ def fp_pmf(spec: MeasureSpec, mode: str = "exact", rng=None, samples: int | None
                 f"pattern {tau} has no large-n float route (only 132/321/213 do); "
                 f"its exact rows are capped at n={caps['enum']}"
             )
-        w = series.scaled_weight_rows(qf, n)[n]
-        total = float(w.sum())
-        weights = {k: float(v) / total for k, v in enumerate(w) if v > 0.0}
+        w = series.scaled_weight_row(qf, n)
+        weights = {k: v for k, v in enumerate((w / w.sum()).tolist()) if v > 0.0}
         return FixedPointPMF(n, weights, "float", Provenance("series"), spec)
     if mode == "monte-carlo":
         from . import sampling  # deferred: sampling builds on this module

@@ -18,8 +18,8 @@ with C the Catalan series, so for n >= 1
     (2 - q) g_n = Catalan(n) - (1 - q)^2 g_{n-1}.
 
 At q = 2 the constant term of the denominator vanishes; there G = C^2 and
-g_n = Catalan(n+1). Every exact engine runs this first-order recurrence and
-returns plain values:
+g_n = Catalan(n+1). The table engines run this first-order recurrence and
+return plain values (a single row has its own closed form, below):
 
 - normalizations at a rational q = a/b (`avoider_series`, a list of
   Fractions): on U_n = g_n b^n the recurrence reads
@@ -33,7 +33,7 @@ returns plain values:
   O(n^2) coefficient operations up to n. The division is lower-triangular
   in the power of q, so rows truncated at k_max give the column table
   a[k][n] (`avoider_columns`, integer lists indexed [k][n]) exactly in
-  O(n k_max).
+  O(n k_max). The tests keep this table as the oracle of `avoider_row`.
 
 The 231 and 312 avoiders (the same rows: inversion keeps fixed points)
 have no such closed form. Their rows (`avoider_polynomials_231`) come from
@@ -53,14 +53,34 @@ The tests check these engines against the convolution recurrences of the
 square-root form and against exhaustive enumeration. Every size is checked
 against the budgets of `config`, which FPBL_BUDGET alone sets.
 
-Scaled-float columns (`scaled_weight_rows`) run the positive column
-recurrence of the square-root form on t[n, k] = a[k][n] q^k / base^n
-instead: every term is nonnegative, so each entry keeps machine-epsilon
-relative accuracy at any n. The convolution over earlier rows is a product
-with the Toeplitz matrix of the scaled Catalan weights, taken in blocks of
-64 rows: one BLAS matrix product per block for the rows before it, then a
-short product per row inside it. That is ~n^2 k_max / 2 multiply-adds in
-all, with the table read once per block.
+One row alone has a closed form. In the square-root form the avoiders
+with k fixed points have the column series A_k(z) = z^k psi^(k+1), with
+psi = 1/(1 - z(C - 1)). The series w = z psi solves w = z phi(w) for
+phi(w) = (1-w)^2/(1-2w), so A_k = w^(k+1)/z, and Lagrange inversion
+(Flajolet and Sedgewick, Thm A.2) gives
+
+    a[k][n] = [z^(n+1)] w^(k+1) = (k+1)/(n+1) p_(n-k),
+    p_j = [w^j] phi(w)^(n+1).
+
+Since phi'/phi = 2w/((1-w)(1-2w)), P = phi^(n+1) satisfies
+(1 - 3w + 2w^2) P' = 2(n+1) w P, which reads
+
+    p_0 = 1, p_1 = 0, (j+1) p_(j+1) = 3j p_j + 2(n+2-j) p_(j-1).
+
+For j <= n every term is nonnegative, so row n costs O(n) operations and
+no cancellation: in integers (`avoider_row`, both divisions exact), or in
+floats (`scaled_weight_row`, t[k] = a[k][n] q^k / base^n), where the
+recurrence runs on p_j / q^j and every entry keeps machine-epsilon
+relative accuracy at any n. The floats split powers of two off exactly,
+so nothing overflows or underflows on the way; an entry rounds to 0 only
+when its own value lies below the float range. A row at n = 2000 takes
+about a millisecond. `scaled_weight_rows` stacks these rows into the
+table t[n, k].
+
+    >>> [avoider_row(n) for n in range(5)]
+    [(1,), (0, 1), (1, 0, 1), (2, 2, 0, 1), (6, 4, 3, 0, 1)]
+    >>> (scaled_weight_row(1.0, 4) * 4**4).round(12).tolist()  # q = 1, base 4
+    [6.0, 4.0, 3.0, 0.0, 1.0]
 
 Unrestricted permutations use the closed form
     total_weight(n, q) = sum_k binom(n,k) * derangements(n-k) * q^k.
@@ -71,17 +91,18 @@ one formatter of exact and float values, at any number of digits.
 """
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 from math import comb, factorial
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import BudgetExceededError, budgets, check_budget
 
 TAU_CLASS = ("132", "321", "213")  # patterns sharing the generating function
-_BLOCK = 64  # rows per matrix product in the scaled-float column engine
+_POLY_HINT = "use avoider_series or avoider_columns at large n"
+_SHIFT = 512  # scaled_weight_row shifts its recurrence down by 2^_SHIFT once past it
 
 
 def as_rational(q) -> Fraction:
@@ -143,11 +164,6 @@ def _next_row(prev: list[int] | tuple[int, ...], cat_n: int, width: int) -> list
     return row
 
 
-# the only series cache: length-n weight polynomials, keyed by n and bounded
-# by the poly budget, because the scalar samplers ask for one row per draw
-_poly_cache: list[tuple[int, ...]] = [(1,)]
-
-
 def avoider_polynomials(n_max: int) -> list[tuple[int, ...]]:
     """
     Length-n fixed-point polynomials for the 132/321/213 avoidance classes,
@@ -158,13 +174,26 @@ def avoider_polynomials(n_max: int) -> list[tuple[int, ...]]:
     to Catalan(n), and sum_k row[k] q^k is the normalization constant of the
     biased avoiding measure.
     """
-    check_budget("poly", n_max, hint="use avoider_series or avoider_columns at large n")
-    g = _poly_cache
+    check_budget("poly", n_max, hint=_POLY_HINT)
     cat = catalan_numbers(n_max)
-    while len(g) <= n_max:
-        n = len(g)
+    g = [(1,)]
+    for n in range(1, n_max + 1):
         g.append(tuple(_next_row(g[-1], cat[n], n + 1)))
-    return g[: n_max + 1]
+    return g
+
+
+def avoider_row(n: int) -> tuple[int, ...]:
+    """
+    Row n of `avoider_polynomials` alone, in O(n) big-integer operations:
+    a[k][n] = (k+1)/(n+1) p_(n-k), with p_j = [w^j] ((1-w)^2/(1-2w))^(n+1)
+    from the positive recurrence of the module docstring. Both divisions
+    are exact.
+    """
+    check_budget("poly", n, hint=_POLY_HINT)
+    p = [1, 0]
+    for j in range(1, n):
+        p.append((3 * j * p[j] + 2 * (n + 2 - j) * p[j - 1]) // (j + 1))
+    return tuple((k + 1) * p[n - k] // (n + 1) for k in range(n + 1))
 
 
 def avoider_polynomials_231(n_max: int) -> list[tuple[int, ...]]:
@@ -342,7 +371,8 @@ def avoider_columns(k_max: int, n_max: int) -> list[list[int]]:
     Runs the polynomial-row division of `avoider_polynomials` with every row
     truncated at k_max, which stays exact because that division is
     lower-triangular in k: O(n_max * k_max) big-integer operations. Their
-    scaled-float counterpart is `scaled_weight_rows(1, n_max, k_max)`.
+    scaled-float counterpart is `scaled_weight_rows(1, n_max, k_max)`, whose
+    rows come from the O(n) closed form of `scaled_weight_row`.
     """
     if k_max > n_max:
         raise ValueError("k_max cannot exceed n_max (no length-n permutation has more than n fixed points)")
@@ -355,71 +385,78 @@ def avoider_columns(k_max: int, n_max: int) -> list[list[int]]:
     return [[row[k] if k < len(row) else 0 for row in rows] for k in range(k_max + 1)]
 
 
-def _scaled_weighted_columns(n_max: int, k_max: int, q: float, base: float) -> np.ndarray:
+def _power_parts(x: float, n: int) -> tuple[float, int]:
+    """(m, e) with x^n = m * 2^e, by binary powering with the exponent kept apart."""
+    m, e = math.frexp(x)
+    pm, pe = 1.0, 0
+    while n:
+        if n & 1:
+            pm, d = math.frexp(pm * m)
+            pe += e + d
+        m, d = math.frexp(m * m)
+        e = 2 * e + d
+        n >>= 1
+    return pm, pe
+
+
+def _default_base(q: float) -> float:
+    """4 up to the phase point q = 3; above it the growth rate (q-1)^2/(q-2) > 4."""
+    return 4.0 if q <= 3 else (q - 1) * ((q - 1) / (q - 2))
+
+
+def scaled_weight_row(q: float, n: int, base: float | None = None) -> np.ndarray:
     """
-    Float table t[n, k] = a[k][n] * q^k / base^n by the positive column recurrence
+    Row n of `scaled_weight_rows`: t[k] = a[k][n] q^k / base^n, k = 0..n.
 
-        t[n, k] = (q/base) t[n-1, k-1] + sum_{j=2..n} w[j] t[n-j, k],
+    With q = mq 2^eq (0.5 <= mq < 1) the recurrence of the module docstring
+    runs on v_j = p_j / mq^j,
 
-    with w[j] = Catalan(j-1)/base^j. The rows are computed in blocks of
-    _BLOCK. What the rows before a block give it is one matrix product,
-    W[block, :n0] @ t[:n0], with W[n, m] = w[n-m] a Toeplitz matrix; the
-    rows inside the block are then finished one by one with the shift term
-    and a short product over the block rows already done. Only the columns
-    k < min(k_max+1, block end) can be nonzero, and only those are computed.
-    The work is the ~n_max^2 k_max / 2 multiply-adds of a row-by-row loop,
-    but the table is read once per block instead of once per row, and the
-    products run as BLAS matrix products.
+        (j+1) v_(j+1) = (3j/mq) v_j + (2(n+2-j)/mq^2) v_(j-1),
 
-    All recurrence terms are nonnegative, so relative float error stays at
-    machine-epsilon scale; `base` is chosen by the caller to keep the row
-    sums (the scaled normalization constants) inside float range.
+    whose coefficients stay below 6j and 8(n+2-j) at any q. The values are
+    shifted down by 2^512 once they pass it, with the shifts counted in an
+    integer exponent. Then t[n-j] = (n-j+1)/(n+1) v_j 2^(-eq j) (q/base)^n,
+    with (q/base)^n as a mantissa and an exponent, and one ldexp per entry
+    rounds it into float range. O(n) operations.
     """
-    t = np.zeros((n_max + 1, k_max + 1))
-    t[0, 0] = 1.0
-    # w[j] = Catalan(j-1)/base^j for j >= 2, via the Catalan ratio recurrence;
-    # wr is w reversed and then n_max zeros, so that the view
-    # toeplitz[n, m] = wr[n_max - n + m] = w[n - m] has all n_max + 1 rows
-    wr = np.zeros(2 * n_max + 1)
-    if n_max >= 2:
-        w = wr[n_max::-1]
-        w[2] = 1.0 / base**2
-        for j in range(3, n_max + 1):
-            w[j] = w[j - 1] * (2 * (2 * j - 3) / j) / base
-    toeplitz = sliding_window_view(wr, n_max + 1)[n_max::-1]
-    # BLAS takes no negative strides, so each block of the view is copied here
-    block = np.empty((min(_BLOCK, n_max), n_max))
-    qb = q / base
-    for n0 in range(1, n_max + 1, _BLOCK):
-        n1 = min(n0 + _BLOCK, n_max + 1)
-        kc = min(k_max + 1, n1)
-        w_block = block[: n1 - n0, :n0]
-        np.copyto(w_block, toeplitz[n0:n1, :n0])
-        np.matmul(w_block, t[:n0, :kc], out=t[n0:n1, :kc])
-        for n in range(n0, n1):
-            row = t[n, :kc]
-            row[1:] += qb * t[n - 1, : kc - 1]
-            if n >= n0 + 2:
-                row += toeplitz[n, n0 : n - 1] @ t[n0 : n - 1, :kc]
-    return t
+    q = float(q)
+    if q <= 0:
+        raise ValueError("bias parameter q must be positive")
+    base = _default_base(q) if base is None else float(base)
+    mq, eq = math.frexp(q)
+    c3, c2 = 3.0 / mq, 2.0 / (mq * mq)
+    big = 2.0**_SHIFT
+    vals, shifts = [1.0], [0]
+    prev, cur, shift = 0.0, 1.0, 0  # v_(j-1), v_j at 2^shift; v_(-1) = 0
+    for j in range(n):
+        prev, cur = cur, (j * c3 * cur + (n + 2 - j) * c2 * prev) / (j + 1)
+        if cur > big:
+            prev, cur, shift = math.ldexp(prev, -_SHIFT), math.ldexp(cur, -_SHIFT), shift + _SHIFT
+        vals.append(cur)
+        shifts.append(shift)
+    rm, re_ = _power_parts(q / base, n)
+    j = np.arange(n + 1)
+    mant = np.array(vals) * ((n + 1 - j) / (n + 1)) * rm
+    return np.ldexp(mant, np.array(shifts) - eq * j + re_)[::-1]
 
 
 def scaled_weight_rows(q: float, n_max: int, k_max: int | None = None, base: float | None = None) -> np.ndarray:
     """
-    Scaled bias weights t[n, k] proportional to a[k][n] * q^k (float engine).
+    Scaled bias weights t[n, k] = a[k][n] * q^k / base^n (float engine), the
+    rows of `scaled_weight_row` for n = 0..n_max, cut at k_max.
 
     For q <= 3 rows are scaled by 4^n; above the phase point the
     normalization grows like ((q-1)^2/(q-2))^n > 4^n and that base is used
     instead so the mass-carrying entries stay representable. Each row still
     normalizes to the same probability vector.
     """
-    if q <= 0:
-        raise ValueError("bias parameter q must be positive")
     if k_max is None:
         k_max = n_max
-    if base is None:
-        base = 4.0 if q <= 3 else (q - 1) ** 2 / (q - 2)
-    return _scaled_weighted_columns(n_max, k_max, q=float(q), base=float(base))
+    t = np.zeros((n_max + 1, k_max + 1))
+    for n in range(n_max + 1):
+        row = scaled_weight_row(q, n, base)[: k_max + 1]
+        t[n, : len(row)] = row
+    return t
 
 
 # ---------------------------------------------------------------------------

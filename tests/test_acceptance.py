@@ -131,7 +131,6 @@ def test_criterion_06_rayleigh_limit():
     assert ok
 
 
-@pytest.mark.slow
 def test_criterion_07_normal_limit():
     q, n = F(4), 2000
     law_spec = asym.limit_law(5, q)
@@ -152,7 +151,6 @@ def test_criterion_07_normal_limit():
     assert ok
 
 
-@pytest.mark.slow
 def test_criterion_08_growth_regimes():
     bands = {F(2): 0.01, F(3): 0.05, F(4): 0.01}
     ok = True

@@ -57,17 +57,18 @@ def test_pmf_scaled_float_sums_to_one(capsys):
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_pmf_scaled_float_matches_exact_moments_at_n2000(capsys, q):
-    n = 2000
-    code, out, _ = run_cli(capsys, "pmf", "--n", str(n), "--q", str(q), "--tau", "321",
-                           "--mode", "scaled-float")
-    assert code == 0
-    law = {int(k): float(p) for k, p in
-           (l.split(",") for l in out.splitlines() if not l.startswith(("#", "k,")))}
-    z = series.avoider_normalization(q, n)
-    moments = (sum(k * p for k, p in law.items()), sum(k * (k - 1) * p for k, p in law.items()))
-    for m, got in enumerate(moments, 1):
-        want = float(series.factorial_moment_coefficient(m, q, n) / z)
-        assert abs(got - want) <= 1e-9 * want, (m, got, want)
+    # and at n = 10 000, the eval cap of the exact moments, at and above the phase point
+    for n in (2000,) if q == 2 else (2000, 10_000):
+        code, out, _ = run_cli(capsys, "pmf", "--n", str(n), "--q", str(q), "--tau", "321",
+                               "--mode", "scaled-float")
+        assert code == 0
+        law = {int(k): float(p) for k, p in
+               (l.split(",") for l in out.splitlines() if not l.startswith(("#", "k,")))}
+        z = series.avoider_normalization(q, n)
+        moments = (sum(k * p for k, p in law.items()), sum(k * (k - 1) * p for k, p in law.items()))
+        for m, got in enumerate(moments, 1):
+            want = float(series.factorial_moment_coefficient(m, q, n) / z)
+            assert abs(got - want) <= 1e-9 * want, (n, m, got, want)
 
 
 def test_pmf_json_round_trip(capsys):

@@ -6,7 +6,7 @@ from math import factorial
 import numpy as np
 import pytest
 
-from fpblab import perms, series
+from fpblab import dist, perms, series
 from fpblab.config import BudgetExceededError
 
 # biases for the oracle comparisons: q = 2 takes the Catalan route, q = 3 is
@@ -141,6 +141,13 @@ def test_polynomial_rows_match_convolution_oracle():
     assert [list(table[n]) for n in range(61)] == expect
 
 
+def test_closed_form_rows_match_polynomial_table():
+    # the O(n) Lagrange-inversion row against the synthetic-division table
+    table = series.avoider_polynomials(200)
+    for n in range(201):
+        assert series.avoider_row(n) == table[n], n
+
+
 def test_factorial_moments_match_power_oracle():
     for q in ORACLE_QS:
         for m in (1, 2, 3):
@@ -174,6 +181,8 @@ def test_lengths_zero_and_one():
             assert series.factorial_moment_coefficient(m, q, 1) == (q if m == 1 else 0)
     assert series.avoider_polynomials(0) == [(1,)]
     assert series.avoider_polynomials(1) == [(1,), (0, 1)]
+    assert series.avoider_row(0) == (1,)
+    assert series.avoider_row(1) == (0, 1)
     assert series.avoider_polynomials_231(0) == [(1,)]
     assert series.avoider_polynomials_231(1) == [(1,), (0, 1)]
     assert series.avoider_columns(0, 0) == [[1]]
@@ -200,6 +209,7 @@ def test_polynomials_match_enumeration_for_all_three_patterns():
         for tau in series.TAU_CLASS:
             counts = brute_counts(n, tau)
             assert list(table[n]) == counts, (n, tau)
+            assert list(series.avoider_row(n)) == counts, (n, tau)
 
 
 def test_polynomial_examples():
@@ -281,20 +291,39 @@ def test_scaled_float_columns_track_exact():
     assert worst <= 1e-10, worst
 
 
-# 64 rows make one block of the engine: cover one block, its edges and a partial block
+# the smallest tables, sizes on both sides of two powers of two, and n = 300
 @pytest.mark.parametrize("n_max", [0, 1, 2, 63, 64, 65, 128, 129, 300])
 @pytest.mark.parametrize("q,base", [(0.5, 4.0), (1.0, 4.0), (2.0, 4.0), (3.0, 4.0), (4.0, 4.5),
                                     (5.0, 16 / 3)])
 def test_scaled_columns_match_row_by_row_oracle(n_max, q, base):
     for k_max in sorted({0, 1, 5, n_max}):
         want = oracle_scaled_columns(n_max, k_max, q, base)
-        got = series._scaled_weighted_columns(n_max, k_max, q, base)
+        got = series.scaled_weight_rows(q, n_max, k_max, base)
         assert got.shape == want.shape
         assert np.array_equal(got == 0.0, want == 0.0), k_max
         nz = want != 0.0
         assert np.all(np.abs(got[nz] - want[nz]) <= 1e-12 * want[nz]), k_max
         # seeded scaled-float dumps draw from these tables: a rerun must repeat them
-        assert np.array_equal(series._scaled_weighted_columns(n_max, k_max, q, base), got), k_max
+        assert np.array_equal(series.scaled_weight_rows(q, n_max, k_max, base), got), k_max
+
+
+@pytest.mark.parametrize("q", [Fraction(1e-300), Fraction(1e-3), Fraction(1e3), Fraction(1e300), HUGE_Q])
+def test_scaled_weight_row_extreme_biases(q):
+    # nothing overflows or underflows on the way: only entries below the
+    # float range round to 0, and each row normalizes to a law
+    qf = float(q)
+    base = Fraction(series._default_base(qf))
+    for n in (0, 1, 2, 60):
+        row = series.scaled_weight_row(qf, n)
+        assert row.shape == (n + 1,) and np.isfinite(row).all() and row.sum() > 0, n
+        assert abs((row / row.sum()).sum() - 1) <= 1e-15, n
+        law = dist.fp_pmf(dist.MeasureSpec(n, q, "321"), mode="scaled-float")
+        assert abs(sum(law.weights.values()) - 1) <= 1e-15, n
+    # row is now the n = 60 row: each entry against its exact value
+    want = np.array([float(c * q**k / base**60) for k, c in enumerate(series.avoider_row(60))])
+    sel = want > 1e-290 * want.max()
+    assert np.all(np.abs(row[sel] - want[sel]) <= 1e-12 * want[sel])
+    assert np.all(row[~sel] <= 1e-280 * want.max())
 
 
 def test_unrestricted_closed_form():
@@ -353,6 +382,9 @@ def test_budget_refusals(monkeypatch):
     monkeypatch.setenv("FPBL_BUDGET", "poly=5,eval=10,columns=10,enum=5")
     with pytest.raises(BudgetExceededError, match="poly"):
         series.avoider_polynomials(10)
+    with pytest.raises(BudgetExceededError, match="poly size 10 exceeds budget 5; use avoider_series"):
+        series.avoider_row(10)
+    assert len(series.avoider_row(5)) == 6
     with pytest.raises(BudgetExceededError, match="capped at n=5"):
         series.avoider_polynomials_231(6)
     assert len(series.avoider_polynomials_231(5)) == 6
