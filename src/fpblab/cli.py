@@ -20,9 +20,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 from importlib import resources
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -54,35 +55,76 @@ def load_verify_defaults() -> dict:
         return json.load(fh)
 
 
+_BLOCK = 4096  # rows per block of a streamed table
+
+
 class Emitter:
-    """Writes one table as CSV or canonical JSON (byte-stable round trips)."""
+    """
+    Writes one table as CSV or canonical JSON (byte-stable round trips) to
+    stdout or the --out file, a block of rows at a time: the table's text
+    is never held whole, so a table takes the memory of one block beyond
+    what the caller holds.
+
+    Canonical JSON is `json.dumps(payload, sort_keys=True, separators=(",",
+    ":"))` of {"columns": ..., "meta": ..., "rows": [...]}. Its keys are
+    sorted, so "rows" comes last and the text streams: the head up to
+    `"rows":[`, the rows' dumps joined by ",", then `]}`.
+    """
 
     def __init__(self, fmt: str, out_path: str | None):
         self.fmt = fmt
         self.out_path = out_path
 
     def emit(self, columns: list[str], rows, preamble: list[str] = ()):
+        """`rows` is any iterable of sequences of len(columns) values, written _BLOCK at a time."""
+        rows = iter(rows)
+        self.emit_blocks(columns, iter(lambda: list(islice(rows, _BLOCK)), []), preamble)
+
+    def emit_blocks(self, columns: list[str], blocks, preamble: list[str] = ()):
         """
-        `rows` is any iterable of sequences of len(columns) values. CSV fills
-        one "%s,...,%s" line template per row with a single `%` over the
-        flattened rows, which prints each value as `str` does.
+        `blocks` is an iterable of blocks, each an iterable of rows, read
+        once; each block is formatted and written before the next is read.
+        CSV fills one "%s,...,%s" line template per row with a single `%`
+        over the flattened rows of a block, which prints each value as
+        `str` does.
         """
-        if self.fmt == "csv":
-            flat = tuple(chain.from_iterable(rows))
-            template = ",".join(["%s"] * len(columns)) + "\n"
-            text = "".join(f"# {line}\n" for line in preamble) + ",".join(columns) + "\n"
-            text += template * (len(flat) // len(columns)) % flat
-        else:
-            payload = {"columns": columns, "rows": list(rows)}
-            for line in preamble:
-                key, _, value = line.partition("=")
-                payload.setdefault("meta", {})[key] = value
-            text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-        if self.out_path:
-            with open(self.out_path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        target = open(self.out_path, "w", encoding="utf-8") if self.out_path else nullcontext(sys.stdout)
+        with target as fh:
+            if self.fmt == "csv":
+                fh.write("".join(f"# {line}\n" for line in preamble) + ",".join(columns) + "\n")
+                template = ",".join(["%s"] * len(columns)) + "\n"
+                for block in blocks:
+                    flat = tuple(chain.from_iterable(block))
+                    fh.write(template * (len(flat) // len(columns)) % flat)
+                return
+            head = {"columns": columns}
+            if preamble:
+                head["meta"] = dict(line.partition("=")[::2] for line in preamble)
+            fh.write(json.dumps(head, sort_keys=True, separators=(",", ":"))[:-1] + ',"rows":[')
+            sep = ""
+            for block in blocks:
+                text = json.dumps(list(block), sort_keys=True, separators=(",", ":"))[1:-1]
+                if text:
+                    fh.write(sep + text)
+                    sep = ","
+            fh.write("]}\n")
+
+
+def _fp_blocks(ks: np.ndarray):
+    """The rows (sample index, fixed points) of a dump of counts, _BLOCK at a time."""
+    for i in range(0, len(ks), _BLOCK):
+        yield zip(range(i, i + _BLOCK), ks[i : i + _BLOCK].tolist())
+
+
+def _perm_blocks(perms: np.ndarray):
+    """
+    The rows (sample index, fixed points, permutation) of a dump of a
+    (count, n) array of permutations, _BLOCK at a time.
+    """
+    ident = np.arange(1, perms.shape[1] + 1)
+    for i in range(0, len(perms), _BLOCK):
+        block = perms[i : i + _BLOCK]
+        yield zip(range(i, i + _BLOCK), (block == ident).sum(axis=1).tolist(), format_perms(block))
 
 
 def cmd_count(args) -> int:
@@ -140,31 +182,29 @@ def cmd_pmf(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    # every draw is made before the first byte is written, so a refusal prints nothing
     rng = sampling.RandomSource(args.seed, args.stream)
     emit_perm = args.emit == "perm"
-    perms_arr = None
     if not emit_perm:
         # the counts alone: without --tau the law is exact, whatever --fp-mode says
         mode = args.fp_mode if args.tau else "exact"
-        ks = sampling.sample_fp_count_batch(args.n, args.q, args.tau, rng, args.count, mode=mode)
-        rows = zip(range(len(ks)), ks.tolist())
+        blocks = _fp_blocks(sampling.sample_fp_count_batch(args.n, args.q, args.tau, rng, args.count,
+                                                           mode=mode))
     elif args.tau is None:
-        perms_arr = sampling.sample_biased_unrestricted_batch(args.n, args.q, rng, args.count)
+        blocks = _perm_blocks(sampling.sample_biased_unrestricted_batch(args.n, args.q, rng, args.count))
     elif args.tau in sampling.DYCK_PATTERNS and as_rational(args.q) == 1:
         # the uniform measure: the batch sampler keeps every row it draws
-        perms_arr, _ = sampling.biased_avoider_batch(args.n, 1, rng, args.count, args.tau)
+        blocks = _perm_blocks(sampling.biased_avoider_batch(args.n, 1, rng, args.count, args.tau)[0])
     else:
         sampling._check_sizes(args.n, args.count)
         rows = []
         for i in range(args.count):
             sigma, _ = sampling.biased_avoider_permutation(args.n, args.q, args.tau, rng)
             rows.append((i, fixed_points(sigma), format_perm(sigma)))
-    if perms_arr is not None:
-        fps = (perms_arr == np.arange(1, args.n + 1)).sum(axis=1).tolist()
-        rows = zip(range(len(fps)), fps, format_perms(perms_arr))
+        blocks = [rows]
     columns = ["sample_index", "fp"] + (["perm"] if emit_perm else [])
-    Emitter(args.format, args.out).emit(
-        columns, rows,
+    Emitter(args.format, args.out).emit_blocks(
+        columns, blocks,
         preamble=[f"seed={args.seed}", f"stream_id={args.stream}", f"n={args.n}",
                   f"q={args.q}", f"tau={args.tau or ''}"],
     )

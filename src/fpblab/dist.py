@@ -25,10 +25,13 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Rational
 from typing import Mapping
+
+import numpy as np
 
 from . import series, special
 from .config import BudgetExceededError, budgets
@@ -70,6 +73,22 @@ class Provenance:
     stream_id: int | None = None
 
 
+def _float_bias(q: Fraction) -> float:
+    """
+    q as a double, refused unless it lies in the normal float range: the
+    scaled-float engines run on float(q), which overflows above that range,
+    and below it keeps fewer than 53 bits of q or none.
+    """
+    lo, hi = sys.float_info.min, sys.float_info.max
+    if not lo <= q <= hi:
+        raise UnsupportedMeasureError(
+            f"q = {series._value_to_text(q)} lies outside the float range [{lo!r}, {hi!r}] that "
+            f"mode 'scaled-float' computes in; the exact mode serves it (pmf --mode exact, "
+            f"sample --fp-mode exact)"
+        )
+    return float(q)
+
+
 def _exact_sum(values) -> Fraction:
     """
     Sum of rationals, adding the numerators over each distinct denominator
@@ -102,12 +121,18 @@ class FixedPointPMF:
         self.provenance = provenance
         self.spec = spec
         clean = {k: v for k, v in weights.items() if v != 0}
-        for v in clean.values():
-            if not isinstance(v, (int, Fraction)) and not math.isfinite(v):
-                raise ValueError(f"weights must be finite, got {v!r}")
-            if v < 0:
-                raise ValueError(f"weights must be nonnegative, got {v}")
-        if any(k < 0 or k > n for k in clean):
+        # weights that are all Python floats are checked as one array; any other
+        # weights, or a bad float, go one by one, so the first bad weight names the error
+        probs = None
+        if mode == "float" and not set(map(type, clean.values())) - {float}:
+            probs = np.fromiter(clean.values(), float, len(clean))
+        if probs is None or not (np.isfinite(probs).all() and (probs >= 0).all()):
+            for v in clean.values():
+                if not isinstance(v, (int, Fraction)) and not math.isfinite(v):
+                    raise ValueError(f"weights must be finite, got {v!r}")
+                if v < 0:
+                    raise ValueError(f"weights must be nonnegative, got {v}")
+        if clean and (min(clean) < 0 or max(clean) > n):
             raise ValueError("support must lie in 0..n")
         if n >= 2 and clean.get(n - 1, 0) != 0:
             raise ValueError(f"impossible mass at k = n-1 = {n - 1}")
@@ -121,8 +146,12 @@ class FixedPointPMF:
             total = sum(clean.values())
             if not math.isclose(float(total), 1.0, rel_tol=0, abs_tol=1e-9):
                 raise ValueError(f"float weights sum to {float(total)}, expected 1")
-            clean = {k: float(v) / float(total) for k, v in clean.items()}
-        self.weights = dict(sorted(clean.items()))
+            if probs is None:
+                clean = {k: float(v) / float(total) for k, v in clean.items()}
+            else:
+                clean = dict(zip(clean, (probs / total).tolist()))
+        keys = list(clean)
+        self.weights = clean if keys == sorted(keys) else dict(sorted(clean.items()))
 
     def pmf(self, k: int):
         return self.weights.get(k, Fraction(0) if self.mode == "exact" else 0.0)
@@ -146,7 +175,7 @@ class FixedPointPMF:
             z = sum(w.values())
             w = {k: v / z for k, v in w.items()}
         else:
-            qf = float(q)
+            qf = _float_bias(q)
             w = {k: qf**k * v for k, v in self.weights.items()}
             z = sum(w.values())
             w = {k: v / z for k, v in w.items()}
@@ -197,10 +226,11 @@ def fp_pmf(spec: MeasureSpec, mode: str = "exact", rng=None, samples: int | None
     `fixed_point_row`: series rows for 132/321/213 (n within the poly
     budget) and for 231/312 (n within the enum budget), enumeration for 123
     (n within the enum budget). mode "scaled-float": the positive row
-    engine for 132/321/213 at any n, the exact law
-    elsewhere. mode "monte-carlo": empirical law from the samplers (uniform
-    for q = 1; for pattern 123 any q via exact reweighting over the finite
-    support {0,1,2}); needs `rng` and `samples`.
+    engine for 132/321/213 at any n and any q in the normal float range
+    (outside it the engine is refused), the exact law elsewhere. mode
+    "monte-carlo": empirical law from the samplers (uniform for q = 1; for
+    pattern 123 any q via exact reweighting over the finite support
+    {0,1,2}); needs `rng` and `samples`.
     """
     caps = budgets()
     n, q, tau = spec.n, spec.q, spec.tau
@@ -217,7 +247,6 @@ def fp_pmf(spec: MeasureSpec, mode: str = "exact", rng=None, samples: int | None
         kind = "enumeration" if tau == "123" else "series"
         return _pmf_from_weights(spec, series.bias_weights(counts, q), kind)
     if mode == "scaled-float":
-        qf = float(q)
         if tau is None:
             return fp_pmf(spec, mode="exact").as_float()
         if tau not in TAU_CLASS:
@@ -227,8 +256,10 @@ def fp_pmf(spec: MeasureSpec, mode: str = "exact", rng=None, samples: int | None
                 f"pattern {tau} has no large-n float route (only 132/321/213 do); "
                 f"its exact rows are capped at n={caps['enum']}"
             )
-        w = series.scaled_weight_row(qf, n)
-        weights = {k: v for k, v in enumerate((w / w.sum()).tolist()) if v > 0.0}
+        w = series.scaled_weight_row(_float_bias(q), n)
+        w /= w.sum()
+        support = np.flatnonzero(w > 0.0)
+        weights = dict(zip(support.tolist(), w[support].tolist()))
         return FixedPointPMF(n, weights, "float", Provenance("series"), spec)
     if mode == "monte-carlo":
         from . import sampling  # deferred: sampling builds on this module

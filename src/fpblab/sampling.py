@@ -18,21 +18,22 @@ their reverses; 132-avoiders come through the first-return decomposition
 U A D B of the path (A is the head above the maximum, B the tail below
 it), and 213-avoiders are reverse-complements of 132-avoiders.
 
-A walk becomes its Dyck path by one gather from strided windows of the
-doubled walk (the row twice over), with no index array. The per-call
-sampler `uniform_avoider` draws one walk per call and runs the same steps
-in plain Python ints (`_one_dyck_path`, `_avoider_from_path`): the same
-`random_raw` calls, chunk for chunk, so it draws what a one-row batch
-would draw and leaves the generator where that would. The fixed-point
-batch sampler counts 321/123 fixed points from the down-step and up-step
-indices of those paths, _BLOCK rows at a time, with no sort and without
-building the permutations. Two threads share the count: while the
-calling thread counts the blocks of batch i, one helper thread draws
-batch i+1 and then counts blocks of batch i too. Only the helper draws,
-in batch order, so the random stream is the one of drawing the batches
-one after another, and each block writes its own slice of the result,
-so no count depends on which thread made it. Every other sampler draws
-and maps on the calling thread.
+A batch of walks is held bit-packed, one bit a step, and a walk becomes
+its Dyck path, one count block at a time, by one gather from strided
+windows of the doubled walk (the row twice over), with no index array.
+The per-call sampler `uniform_avoider` draws one walk per call and runs
+the same steps in plain Python ints (`_one_dyck_path`,
+`_avoider_from_path`): the same `random_raw` calls, chunk for chunk, so
+it draws what a one-row batch would draw and leaves the generator where
+that would. The fixed-point batch sampler counts 321/123 fixed points
+from the down-step and up-step indices of those paths, a block of rows
+at a time, with no sort and without building the permutations. Two
+threads share the count: while the calling thread counts the blocks of
+batch i, one helper thread draws batch i+1 and then counts blocks of
+batch i too. Only the helper draws, in batch order, so the random stream
+is the one of drawing the batches one after another, and each block
+writes its own slice of the result, so no count depends on which thread
+made it. Every other sampler draws and maps on the calling thread.
 
 Every exact discrete draw over big-integer weights (fixed-point counts,
 the enumeration route) goes through one inverse-cdf helper. Once the total
@@ -70,9 +71,11 @@ from .perms import check_pattern, enumerate_avoiders, fixed_points, profile_to_p
 from .series import as_rational
 
 _MAX_BATCH_CELLS = 8_000_000  # soft cap on rows*length per vectorized batch
-# rows per block of the fixed-point count: small enough that its temporaries stay in
-# cache and that the helper thread's malloc arena holds little memory once the count ends
+# rows per block of a fixed-point count: at most _BLOCK, and few enough that the count's
+# largest temporary stays within _BLOCK_BYTES, in cache and below the size above which
+# malloc hands freed memory back to the system (every block would fault its pages anew)
 _BLOCK = 128
+_BLOCK_BYTES = 2**19
 
 
 class RandomSource:
@@ -167,10 +170,11 @@ class RandomSource:
 def _raw_layout(n: int):
     """
     How the walks of n+1 up-steps and n down-steps are drawn from raw words:
-    the uint64 words per raw row (2n+1 bits, bit j giving column j), the mask
-    of the bits of the last word, and the call that sizes a chunk of raw
-    rows for `need` more walks. `_walk_job` and `_one_walk` both read it, so
-    that they draw the same chunks and hence the same walks.
+    the uint64 words per raw row (2n+1 bits, bit j giving column j), the
+    mask of those bits as one read-only little-endian word per raw word,
+    and the call that sizes a chunk of raw rows for `need` more walks.
+    `_walk_job` and `_one_walk` both read it, so that they draw the same
+    chunks and hence the same walks.
 
     About 2/sqrt(pi n) of the raw rows are kept, so a chunk is sized from
     that rate with three spare rows, which nearly always makes one chunk
@@ -179,51 +183,50 @@ def _raw_layout(n: int):
     """
     m = 2 * n + 1
     words = (m + 63) // 64
-    mask = (1 << (m - 64 * (words - 1))) - 1
+    full = np.full(words, 2**64 - 1, dtype="<u8")
+    full[-1] = (1 << (m - 64 * (words - 1))) - 1
+    full.flags.writeable = False  # shared by every caller of the cached layout
     # 2 C(m, n) / 2^m sizes the chunks only and never decides a row
     rate = 2 * exp(lgamma(m + 1) - lgamma(n + 1) - lgamma(n + 2) - m * log(2))
-    return words, mask, lambda need: min(ceil((need + 3) / rate), max(1, _MAX_BATCH_CELLS // m))
+    return words, full, lambda need: min(ceil((need + 3) / rate), max(1, _MAX_BATCH_CELLS // m))
 
 
 def _walk_job(n: int, rows: int, gen: np.random.Generator):
     """
-    A (rows, 2n+1) int8 buffer and the call that fills it with independent
-    uniform walks of n+1 up-steps (+1) and n down-steps (-1). Every batch of
+    A (rows, words) little-endian uint64 buffer and the call that fills it
+    with independent uniform walks of n+1 up-steps and n down-steps, bit
+    packed: bit j of a row (bit j % 64 of word j // 64) is set where column j
+    is an up-step, and the bits above column 2n are clear. Every batch of
     uniform Dyck paths starts here, so the stream is the same whether the
     call runs at once or on a helper thread.
 
     Exact bit rejection (docs/dyck_321_bijection.md, "Drawing the walk"): a
     raw row is 2n+1 bits of raw Philox words, the last word masked, bit j
     giving column j. Rows with n+1 ones are kept as drawn and rows with n
-    ones complemented; the complement maps the second set one-to-one onto
-    the first, so every walk has exactly two preimages and is drawn
-    uniformly. The test compares integer popcounts and never rounds. The
-    cost per walk grows like n^1.5, against n for a per-row shuffle: the
-    shuffle wins only from about n = 60 000, above every default and every
-    test. Raw rows are drawn in the chunks that `_raw_layout` sizes.
+    ones complemented (XOR with the mask of all 2n+1 bits); the complement
+    maps the second set one-to-one onto the first, so every walk has exactly
+    two preimages and is drawn uniformly. The test compares integer
+    popcounts and never rounds. The cost per walk grows like n^1.5, against
+    n for a per-row shuffle: the shuffle wins only from about n = 60 000,
+    above every default and every test. Raw rows are drawn in the chunks
+    that `_raw_layout` sizes.
     """
-    m = 2 * n + 1
-    words, mask, chunk = _raw_layout(n)
-    mask = np.uint64(mask)
-    walks = np.empty((rows, m), dtype=np.int8)
+    words, full, chunk = _raw_layout(n)
+    walks = np.empty((rows, words), dtype="<u8")
 
     def fill():
         got = 0
         while got < rows:
             size = chunk(rows - got)
             raw = gen.bit_generator.random_raw(size * words).reshape(size, words)
-            raw[:, -1] &= mask
+            raw[:, -1] &= full[-1]
             # ones - n is 1 for a row kept as drawn and 0 for one complemented
             up = np.bitwise_count(raw).sum(axis=1, dtype=np.int32)
             up -= n
             keep = np.flatnonzero(up.view(np.uint32) <= 1)[: rows - got]
-            bits = np.unpackbits(raw[keep].astype("<u8", copy=False).view(np.uint8), axis=1,
-                                 count=m, bitorder="little")
-            # a column is an up-step where its bit equals the row's flag
-            step = np.equal(bits, up[keep, None].astype(np.uint8)).view(np.int8)
             out = walks[got : got + len(keep)]
-            np.add(step, step, out=out)
-            out -= 1
+            out[:] = raw[keep]
+            out[up[keep] == 0] ^= full
             got += len(keep)
 
     return walks, fill
@@ -236,9 +239,9 @@ def _one_walk(n: int, gen: np.random.Generator) -> int:
     one int (little-endian words, so bit j is column j); the first row with
     n+1 ones is kept as drawn, or complemented if it has n.
     """
-    words, mask, chunk = _raw_layout(n)
+    words, full, chunk = _raw_layout(n)
     width = 8 * words
-    full = (mask + 1 << 64 * (words - 1)) - 1  # the last word masked, the others whole
+    full = int.from_bytes(full.tobytes(), "little")  # the last word masked, the others whole
     while True:
         buf = gen.bit_generator.random_raw(chunk(1) * words).astype("<u8", copy=False).tobytes()
         for i in range(0, len(buf), width):
@@ -252,11 +255,11 @@ def _one_walk(n: int, gen: np.random.Generator) -> int:
 
 def _byte_tables():
     """
-    For each byte of 8 steps (first step in the high bit, bit 1 a
-    down-step): its net sum, its lowest prefix sum less that net sum, and
-    the last position (0..7) where that lowest prefix sum is reached.
+    For each byte of 8 steps (first step in the low bit, bit 1 a down-step):
+    its net sum, its lowest prefix sum less that net sum, and the last
+    position (0..7) where that lowest prefix sum is reached.
     """
-    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1)
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
     prefix = np.cumsum(1 - 2 * bits.astype(np.int8), axis=1)
     net = prefix[:, -1]
     return (net.astype(np.int8), (prefix.min(axis=1) - net).astype(np.int8),
@@ -264,35 +267,33 @@ def _byte_tables():
 
 
 _BYTE_NET, _BYTE_LOW, _BYTE_LAST = _byte_tables()
-# the same tables as lists, indexed by bytes whose first step is in the low bit
-_BIT_REVERSED = np.packbits(np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1),
-                            axis=1, bitorder="little")[:, 0]
-_LSB_NET, _LSB_LOW, _LSB_LAST = (t[_BIT_REVERSED].tolist() for t in (_BYTE_NET, _BYTE_LOW, _BYTE_LAST))
+# the same tables as lists, for the one-walk path in plain Python
+_LSB_NET, _LSB_LOW, _LSB_LAST = (t.tolist() for t in (_BYTE_NET, _BYTE_LOW, _BYTE_LAST))
 
 
-def _dyck_starts(walks: np.ndarray, dtype) -> np.ndarray:
+def _dyck_starts(walks: np.ndarray, n: int) -> np.ndarray:
     """
-    Column of each walk where its Dyck path starts (cycle lemma), in
-    [2, m+1] for walks of length m: a column of the doubled row (the row
-    twice over), so the path is the 2n steps from there on.
+    Column of each packed walk of `_walk_job` where its Dyck path starts
+    (cycle lemma), in [2, 2n+2]: a column of the doubled row (the row twice
+    over), so the path is the 2n steps from there on.
 
     The walk sums to +1; read cyclically from just after the last minimum of
     its prefix sums every prefix is positive, and dropping that leading
     up-step leaves a uniform Dyck path, whose first step is therefore two
     columns after the last minimum.
 
-    The prefix sums run over bytes, an eighth of the columns: `packbits`
-    packs 8 steps per byte, and the byte tables give each byte's net sum,
-    lowest prefix sum and last position of it. Padding bits read as
-    up-steps, so they never reach a minimum. (One walk at a time goes
-    through `_one_dyck_path` instead, in plain Python.)
+    The prefix sums run over bytes, an eighth of the columns: the bytes of
+    the down-steps (the walk XOR the mask of its 2n+1 columns) index the
+    byte tables, which give each byte's net sum, lowest prefix sum and last
+    position of it. Padding bits stay clear, so they read as up-steps and
+    never reach a minimum. (One walk at a time goes through `_one_dyck_path`
+    instead, in plain Python.)
     """
-    rows = len(walks)
-    packed = np.packbits(walks < 0, axis=1)
-    low = np.cumsum(_BYTE_NET[packed], axis=1, dtype=dtype)
-    low += _BYTE_LOW[packed]  # the lowest prefix sum within each byte
-    byte = packed.shape[1] - 1 - np.argmin(low[:, ::-1], axis=1)  # the last byte reaching the minimum
-    return 8 * byte + _BYTE_LAST[packed[np.arange(rows), byte]] + 2
+    down = (walks ^ _raw_layout(n)[1]).astype("<u8", copy=False).view(np.uint8)
+    low = _BYTE_NET[down].cumsum(axis=1, dtype=_walk_dtype(n))
+    low += _BYTE_LOW[down]  # the lowest prefix sum within each byte
+    byte = down.shape[1] - 1 - low[:, ::-1].argmin(axis=1)  # the last byte reaching the minimum
+    return 8 * byte + _BYTE_LAST[down[np.arange(len(walks)), byte]] + 2
 
 
 def _one_dyck_path(n: int, gen: np.random.Generator) -> str:
@@ -322,17 +323,20 @@ def _walk_dtype(n: int):
     return np.int16 if 2 * n + 2 < 2**15 else np.int32
 
 
-def _dyck_from_walks(walks: np.ndarray) -> np.ndarray:
+def _dyck_from_walks(walks: np.ndarray, n: int) -> np.ndarray:
     """
-    The Dyck paths of a batch of walks, as (rows, 2n) +-1.
+    The Dyck paths of a batch of packed walks of `_walk_job`, as (rows, 2n)
+    bool, True an up-step.
 
-    Each path is the window of 2n steps of its doubled row that begins at
-    the Dyck start: one gather from a strided view holding every such
-    window, with no index array and no modulo.
+    The walks are unpacked to their bits, and each path is the window of 2n
+    steps of its doubled row that begins at the Dyck start: one gather from
+    a strided view holding every such window, with no index array and no
+    modulo.
     """
-    rows, m = walks.shape
-    start = _dyck_starts(walks, _walk_dtype(m // 2))
-    doubled = np.concatenate((walks, walks), axis=1)
+    rows, m = len(walks), 2 * n + 1
+    start = _dyck_starts(walks, n)
+    up = np.unpackbits(walks.view(np.uint8), axis=1, count=m, bitorder="little").view(bool)
+    doubled = np.concatenate((up, up), axis=1)
     row_stride, step = doubled.strides
     # windows[r, c] = doubled[r, c : c + m-1] for every start c in [0, m+1];
     # the ndarray constructor makes this view at a fraction of as_strided's cost
@@ -340,11 +344,18 @@ def _dyck_from_walks(walks: np.ndarray) -> np.ndarray:
     return windows[np.arange(rows), start]
 
 
+def _steps(up: np.ndarray) -> np.ndarray:
+    """The +-1 int8 steps of paths given as up-step flags."""
+    steps = up.view(np.int8) * np.int8(2)
+    steps -= 1
+    return steps
+
+
 def _batch_dyck_steps(n: int, rows: int, gen: np.random.Generator) -> np.ndarray:
     """`rows` independent uniform Dyck paths of semilength n, as (rows, 2n) +-1."""
     walks, fill = _walk_job(n, rows, gen)
     fill()
-    return _dyck_from_walks(walks)
+    return _steps(_dyck_from_walks(walks, n))
 
 
 def _profiles_from_dyck(steps: np.ndarray) -> np.ndarray:
@@ -384,58 +395,73 @@ def _after_up(down: np.ndarray) -> np.ndarray:
     """
     flags = np.empty(len(down), dtype=bool)
     flags[:1] = True
-    np.greater(np.diff(down), 1, out=flags[1:])
+    np.greater(down[1:] - down[:-1], 1, out=flags[1:])
     return flags
 
 
-def _fp_from_walks(walks: np.ndarray, reverse: bool = False) -> np.ndarray:
+def _before_up(up: np.ndarray) -> np.ndarray:
     """
-    Fixed-point counts of the 321-avoiders that a batch of walks encode, or
-    with reverse=True of their reverses (the 123-avoiders), without
-    materializing the permutations; see docs/dyck_321_bijection.md,
-    "Counting from the down-step indices".
+    Whether each up-step is followed by an up-step, from the sorted flat
+    indices of the up-steps of a block of Dyck paths: the gap to the next
+    up-step is 1. Across a row boundary the gap is 2n - t >= 2, right for
+    the path's last up-step at t <= 2n-2, since the path ends with a
+    down-step.
+    """
+    flags = np.empty(len(up), dtype=bool)
+    flags[-1:] = False
+    np.equal(up[1:] - up[:-1], 1, out=flags[:-1])
+    return flags
 
-    The walks are counted _BLOCK rows at a time, so that the temporaries
-    stay in cache. Each block is rotated to its Dyck paths, and one
-    `flatnonzero` gives the down-step indices t in order. Position x+1 is a
-    weak excedance when an up-step precedes its down-step, and a fixed
-    point when also t = 2x+1. A fixed point of the reverse lies on the
-    anti-diagonal: the excedance one is a peak at Dyck index n, and the
-    fill one is a fill position y that receives the value n+1-y. Value v
-    is unused when the v-th up-step is followed by an up-step, which a
-    second `flatnonzero`, of the up-steps, reads off as a gap of 1. The
-    i-th fill position of a row receives its i-th unused value, and a row
-    has as many of each, so the two lists of flat indices pair them up
-    entry by entry.
+
+def _block_rows(row_bytes: int) -> int:
+    """Rows per block of a count whose largest temporary takes `row_bytes` bytes a row."""
+    return max(1, min(_BLOCK, _BLOCK_BYTES // max(row_bytes, 1)))
+
+
+def _fp_from_walks(walks: np.ndarray, n: int, reverse: bool = False) -> np.ndarray:
     """
-    rows, m = walks.shape
-    n = m // 2
+    Fixed-point counts of the 321-avoiders that a batch of packed walks of
+    `_walk_job` encode, or with reverse=True of their reverses (the
+    123-avoiders), without materializing the permutations; see
+    docs/dyck_321_bijection.md, "Counting from the down-step indices".
+
+    The walks are counted a block at a time, few enough rows that an int64
+    index per down-step stays within _BLOCK_BYTES. Each block is rotated to
+    its Dyck paths, and one flat `nonzero` gives the down-step indices t in
+    order. Position x+1 is a weak excedance when an up-step precedes its
+    down-step, and a fixed point when also t = 2x+1. A fixed point of the
+    reverse lies on the anti-diagonal: the excedance one is a peak at Dyck
+    index n, and the fill one is a fill position y that receives the value
+    n+1-y. Value v is unused when the v-th up-step is followed by an
+    up-step, which a second flat `nonzero`, of the up-steps, reads off as a
+    gap of 1. The i-th fill position of a row receives its i-th unused
+    value, and a row has as many of each, so the two lists of flat indices
+    pair them up entry by entry.
+    """
+    rows = len(walks)
     out = np.zeros(rows, dtype=np.int64)
     if n == 0:
         return out
-    for i in range(0, rows, _BLOCK):
-        path = _dyck_from_walks(walks[i : i + _BLOCK])
+    block = _block_rows(8 * n)
+    for i in range(0, rows, block):
+        path = _dyck_from_walks(walks[i : i + block], n)
         b = len(path)
-        down = np.flatnonzero(path < 0)
-        exc = _after_up(down)
         if not reverse:
+            down = (~path).ravel().nonzero()[0]
             # at flat index k = r*n + x, t = 2x+1 reads down[k] = 2k+1
-            fixed = exc & (down == np.arange(1, 2 * b * n, 2))
+            fixed = _after_up(down) & (down == np.arange(1, 2 * b * n, 2))
             out[i : i + b] = fixed.reshape(b, n).sum(axis=1)
             continue
-        # unused[r*n + v-1]: the v-th up-step is followed by an up-step; the gap
-        # across a row boundary is 2n - t >= 2 for the last up-step at t <= 2n-2
-        up = np.flatnonzero(path > 0)
-        unused = np.empty(b * n, dtype=bool)
-        np.equal(np.diff(up), 1, out=unused[:-1])
-        unused[-1] = False
+        # the int64 step indices are dropped once read, so that few are alive at once
+        exc = _after_up((~path).ravel().nonzero()[0])
+        unused = _before_up(path.ravel().nonzero()[0])  # unused[r*n + v-1]: value v is unused
         fill = ~exc
         # a fill position r*n + x and its value r*n + v-1 lie on the
         # anti-diagonal when x+1 + v = n+1, that is when they sum to 2rn + n-1
-        fill_at = np.flatnonzero(fill)
-        per_row = n - np.count_nonzero(exc.reshape(b, n), axis=1)
-        target = np.repeat(np.arange(n - 1, 2 * n * b, 2 * n), per_row)
-        hit = fill_at[fill_at + np.flatnonzero(unused) == target]
+        fill_at = fill.nonzero()[0]
+        per_row = n - exc.reshape(b, n).sum(axis=1)
+        target = np.arange(n - 1, 2 * n * b, 2 * n).repeat(per_row)
+        hit = fill_at[fill_at + unused.nonzero()[0] == target]
         out[i : i + b] = (path[:, n - 1] > path[:, n]) + np.bincount(hit // n, minlength=b)
     return out
 
@@ -543,9 +569,9 @@ def uniform_avoider(n: int, tau: str, rng: RandomSource) -> tuple[int, ...]:
     return _avoider_from_path(_one_dyck_path(n, rng.generator), tau)
 
 
-def _count_batch(walks: np.ndarray, out: np.ndarray, count_block, draw=None):
+def _count_batch(walks: np.ndarray, out: np.ndarray, count_block, block: int, draw=None):
     """
-    Fill `out` with `count_block` of `walks`, _BLOCK rows at a time, on the
+    Fill `out` with `count_block` of `walks`, `block` rows at a time, on the
     calling thread and a helper thread together.
 
     The helper first runs `draw` (the fill of the next batch), then both
@@ -558,7 +584,7 @@ def _count_batch(walks: np.ndarray, out: np.ndarray, count_block, draw=None):
     re-raised here.
     """
     lock = threading.Lock()
-    starts = iter(range(0, len(walks), _BLOCK))
+    starts = iter(range(0, len(walks), block))
 
     def count_blocks():
         while True:
@@ -566,14 +592,14 @@ def _count_batch(walks: np.ndarray, out: np.ndarray, count_block, draw=None):
                 i = next(starts, None)
             if i is None:
                 return
-            out[i : i + _BLOCK] = count_block(walks[i : i + _BLOCK])
+            out[i : i + block] = count_block(walks[i : i + block])
 
     def helper():
         if draw is not None:
             draw()
         count_blocks()
 
-    if draw is None and len(walks) <= _BLOCK:
+    if draw is None and len(walks) <= block:
         count_blocks()  # one block and nothing to draw: no work for a helper
         return
     join = _start_helper(helper)
@@ -618,15 +644,17 @@ def uniform_avoider_fp_batch(n: int, tau: str, count: int, rng: RandomSource) ->
     tau = _dyck_pattern(tau)
     if tau in ("321", "123"):
         reverse = tau == "123"
+        block = _block_rows(8 * n)  # as `_fp_from_walks` blocks its walks
 
         def count_block(walks):
-            return _fp_from_walks(walks, reverse)
+            return _fp_from_walks(walks, n, reverse)
     else:
         ident = np.arange(1, n + 1)
+        block = _block_rows(16 * n)  # the int64 argsort of 2n levels a row
 
         def count_block(walks):
             # reverse-complement preserves fixed points, so 213 counts those of 132
-            return (_perms_132_from_dyck(_dyck_from_walks(walks)) == ident).sum(axis=1)
+            return (_perms_132_from_dyck(_steps(_dyck_from_walks(walks, n))) == ident).sum(axis=1)
 
     out = np.empty(count, dtype=np.int64)
     if not count:
@@ -639,7 +667,7 @@ def uniform_avoider_fp_batch(n: int, tau: str, count: int, rng: RandomSource) ->
         b = len(walks)
         following, fill = (_walk_job(n, _batch_rows(n, count - done - b), gen)
                            if done + b < count else (None, None))
-        _count_batch(walks, out[done : done + b], count_block, fill)
+        _count_batch(walks, out[done : done + b], count_block, block, fill)
         walks = following
         done += b
     return out
@@ -704,7 +732,7 @@ def sample_biased_unrestricted_batch(n: int, q, rng: RandomSource, count: int) -
     ks = _inverse_cdf(series.unrestricted_weights(q, n), count, rng)
     gen = rng.generator
     perm_rows = np.tile(np.arange(n, dtype=np.int32), (count, 1))
-    perm_rows = gen.permuted(perm_rows, axis=1)
+    gen.permuted(perm_rows, axis=1, out=perm_rows)
     sigma = np.zeros((count, n), dtype=np.int32)
     row_ids = np.arange(count)
     for k in np.unique(ks):

@@ -1,11 +1,14 @@
 """CLI surface: outputs, determinism, exit codes, round trips."""
+import contextlib
 import hashlib
 import json
+import os
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from fpblab import dist, sampling, series
+from fpblab import cli, dist, sampling, series
 from fpblab.cli import main
 from fpblab.perms import fixed_points, format_perm
 
@@ -188,10 +191,12 @@ def test_sample_perm_emission_at_n0(capsys):
 
 
 @pytest.mark.parametrize("n", [0, 1, 6, 12])
-@pytest.mark.parametrize("count", [0, 1, 5])
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 5, 7])
 @pytest.mark.parametrize("tau", [None, "321", "132"])
-def test_sample_dumps_match_per_row_reference(capsys, n, count, tau):
-    # the dump formatted row by row from the sampler's own output, as CSV and JSON
+def test_sample_dumps_match_per_row_reference(capsys, monkeypatch, tmp_path, n, count, tau):
+    # the dump formatted row by row from the sampler's own output, as CSV and JSON, on
+    # stdout and in the --out file; three rows per streamed block, so blocks split the table
+    monkeypatch.setattr(cli, "_BLOCK", 3)
     q = "3/2" if tau is None else "1"
     if tau is None:
         arr = sampling.sample_biased_unrestricted_batch(n, q, sampling.RandomSource(5), count)
@@ -206,13 +211,36 @@ def test_sample_dumps_match_per_row_reference(capsys, n, count, tau):
                 for i, s in enumerate(sigmas)]
         argv = ["sample", "--n", str(n), "--q", q, "--count", str(count), "--seed", "5",
                 "--emit", emit] + (["--tau", tau] if tau else [])
-        code, out, _ = run_cli(capsys, *argv)
         csv = [f"# {k}={v}" for k, v in meta.items()] + [",".join(columns)]
         csv += [",".join(str(v) for v in row) for row in rows]
-        assert code == 0 and out == "\n".join(csv) + "\n", (emit, "csv")
-        code, out, _ = run_cli(capsys, *argv, "--format", "json")
         payload = {"columns": columns, "meta": meta, "rows": rows}
-        assert code == 0 and out == json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+        want = {"csv": "\n".join(csv) + "\n",
+                "json": json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"}
+        for fmt, text in want.items():
+            code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+            assert code == 0 and out == text, (emit, fmt)
+            target = tmp_path / f"{emit}.{fmt}"
+            code, out, _ = run_cli(capsys, *argv, "--format", fmt, "--out", str(target))
+            assert code == 0 and out == "" and target.read_text() == text, (emit, fmt, "--out")
+
+
+def test_sample_dump_memory_is_bounded():
+    # the 200 000-row dump streams: past what the sampler itself peaks at, formatting
+    # holds one block of rows, not the table (numpy reports its arrays to tracemalloc)
+    n, count, seed = 6, 200_000, 4242
+    tracemalloc.start()
+    try:
+        sampling.sample_biased_unrestricted_batch(n, "1/2", sampling.RandomSource(seed), count)
+        sampler_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            code = main(["sample", "--n", str(n), "--q", "1/2", "--count", str(count),
+                         "--emit", "perm", "--seed", str(seed)])
+        dump_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert dump_peak - sampler_peak < 8 * 2**20, (dump_peak, sampler_peak)
 
 
 @pytest.mark.parametrize("n", [0, 1, 6, 200])
@@ -279,6 +307,21 @@ def test_sample_refuses_nonpositive_bias(capsys):
         code, out, err = run_cli(capsys, "sample", "--n", "5", *argv)
         assert code == 2 and out == "", argv
         assert "bias parameter q must be positive" in err
+
+
+@pytest.mark.parametrize("q", ["1" + "0" * 400, "1/1" + "0" * 400], ids=["1e400", "1e-400"])
+def test_scaled_float_refuses_q_outside_float_range(capsys, q):
+    # q is positive but has no double: refused, not a traceback; the exact mode serves it
+    for argv in (["pmf", "--n", "10", "--q", q, "--tau", "321", "--mode", "scaled-float"],
+                 ["sample", "--n", "10", "--q", q, "--tau", "321", "--count", "5",
+                  "--fp-mode", "scaled-float"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith("error: q = ") and "Traceback" not in err, argv
+        assert "outside the float range [2.2250738585072014e-308, 1.7976931348623157e+308]" in err
+        assert "--mode exact" in err
+    code, out, err = run_cli(capsys, "pmf", "--n", "10", "--q", q, "--tau", "321", "--mode", "exact")
+    assert code == 0 and err == ""
 
 
 def test_monte_carlo_refuses_nonpositive_samples(capsys):

@@ -146,6 +146,28 @@ def test_float_pmf_validation():
         FixedPointPMF(3, {2: 1}, "exact", Provenance("series"))
     with pytest.raises(ValueError, match="support"):
         FixedPointPMF(3, {4: 1}, "exact", Provenance("series"))
+    # float weights are checked as one array; the first bad weight still names the error
+    with pytest.raises(ValueError, match=r"weights must be nonnegative, got -0\.25$"):
+        FixedPointPMF(3, {0: 1.0, 1: -0.25, 3: math.nan}, "float", Provenance("series"))
+    with pytest.raises(ValueError, match=r"weights must be finite, got nan$"):
+        FixedPointPMF(3, {0: math.nan, 1: -0.25}, "float", Provenance("series"))
+    with pytest.raises(ValueError, match="support"):
+        FixedPointPMF(3, {0: 0.5, -1: 0.5}, "float", Provenance("series"))
+    # keys given out of order come out sorted; a rational weight in float mode is read as a float
+    law = FixedPointPMF(3, {3: 0.25, 0: F(3, 4), 1: 0.0}, "float", Provenance("series"))
+    assert list(law.weights.items()) == [(0, 0.75), (3, 0.25)]
+
+
+@pytest.mark.parametrize("q", [F(10**400), F(1, 10**400)], ids=["1e400", "1e-400"])
+def test_scaled_float_refuses_q_outside_float_range(q):
+    with pytest.raises(UnsupportedMeasureError, match=r"outside the float range .*--mode exact"):
+        fp_pmf(MeasureSpec(10, q, "321"), mode="scaled-float")
+    with pytest.raises(UnsupportedMeasureError, match="outside the float range"):
+        fp_pmf(MeasureSpec(10, 1, "321"), mode="scaled-float").reweighted(q)
+    # routes that run on exact weights serve it, as does the exact mode
+    assert fp_pmf(MeasureSpec(10, q, None), mode="scaled-float").mode == "float"
+    assert (fp_pmf(MeasureSpec(10, q, "321")).reweighted(1 / q).weights
+            == fp_pmf(MeasureSpec(10, 1, "321")).weights)
 
 
 def test_reference_law_examples():

@@ -118,11 +118,28 @@ def test_walk_frequencies_small_n():
         draws = 400 * cells
         walks, fill = sampling._walk_job(n, draws, gen)
         fill()
-        counts = collections.Counter(map(bytes, walks.view(np.uint8)))
+        counts = collections.Counter(map(bytes, _unpack_walks(walks, n)))
         assert len(counts) == cells, n
         p = 1 / cells
         band = 4 * math.sqrt(p * (1 - p) / draws)
         assert all(abs(c / draws - p) <= band for c in counts.values()), n
+
+
+def _unpack_walks(walks, n):
+    """The +-1 steps (rows, 2n+1) int8 of packed walks, checking that the padding bits are clear."""
+    m = 2 * n + 1
+    bits = np.unpackbits(walks.astype("<u8").view(np.uint8), axis=1, bitorder="little")
+    assert not bits[:, m:].any()
+    return 2 * bits[:, :m].astype(np.int8) - 1
+
+
+def _pack_walks(steps):
+    """Walks given as +-1 steps (rows, 2n+1), packed as `sampling._walk_job` packs them."""
+    rows, m = steps.shape
+    words = (m + 63) // 64
+    packed = np.zeros((rows, 8 * words), dtype=np.uint8)
+    packed[:, : (m + 7) // 8] = np.packbits(steps > 0, axis=1, bitorder="little")
+    return packed.view("<u8")
 
 
 class _RecordingGenerator:
@@ -162,6 +179,7 @@ def test_walks_match_big_integer_oracle_at_word_edges():
         gen = _RecordingGenerator(RandomSource(43, n).generator)
         walks, fill = sampling._walk_job(n, 300, gen)
         fill()
+        walks = _unpack_walks(walks, n)
         assert walks.shape == (300, 2 * n + 1)
         assert ((walks == 1) | (walks == -1)).all()
         assert ((walks == 1).sum(axis=1) == n + 1).all()
@@ -222,12 +240,12 @@ def test_walk_kernels_match_cycle_lemma_oracle(monkeypatch):
         for path in paths:
             downs = [j for j, step in enumerate(path) if step < 0]
             sigmas.append(perms.profile_to_perm([t - x for x, t in enumerate(downs)]))
-        arr = np.array(walks, dtype=np.int8).reshape(len(walks), 2 * n + 1)
-        assert sampling._dyck_from_walks(arr).tolist() == [list(p) for p in paths], n
+        arr = _pack_walks(np.array(walks, dtype=np.int8).reshape(len(walks), 2 * n + 1))
+        assert sampling._steps(sampling._dyck_from_walks(arr, n)).tolist() == [list(p) for p in paths], n
         want = [perms.fixed_points(s) for s in sigmas]
-        assert sampling._fp_from_walks(arr).tolist() == want, n
+        assert sampling._fp_from_walks(arr, n).tolist() == want, n
         want_rev = [perms.fixed_points(s[::-1]) for s in sigmas]
-        assert sampling._fp_from_walks(arr, reverse=True).tolist() == want_rev, n
+        assert sampling._fp_from_walks(arr, n, reverse=True).tolist() == want_rev, n
 
 
 def test_profile_fp_kernels_match_materialization():
@@ -238,12 +256,12 @@ def test_profile_fp_kernels_match_materialization():
                     (31, 500), (32, 500), (63, 500), (64, 500), (65, 500)):
         walks, fill = sampling._walk_job(n, rows, gen)
         fill()
-        steps = sampling._dyck_from_walks(walks)
+        steps = sampling._steps(sampling._dyck_from_walks(walks, n))
         sigma = sampling._perms_from_profiles(sampling._profiles_from_dyck(steps))
         direct = np.array([perms.fixed_points(tuple(s)) for s in sigma])
-        assert (sampling._fp_from_walks(walks) == direct).all()
+        assert (sampling._fp_from_walks(walks, n) == direct).all()
         rev = np.array([perms.fixed_points(tuple(s)[::-1]) for s in sigma])
-        assert (sampling._fp_from_walks(walks, reverse=True) == rev).all()
+        assert (sampling._fp_from_walks(walks, n, reverse=True) == rev).all()
 
 
 def test_fp_batch_matches_stage_oracle_across_batches(monkeypatch):
