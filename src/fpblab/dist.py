@@ -176,7 +176,10 @@ class FixedPointPMF:
             w = {k: v / z for k, v in w.items()}
         else:
             qf = _float_bias(q)
-            w = {k: qf**k * v for k, v in self.weights.items()}
+            # tilt by q^(k - top), top the end of the support that q favours: no factor
+            # exceeds 1 and top's weight is untilted, so nothing overflows and z > 0
+            top = max(self.weights) if qf > 1 else min(self.weights)
+            w = {k: qf ** (k - top) * v for k, v in self.weights.items()}
             z = sum(w.values())
             w = {k: v / z for k, v in w.items()}
         new_spec = None

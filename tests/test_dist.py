@@ -1,11 +1,12 @@
 """Fixed-point laws, reference laws, distances, moments, serialization."""
 import functools
+import itertools
 import json
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fpblab import dist, perms, sampling, series
@@ -94,6 +95,29 @@ def test_231_and_312_laws_equal_the_enumerated_law(n, q):
     _check_231_and_312_laws(n, q)
 
 
+@functools.cache
+def _enumerated_unrestricted_counts(n):
+    counts = [0] * (n + 1)
+    for sigma in itertools.permutations(range(n)):
+        counts[sum(i == v for i, v in enumerate(sigma))] += 1
+    return counts
+
+
+@pytest.mark.parametrize("tau", ["321", "132", "213", None])
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 9), _LAW_QS)
+@example(0, F(2))
+@example(0, F(3))
+@example(0, F(1, 2))
+@example(1, F(2))
+@example(1, F(3))
+@example(1, F(1, 2))
+def test_laws_equal_the_enumerated_law(tau, n, q):
+    counts = _enumerated_unrestricted_counts(n) if tau is None else _enumerated_counts(n, tau)
+    z = sum(c * q**k for k, c in enumerate(counts))
+    assert fp_pmf(MeasureSpec(n, q, tau)).weights == {k: c * q**k / z for k, c in enumerate(counts) if c}
+
+
 def test_231_and_312_laws_at_a_million_bit_denominator():
     # pinned outside @example, whose report would repr q past the digit limit
     for n in (0, 1):
@@ -168,6 +192,23 @@ def test_scaled_float_refuses_q_outside_float_range(q):
     assert fp_pmf(MeasureSpec(10, q, None), mode="scaled-float").mode == "float"
     assert (fp_pmf(MeasureSpec(10, q, "321")).reweighted(1 / q).weights
             == fp_pmf(MeasureSpec(10, 1, "321")).weights)
+
+
+def test_float_reweighting_neither_overflows_nor_underflows():
+    # q^k alone overflows at q = 1e200, and underflows every weight at q = 1e-200
+    law = fp_pmf(MeasureSpec(10, 1, "321"), mode="scaled-float").reweighted(F(10**200))
+    assert law.weights == {10: 1.0} and law.spec.q == 10**200
+    law = FixedPointPMF(4, {2: 0.5, 4: 0.5}, "float", Provenance("series")).reweighted(F(1, 10**200))
+    assert law.weights == {2: 1.0}
+
+
+@pytest.mark.parametrize("q", [F(1, 3), F(3)], ids=["1/3", "3"])
+def test_float_reweighting_matches_the_exact_law(q):
+    got = fp_pmf(MeasureSpec(30, 1, "321"), mode="scaled-float").reweighted(q)
+    want = fp_pmf(MeasureSpec(30, 1, "321")).reweighted(q).as_float()
+    assert got.mode == "float" and got.support == want.support
+    for k, v in want.weights.items():
+        assert got.weights[k] == pytest.approx(v, rel=1e-12, abs=0), k
 
 
 def test_reference_law_examples():

@@ -5,6 +5,7 @@ import math
 import sys
 import threading
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -464,6 +465,77 @@ def test_batch_unrestricted_matches_scalar_law():
     exact = fp_pmf(MeasureSpec(6, 2))
     worst = max(abs(emp[k] - float(exact.pmf(k))) for k in range(7))
     assert worst < 0.008
+
+
+def _unrestricted_batch_oracle(n, q, rng, count):
+    # the batch sampler as it was before it held its groups as narrow index blocks,
+    # verbatim: every draw of the sampler is pinned to this one
+    sampling._check_sizes(n, count)
+    q = sampling._bias(q)
+    ks = sampling._inverse_cdf(series.unrestricted_weights(q, n), count, rng)
+    gen = rng.generator
+    perm_rows = np.tile(np.arange(n, dtype=np.int32), (count, 1))
+    gen.permuted(perm_rows, axis=1, out=perm_rows)
+    sigma = np.zeros((count, n), dtype=np.int32)
+    row_ids = np.arange(count)
+    for k in np.unique(ks):
+        grp = row_ids[ks == k]
+        fix = perm_rows[grp, :k]
+        sigma[grp[:, None], fix] = fix + 1
+        m = n - k
+        if m == 0:
+            continue
+        pos = perm_rows[grp, k:]
+        vals = gen.permuted(pos, axis=1)
+        todo = np.arange(len(grp))
+        while todo.size:
+            bad = (vals[todo] == pos[todo]).any(axis=1)
+            todo = todo[bad]
+            if todo.size:
+                vals[todo] = gen.permuted(vals[todo], axis=1)
+        sigma[grp[:, None], pos] = vals + 1
+    return sigma
+
+
+def _assert_unrestricted_batch_is_oracle(n, q, count, seed=31):
+    rng, ref = RandomSource(seed), RandomSource(seed)
+    got = sampling.sample_biased_unrestricted_batch(n, q, rng, count)
+    want = _unrestricted_batch_oracle(n, q, ref, count)
+    assert got.dtype == np.int32 and got.shape == (count, n) and got.flags.c_contiguous
+    np.testing.assert_array_equal(got, want)
+    np.testing.assert_equal(rng.generator.bit_generator.state, ref.generator.bit_generator.state)
+
+
+# 10^30 takes K from randbelow_batch (total weight past 2^63)
+@pytest.mark.parametrize("q", [F(1, 2), F(2), F(3, 2), F(1, 7), F(10**30), F(1, 10**25)],
+                         ids=["1/2", "2", "3/2", "1/7", "1e30", "1e-25"])
+@pytest.mark.parametrize("n", [0, 1, 2, 6, 9, 40])
+def test_batch_unrestricted_draws_the_oracle_stream(n, q):
+    for count in (0, 1, 4095, 4096, 4097, 20000):
+        _assert_unrestricted_batch_is_oracle(n, q, count)
+
+
+@pytest.mark.parametrize("block_bytes", [1, 8 * 6 * 5, 8 * 40 * 3])
+def test_batch_unrestricted_blocks_do_not_change_the_draws(monkeypatch, block_bytes):
+    # rows turn into permutations a block at a time: 1, 5 or 20 rows at n = 6, 1 or 3 at n = 40
+    monkeypatch.setattr(sampling, "_BLOCK_BYTES", block_bytes)
+    for n, q in ((6, F(1, 2)), (40, F(3))):
+        for count in (1, 2, 7, 300):
+            _assert_unrestricted_batch_is_oracle(n, q, count)
+    assert tuple(sampling.sample_biased_unrestricted(7, F(3, 2), RandomSource(8))) == tuple(
+        int(v) for v in _unrestricted_batch_oracle(7, F(3, 2), RandomSource(8), 1)[0])
+
+
+def test_batch_unrestricted_memory_is_bounded():
+    # the int32 result is 4.8 MB; the sampler holds it plus narrow index blocks
+    tracemalloc.start()
+    try:
+        arr = sampling.sample_biased_unrestricted_batch(6, "1/2", RandomSource(4242), 200_000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert arr.shape == (200_000, 6)
+    assert peak < 16 * 2**20, peak
 
 
 def test_sample_fp_count_matches_exact_law():
