@@ -67,7 +67,6 @@ from .sampling import (
     uniform_avoider,
 )
 from .series import (
-    avoider_columns,
     avoider_normalization,
     avoider_polynomials,
     avoider_polynomials_231,

@@ -292,14 +292,14 @@ def cmd_explore(args) -> int:
     for n in range(1, args.n_max + 1):
         counts = dist.fixed_point_row(n, args.tau)
         for q in qs:
-            weights = [c * q**k for k, c in enumerate(counts)]
+            weights = series.bias_weights(counts, q)
             z = sum(weights)
-            mean = sum(k * w for k, w in enumerate(weights)) / z
-            second = sum(k * k * w for k, w in enumerate(weights)) / z
+            mean = Fraction(sum(k * w for k, w in enumerate(weights)), z)
+            second = Fraction(sum(k * k * w for k, w in enumerate(weights)), z)
             if args.emit == "pmf":
                 for k, w in enumerate(weights):
                     if w:
-                        rows.append([n, str(q), k, series._value_to_text(w / z)])
+                        rows.append([n, str(q), k, series._value_to_text(Fraction(w, z))])
             else:
                 rows.append([n, str(q), repr(float(mean)), repr(float(second - mean**2))])
     columns = ["n", "q", "k", "probability"] if args.emit == "pmf" else ["n", "q", "mean", "variance"]

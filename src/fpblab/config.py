@@ -5,14 +5,13 @@ Budgets are configuration, not constants. The environment variable
 FPBL_BUDGET is their one source besides the defaults below: it raises or
 lowers them for every engine and command, e.g.
 
-    FPBL_BUDGET="poly=3000,eval=20000,columns=800"
+    FPBL_BUDGET="poly=3000,eval=20000"
 
-Keys: poly (full polynomial series), eval (fixed-q exact series), columns
-(exact column extraction), enum (cap of the exact tables outside
-132/321/213: the 231/312 series rows, 123 enumeration, and the enumerated
-tables of whole avoiders), enum_plain (unrestricted enumeration cap). These
-are the only caps: the enumerators in `perms` read enum and enum_plain from
-here.
+Keys: poly (132/321/213 rows of counts by fixed-point number), eval
+(fixed-q exact series), enum (cap of the exact tables outside 132/321/213:
+the 231/312 series rows, 123 enumeration, and the enumerated tables of
+whole avoiders), enum_plain (unrestricted enumeration cap). These are the
+only caps: the enumerators in `perms` read enum and enum_plain from here.
 """
 from __future__ import annotations
 
@@ -21,7 +20,6 @@ import os
 DEFAULT_BUDGETS = {
     "poly": 1500,
     "eval": 10_000,
-    "columns": 400,
     "enum": 12,  # Catalan(12) = 208 012 avoiders stay tractable
     "enum_plain": 10,  # 10! = 3 628 800 permutations
 }

@@ -272,7 +272,7 @@ def fp_pmf(spec: MeasureSpec, mode: str = "exact", rng=None, samples: int | None
         if tau == "123":
             base = sampling.monte_carlo_fp_pmf(n, tau, samples, rng)
             return base if q == 1 else base.reweighted(q)
-        if tau in ("321", "132", "213", "123") and q == 1:
+        if tau in TAU_CLASS and q == 1:
             return sampling.monte_carlo_fp_pmf(n, tau, samples, rng)
         raise UnsupportedMeasureError(
             f"monte-carlo fp law only for uniform avoiders (q=1, patterns 321/132/213/123) "

@@ -18,8 +18,8 @@ with C the Catalan series, so for n >= 1
     (2 - q) g_n = Catalan(n) - (1 - q)^2 g_{n-1}.
 
 At q = 2 the constant term of the denominator vanishes; there G = C^2 and
-g_n = Catalan(n+1). The table engines run this first-order recurrence and
-return plain values (a single row has its own closed form, below):
+g_n = Catalan(n+1). The fixed-q engines run this first-order recurrence and
+return plain values:
 
 - normalizations at a rational q = a/b (`avoider_series`, a list of
   Fractions): on U_n = g_n b^n the recurrence reads
@@ -27,13 +27,10 @@ return plain values (a single row has its own closed form, below):
   division; O(n) big-integer operations up to n;
 - factorial moments: [z^n] m! (qz)^m G^(m+1) = q^m g_n^(m)(q), from the
   m-fold q-derivative (Leibniz) of the recurrence in O(m n) operations; at
-  q = 2 one ballot coefficient of C^(2m+2) instead;
-- polynomial rows in q (`avoider_polynomials`, one tuple of n+1 integer
-  coefficients per n): one exact synthetic division by (2 - q) per n,
-  O(n^2) coefficient operations up to n. The division is lower-triangular
-  in the power of q, so rows truncated at k_max give the column table
-  a[k][n] (`avoider_columns`, integer lists indexed [k][n]) exactly in
-  O(n k_max). The tests keep this table as the oracle of `avoider_row`.
+  q = 2 one ballot coefficient of C^(2m+2) instead.
+
+The rows in q, one count per fixed-point number, come from a closed form
+of their own (`avoider_row`, below); `avoider_polynomials` stacks them.
 
 The 231 and 312 avoiders (the same rows: inversion keeps fixed points)
 have no such closed form. Their rows (`avoider_polynomials_231`) come from
@@ -50,10 +47,11 @@ N^3 / 7 products of integers of up to 2 N^2 bits (q packed into each
 integer).
 
 The tests check these engines against the convolution recurrences of the
-square-root form and against exhaustive enumeration. Every size is checked
-against the budgets of `config`, which FPBL_BUDGET alone sets.
+square-root form, the synthetic division by 2 - q, and exhaustive
+enumeration. Every size is checked against the budgets of `config`, which
+FPBL_BUDGET alone sets.
 
-One row alone has a closed form. In the square-root form the avoiders
+Each row has a closed form. In the square-root form the avoiders
 with k fixed points have the column series A_k(z) = z^k psi^(k+1), with
 psi = 1/(1 - z(C - 1)). The series w = z psi solves w = z phi(w) for
 phi(w) = (1-w)^2/(1-2w), so A_k = w^(k+1)/z, and Lagrange inversion
@@ -101,7 +99,7 @@ import numpy as np
 from .config import BudgetExceededError, budgets, check_budget
 
 TAU_CLASS = ("132", "321", "213")  # patterns sharing the generating function
-_POLY_HINT = "use avoider_series or avoider_columns at large n"
+_POLY_HINT = "use avoider_series at large n"
 _SHIFT = 512  # scaled_weight_row shifts its recurrence down by 2^_SHIFT once past it
 
 
@@ -140,34 +138,14 @@ def derangement_numbers(n_max: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# Exact engines (the rationalized closed form)
+# Exact engines
 # ---------------------------------------------------------------------------
-
-
-def _next_row(prev: list[int] | tuple[int, ...], cat_n: int, width: int) -> list[int]:
-    """
-    Coefficients 0..width-1 of g_n = (Catalan(n) - (1-q)^2 g_{n-1}) / (2-q).
-
-    Dividing by 2 - q from the constant term up gives r_k = (p_k + r_{k-1}) / 2,
-    with p_k the q^k coefficient of the numerator. Every r_k is an integer, and
-    r_k depends on p_0..p_k alone, so a row truncated at any width is exact.
-    """
-    pp = [0, 0, *prev, 0]  # pp[k + 2] = prev[k], zero outside the row
-    row = []
-    r = 0
-    for k in range(width):
-        p = 2 * pp[k + 1] - pp[k] - pp[k + 2]
-        if k == 0:
-            p += cat_n
-        r = (p + r) >> 1
-        row.append(r)
-    return row
 
 
 def avoider_polynomials(n_max: int) -> list[tuple[int, ...]]:
     """
     Length-n fixed-point polynomials for the 132/321/213 avoidance classes,
-    as coefficient rows for n = 0..n_max.
+    as coefficient rows for n = 0..n_max: the rows of `avoider_row`.
 
     Row n has n+1 entries: entry k counts the avoiders of length n with
     exactly k fixed points (the identity makes entry n a 1). The row sums
@@ -175,16 +153,13 @@ def avoider_polynomials(n_max: int) -> list[tuple[int, ...]]:
     biased avoiding measure.
     """
     check_budget("poly", n_max, hint=_POLY_HINT)
-    cat = catalan_numbers(n_max)
-    g = [(1,)]
-    for n in range(1, n_max + 1):
-        g.append(tuple(_next_row(g[-1], cat[n], n + 1)))
-    return g
+    return [avoider_row(n) for n in range(n_max + 1)]
 
 
 def avoider_row(n: int) -> tuple[int, ...]:
     """
-    Row n of `avoider_polynomials` alone, in O(n) big-integer operations:
+    Counts of the avoiders of length n by fixed-point number k = 0..n, in
+    O(n) big-integer operations:
     a[k][n] = (k+1)/(n+1) p_(n-k), with p_j = [w^j] ((1-w)^2/(1-2w))^(n+1)
     from the positive recurrence of the module docstring. Both divisions
     are exact.
@@ -337,8 +312,7 @@ def unrestricted_normalization(q, n: int) -> Fraction:
     q = as_rational(q)
     if n > 100_000:
         raise ValueError("n too large for the closed-form evaluation")
-    d = derangement_numbers(n)
-    return sum(comb(n, k) * d[n - k] * q**k for k in range(n + 1))
+    return Fraction(sum(unrestricted_weights(q, n)), q.denominator**n)
 
 
 def bias_weights(counts, q: Fraction) -> list[int]:
@@ -356,33 +330,6 @@ def unrestricted_weights(q, n: int) -> list[int]:
     """Integer weights of all of S_n by fixed-point count k: `bias_weights` of binom(n,k)*D_{n-k}."""
     d = derangement_numbers(n)
     return bias_weights([comb(n, k) * d[n - k] for k in range(n + 1)], as_rational(q))
-
-
-# ---------------------------------------------------------------------------
-# Column extraction: counts by fixed-point number
-# ---------------------------------------------------------------------------
-
-
-def avoider_columns(k_max: int, n_max: int) -> list[list[int]]:
-    """
-    Counts a[k][n] of avoiders of length n with k fixed points, as integer
-    lists indexed [k][n], for k = 0..k_max and n = 0..n_max.
-
-    Runs the polynomial-row division of `avoider_polynomials` with every row
-    truncated at k_max, which stays exact because that division is
-    lower-triangular in k: O(n_max * k_max) big-integer operations. Their
-    scaled-float counterpart is `scaled_weight_rows(1, n_max, k_max)`, whose
-    rows come from the O(n) closed form of `scaled_weight_row`.
-    """
-    if k_max > n_max:
-        raise ValueError("k_max cannot exceed n_max (no length-n permutation has more than n fixed points)")
-    check_budget("columns", k_max, hint="use scaled_weight_rows for large tables")
-    check_budget("eval", n_max)
-    cat = catalan_numbers(n_max)
-    rows = [[1]]
-    for n in range(1, n_max + 1):
-        rows.append(_next_row(rows[-1], cat[n], min(n, k_max) + 1))
-    return [[row[k] if k < len(row) else 0 for row in rows] for k in range(k_max + 1)]
 
 
 def _power_parts(x: float, n: int) -> tuple[float, int]:

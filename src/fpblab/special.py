@@ -101,8 +101,6 @@ _LANCZOS = (
 
 def gamma(x: float) -> float:
     """Gamma for real x (poles at nonpositive integers raise), ~1e-13 relative."""
-    if x == int(x) and x * 2 == int(x * 2) and x > 0:
-        return gamma_half_integer(int(2 * x))
     if 2 * x == int(2 * x) and x > 0:
         return gamma_half_integer(int(2 * x))
     if x < 0.5:

@@ -39,7 +39,6 @@ def report(name: str, ok: bool, detail: str) -> None:
 def test_criterion_01_series_equals_enumeration():
     cat = catalan_numbers_by_convolution(10)
     polys = series.avoider_polynomials(10)
-    cols = series.avoider_columns(10, 10)
     ok = True
     for n in range(11):
         reference = None
@@ -49,9 +48,8 @@ def test_criterion_01_series_equals_enumeration():
                 reference = counts
             ok &= counts == reference  # identical across the three patterns
             ok &= all(polys[n][k] == counts[k] for k in range(n + 1))
-            ok &= all(cols[k][n] == counts[k] for k in range(n + 1))
         ok &= sum(reference) == cat[n]
-    report("criterion-01 series-vs-enumeration", ok, "n <= 10, patterns 132/321/213, both routes")
+    report("criterion-01 series-vs-enumeration", ok, "n <= 10, patterns 132/321/213")
     assert ok
 
 

@@ -114,6 +114,9 @@ CANONICAL_STDOUT = {
         "09f4891e05405d28647da2786762c07f142dcb28c54e50ab452698e413ff6a57",
     "pmf --n 11 --q 2 --tau 312": "872dfd7efccbbed31df8e2354f72075493ffcca4fb0116d48f9bf2294d5935d2",
     "count --tau 231 --n 12": "8bf179c8d5858629c86531a6f2793514e8fd0dcfc01d3e2bb78f1432b986a341",
+    "zn --q 7/3 --n-max 200": "6b931dad0d474ad7578abd8894c23ff69af4fcc67bd78b0e9cd24993762b5f48",
+    "explore --tau 123 --n-max 10 --q-grid 1/2,2 --emit pmf":
+        "79f5df7b61b9a78f1953bfd78620c815dd259d79d7e3a512c6582f1956efb9d7",
     # seeded dumps: the per-draw rejection route (q < 1) and the unrestricted batch
     "sample --n 60 --q 1/2 --tau 321 --count 2000 --emit perm --seed 7":
         "55b3b1bc272aa3b0570c2c26e155cde7cc7c6b558945dcbd2c2d6b7ccf12dbe7",

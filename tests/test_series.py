@@ -84,6 +84,27 @@ def oracle_polynomial_rows(n_max):
     return g
 
 
+def oracle_division_rows(n_max):
+    """
+    Coefficient lists of g_n(q) for n = 0..n_max by one exact synthetic
+    division per n: g_n = (Catalan(n) - (1-q)^2 g_{n-1}) / (2-q) of the
+    rationalized form. Dividing by 2 - q from the constant term up gives
+    r_k = (p_k + r_{k-1}) / 2, with p_k the q^k coefficient of the numerator;
+    every r_k is an integer.
+    """
+    cat = catalan_numbers_by_convolution(n_max)
+    g = [[1]]
+    for n in range(1, n_max + 1):
+        pp = [0, 0, *g[-1], 0]  # pp[k + 2] = g_{n-1}[k], zero outside the row
+        row, r = [], 0
+        for k in range(n + 1):
+            p = 2 * pp[k + 1] - pp[k] - pp[k + 2] + (cat[n] if k == 0 else 0)
+            r = (p + r) >> 1
+            row.append(r)
+        g.append(row)
+    return g
+
+
 def oracle_columns(k_max, n_max):
     """
     a[k][n] from alpha*A_k = 2z*A_{k-1}, alpha = 1 + 2z + sqrt(1-4z):
@@ -143,9 +164,9 @@ def test_polynomial_rows_match_convolution_oracle():
 
 def test_closed_form_rows_match_polynomial_table():
     # the O(n) Lagrange-inversion row against the synthetic-division table
-    table = series.avoider_polynomials(200)
+    table = oracle_division_rows(200)
     for n in range(201):
-        assert series.avoider_row(n) == table[n], n
+        assert list(series.avoider_row(n)) == table[n], n
 
 
 def test_factorial_moments_match_power_oracle():
@@ -165,9 +186,14 @@ def test_huge_denominator_matches_oracle():
 
 
 def test_columns_match_recurrence_oracle():
+    rows = [series.avoider_row(n) for n in range(41)]
+
+    def columns(k_max, n_max):  # a[k][n] from the rows, indexed [k][n]
+        return [[row[k] if k < len(row) else 0 for row in rows[: n_max + 1]] for k in range(k_max + 1)]
+
     for k_max in (0, 1, 5, 12):
-        assert series.avoider_columns(k_max, 40) == oracle_columns(k_max, 40), k_max
-    assert series.avoider_columns(12, 12) == oracle_columns(12, 12)
+        assert columns(k_max, 40) == oracle_columns(k_max, 40), k_max
+    assert columns(12, 12) == oracle_columns(12, 12)
 
 
 def test_lengths_zero_and_one():
@@ -185,9 +211,6 @@ def test_lengths_zero_and_one():
     assert series.avoider_row(1) == (0, 1)
     assert series.avoider_polynomials_231(0) == [(1,)]
     assert series.avoider_polynomials_231(1) == [(1,), (0, 1)]
-    assert series.avoider_columns(0, 0) == [[1]]
-    assert series.avoider_columns(0, 1) == [[1, 0]]
-    assert series.avoider_columns(1, 1) == [[1, 0], [0, 1]]
 
 
 def test_catalan_routes_agree():
@@ -268,21 +291,10 @@ def test_eval_engine_float_rejected():
         series.avoider_series(0.5, 5)
 
 
-def test_columns_match_polynomials():
-    # cross-method identity for n <= 30
-    table = series.avoider_polynomials(30)
-    cols = series.avoider_columns(30, 30)
-    for n in range(31):
-        for k in range(n + 1):
-            assert cols[k][n] == table[n][k]
-    assert [cols[0][n] for n in range(5)] == [1, 0, 1, 2, 6]
-    assert all(cols[n][n] == 1 for n in range(31))
-
-
 def test_scaled_float_columns_track_exact():
     # spec regression band: absolute error <= 1e-10 for n <= 200, k <= n
     n_max = 200
-    exact = series.avoider_columns(n_max, n_max)
+    exact = oracle_columns(n_max, n_max)
     scaled = series.scaled_weight_rows(1, n_max)  # a[k][n] / 4^n, indexed [n, k]
     worst = 0.0
     for n in range(n_max + 1):
@@ -379,10 +391,10 @@ def test_factorial_moments_match_enumeration():
 
 def test_budget_refusals(monkeypatch):
     # FPBL_BUDGET is the one source of the budgets
-    monkeypatch.setenv("FPBL_BUDGET", "poly=5,eval=10,columns=10,enum=5")
+    monkeypatch.setenv("FPBL_BUDGET", "poly=5,eval=10,enum=5")
     with pytest.raises(BudgetExceededError, match="poly"):
         series.avoider_polynomials(10)
-    with pytest.raises(BudgetExceededError, match="poly size 10 exceeds budget 5; use avoider_series"):
+    with pytest.raises(BudgetExceededError, match="poly size 10 exceeds budget 5; use avoider_series at large n$"):
         series.avoider_row(10)
     assert len(series.avoider_row(5)) == 6
     with pytest.raises(BudgetExceededError, match="capped at n=5"):
@@ -394,10 +406,6 @@ def test_budget_refusals(monkeypatch):
         series.avoider_normalization(2, 50)
     with pytest.raises(BudgetExceededError, match="eval"):
         series.factorial_moment_coefficient(1, 2, 50)
-    with pytest.raises(BudgetExceededError, match="columns"):
-        series.avoider_columns(30, 30)
-    with pytest.raises(ValueError, match="k_max"):
-        series.avoider_columns(5, 3)
 
 
 def test_budget_env_override(monkeypatch):
@@ -406,10 +414,11 @@ def test_budget_env_override(monkeypatch):
     monkeypatch.setenv("FPBL_BUDGET", "poly=7, eval=123")
     assert budgets()["poly"] == 7
     assert budgets()["eval"] == 123
-    assert budgets()["columns"] == 400
-    monkeypatch.setenv("FPBL_BUDGET", "bogus=1")
-    with pytest.raises(ValueError, match="unknown FPBL_BUDGET key"):
-        budgets()
+    assert budgets()["enum"] == 12  # keys left unset keep their defaults
+    for raw in ("bogus=1", "columns=1"):  # no engine reads a columns budget
+        monkeypatch.setenv("FPBL_BUDGET", raw)
+        with pytest.raises(ValueError, match="unknown FPBL_BUDGET key"):
+            budgets()
 
 
 def test_scaled_weight_rows_supercritical_base():
