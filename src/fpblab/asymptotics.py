@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import series, special
+from .config import check_budget
 from .dist import BernoulliSum, NegativeBinomial, Normal, Poisson, Rayleigh
 from .series import as_rational
 
@@ -243,9 +244,12 @@ def convergence_table(kind: str, q, n_grid, m: int | None = None,
     q = as_rational(q)
     rows = []
     if kind == "growth":
-        values = series.avoider_series(q, max(n_grid))
+        # one pass of the normalization recurrence: avoider_series(q, top)[n] = U_n / b^n
+        top = max(n_grid)
+        check_budget("eval", top)
+        u = series._scaled_normalizations(q, top)
         for n in n_grid:
-            exact_log = special.log_of_fraction(values[n])
+            exact_log = special.log_of_fraction(Fraction(u[n], q.denominator**n))
             pred_log = normalization_growth(q, n, log=True)
             rows.append(ConvergenceRow(n, exact_log, pred_log, math.exp(exact_log - pred_log)))
     elif kind == "moments":
@@ -253,9 +257,18 @@ def convergence_table(kind: str, q, n_grid, m: int | None = None,
             raise ValueError("kind='moments' needs the order m")
         if q != 3:
             raise ValueError("the factorial-moment prediction holds at the critical bias q = 3 only")
+        for n in n_grid:  # refused in ascending n, as a table built one n at a time is
+            check_budget("eval", n)
+            if m < 1:
+                raise ValueError("moment order m must be >= 1")
+            if n < 1:  # the moment and its prediction are both 0 there
+                raise ValueError("n must be >= 1")
+        # one derivative pass: at q = 3, factorial_moment_coefficient(m, q, n) over
+        # avoider_normalization(q, n) is 3^m d[m][n] / d[0][n], and int true
+        # division rounds that rational as float(Fraction) does
+        d = series._scaled_derivatives(q, m, n_grid[-1]) if n_grid else []
         for n in n_grid:
-            z = series.avoider_normalization(q, n)
-            exact = float(series.factorial_moment_coefficient(m, q, n) / z)
+            exact = 3**m * d[m][n] / d[0][n]
             pred = factorial_moment_prediction(m, n)
             rows.append(ConvergenceRow(n, exact, pred, exact / pred))
     elif kind == "distance":

@@ -18,6 +18,7 @@ variable FPBL_BUDGET overrides the exact-engine budgets.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from contextlib import nullcontext
@@ -153,8 +154,7 @@ def cmd_zn(args) -> int:
         if args.tau not in TAU_CLASS:
             print(f"zn: no series for tau={args.tau} (only {TAU_CLASS}); use explore", file=sys.stderr)
             return 2
-        values = series.avoider_series(args.q, n_max)
-        rows = [[n, series._value_to_text(v)] for n, v in enumerate(values)]
+        rows = enumerate(series._avoider_series_text(args.q, n_max))
     Emitter(args.format, args.out).emit(
         ["n", "value"], rows, preamble=[f"q={args.q}", f"tau={args.tau or ''}"]
     )
@@ -288,6 +288,8 @@ def cmd_asym(args) -> int:
 def cmd_explore(args) -> int:
     _check_n(args.n_max)
     qs = [Fraction(t) for t in args.q_grid.split(",")] if args.q_grid else [args.q]
+    if min(qs) <= 0:
+        raise ValueError("bias parameter q must be positive")
     rows = []
     for n in range(1, args.n_max + 1):
         counts = dist.fixed_point_row(n, args.tau)
@@ -307,7 +309,9 @@ def cmd_explore(args) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: `parse_args` fills a fresh Namespace each call."""
     parser = argparse.ArgumentParser(
         prog="fpblab",
         description="exact computation, sampling, and verification for fixed-point-biased "

@@ -24,7 +24,12 @@ return plain values:
 - normalizations at a rational q = a/b (`avoider_series`, a list of
   Fractions): on U_n = g_n b^n the recurrence reads
   (2b-a) U_n = Catalan(n) b^(n+1) - (b-a)^2 U_{n-1}, with an exact
-  division; O(n) big-integer operations up to n;
+  division; O(n) big-integer operations up to n. The pair U_n / b^n is
+  already in lowest terms: U_n = sum_k c_k a^k b^(n-k), with c_k the
+  avoiders of length n with k fixed points, and c_n = 1 (the identity),
+  so U_n = a^n (mod b), and a^n is prime to b (q is in lowest terms).
+  `zn` prints U_n / b^n straight from the integers (`_avoider_series_text`),
+  without a gcd per n;
 - factorial moments: [z^n] m! (qz)^m G^(m+1) = q^m g_n^(m)(q), from the
   m-fold q-derivative (Leibniz) of the recurrence in O(m n) operations; at
   q = 2 one ballot coefficient of C^(2m+2) instead.
@@ -264,6 +269,20 @@ def avoider_series(q, n_max: int) -> list[Fraction]:
     return [Fraction(u[n], b**n) for n in range(n_max + 1)]
 
 
+def _avoider_series_text(q, n_max: int) -> list[str]:
+    """
+    `_value_to_text` of each `avoider_series(q, n_max)` entry, with no
+    Fraction built: U_n / b^n is in lowest terms (module docstring).
+    """
+    q = as_rational(q)
+    check_budget("eval", n_max)
+    texts, bn = [], 1
+    for u in _scaled_normalizations(q, n_max):
+        texts.append(_ratio_to_text(u, bn))
+        bn *= q.denominator
+    return texts
+
+
 def avoider_normalization(q, n: int) -> Fraction:
     """Normalization constant of the biased avoiding measure at a single n."""
     q = as_rational(q)
@@ -420,12 +439,17 @@ def _value_to_text(v) -> str:
     np.float64(...)).
     """
     if isinstance(v, Fraction):
-        if v.denominator == 1:
-            return _int_to_str(v.numerator)
-        return f"{_int_to_str(v.numerator)}/{_int_to_str(v.denominator)}"
+        return _ratio_to_text(v.numerator, v.denominator)
     if isinstance(v, int):
         return _int_to_str(v)
     return repr(float(v))
+
+
+def _ratio_to_text(num: int, den: int) -> str:
+    """"num", or "num/den" unless den is 1, for num/den in lowest terms with den > 0."""
+    if den == 1:
+        return _int_to_str(num)
+    return f"{_int_to_str(num)}/{_int_to_str(den)}"
 
 
 def _int_to_str(x: int) -> str:

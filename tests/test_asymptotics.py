@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from fpblab import asymptotics as asym
-from fpblab import series
+from fpblab import series, special
+from fpblab.config import BudgetExceededError
 from fpblab.dist import BernoulliSum, NegativeBinomial, Normal, Poisson, Rayleigh
 
 F = Fraction
@@ -143,6 +144,41 @@ def test_convergence_table_moments():
         asym.convergence_table("moments", 2, [100], m=1)
     with pytest.raises(ValueError, match="order m"):
         asym.convergence_table("moments", 3, [100])
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_moments_table_equals_per_n_fractions(m):
+    # one derivative pass gives the same floats as the exact per-n Fractions
+    grid = [1, 2, 3, 4, 5, 17, 64, 333, 1000]
+    table = asym.convergence_table("moments", 3, grid, m=m)
+    assert [r.n for r in table.rows] == grid
+    for r in table.rows:
+        z = series.avoider_normalization(3, r.n)
+        assert r.exact == float(series.factorial_moment_coefficient(m, 3, r.n) / z), (m, r.n)
+        assert r.exact == 0.0 if r.n < m else r.exact > 0
+
+
+def test_growth_table_equals_the_series():
+    grid = [1, 7, 50, 321]
+    for q in (F(2), F(7, 3), F(10, 3), F(1, 2**300 + 1)):
+        values = series.avoider_series(q, max(grid))
+        table = asym.convergence_table("growth", q, grid)
+        assert [r.exact for r in table.rows] == [special.log_of_fraction(values[n]) for n in grid]
+
+
+def test_moments_table_refusals_in_ascending_n(monkeypatch):
+    # refused at the first n in ascending order that a per-n table would refuse
+    monkeypatch.setenv("FPBL_BUDGET", "eval=100")
+    with pytest.raises(BudgetExceededError, match="eval size 200 exceeds budget 100"):
+        asym.convergence_table("moments", 3, [300, 5, 200], m=1)
+    with pytest.raises(BudgetExceededError, match="eval size 200 exceeds budget 100"):
+        asym.convergence_table("moments", 3, [200], m=0)
+    with pytest.raises(ValueError, match="order m must be >= 1"):
+        asym.convergence_table("moments", 3, [5, 200], m=0)
+    # at n = 0 both the moment and its prediction are 0: no ratio to report
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        asym.convergence_table("moments", 3, [0, 5], m=2)
+    assert asym.convergence_table("moments", 3, [], m=0).rows == ()
 
 
 def test_convergence_table_distance():

@@ -117,6 +117,13 @@ CANONICAL_STDOUT = {
     "zn --q 7/3 --n-max 200": "6b931dad0d474ad7578abd8894c23ff69af4fcc67bd78b0e9cd24993762b5f48",
     "explore --tau 123 --n-max 10 --q-grid 1/2,2 --emit pmf":
         "79f5df7b61b9a78f1953bfd78620c815dd259d79d7e3a512c6582f1956efb9d7",
+    # the tables read off one recurrence pass: a denominator 3^n, the n = 0 row
+    # printed "1" at q = 1/2, the q = 2 branch, and moments at n < m (exactly 0)
+    "verify --growth --q 10/3 --n 800": "c4b1fda71d45d73dd3c38a46578947d5f6aa60b6dbed18a969faef33db4bf401",
+    "zn --q 1/2 --tau 321 --n-max 50": "73bdb17d38c42a4a9c85fa8a108169e9b69fe66606d3fc682213ec4bf57aa113",
+    "zn --q 2 --tau 132 --n-max 40": "773561fc0f7dc7157d8d01144cb46be9193541c468bd65e90afdc52cbd4226ba",
+    "asym --kind moments --q 3 --n-grid 1,2,400 --m 3":
+        "2c79ec60db52dfdda62c1c1138bb700a89032cdfc62e0f6c80e4bd3394b19a7a",
     # seeded dumps: the per-draw rejection route (q < 1) and the unrestricted batch
     "sample --n 60 --q 1/2 --tau 321 --count 2000 --emit perm --seed 7":
         "55b3b1bc272aa3b0570c2c26e155cde7cc7c6b558945dcbd2c2d6b7ccf12dbe7",
@@ -310,6 +317,40 @@ def test_sample_refuses_nonpositive_bias(capsys):
         code, out, err = run_cli(capsys, "sample", "--n", "5", *argv)
         assert code == 2 and out == "", argv
         assert "bias parameter q must be positive" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--q", "0"],
+    ["--q-grid", "0"],
+    ["--q", "-1"],
+    ["--q-grid", "-1", "--emit", "pmf"],
+    ["--q-grid", "1/2,2,-1"],
+])
+def test_explore_refuses_nonpositive_bias(capsys, argv):
+    # as pmf does: q = 0 used to end in a ZeroDivisionError, q < 0 printed negative "probabilities"
+    code, out, err = run_cli(capsys, "explore", "--tau", "321", "--n-max", "3", *argv)
+    assert (code, out, err) == (2, "", "error: bias parameter q must be positive\n")
+
+
+def test_moments_table_names_the_first_n_past_the_budget(capsys):
+    # the budget is checked along the grid in ascending order, so the first n past it is named
+    code, out, err = run_cli(capsys, "asym", "--kind", "moments", "--q", "3",
+                             "--n-grid", "5,20000,30000", "--m", "1")
+    assert (code, out, err) == (2, "", "error: requested eval size 20000 exceeds budget 10000\n")
+
+
+def test_cached_parser_leaks_nothing_between_calls(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    _, seeded, _ = run_cli(capsys, "sample", "--n", "30", "--q", "2", "--count", "10", "--seed", "5")
+    _, plain, _ = run_cli(capsys, "sample", "--n", "30", "--q", "2", "--count", "10")
+    _, zero, _ = run_cli(capsys, "sample", "--n", "30", "--q", "2", "--count", "10", "--seed", "0")
+    assert "# seed=5" in seeded and plain == zero != seeded and "# seed=0" in plain
+    # an option given once is back at its default on the next call
+    assert run_cli(capsys, "asym", "--kind", "moments", "--q", "3", "--n-grid", "5", "--m", "1")[0] == 0
+    code, out, err = run_cli(capsys, "asym", "--kind", "moments", "--q", "3", "--n-grid", "5")
+    assert (code, out, err) == (2, "", "error: kind='moments' needs the order m\n")
+    assert run_cli(capsys, "zn", "--q", "2", "--n", "3", "--format", "json")[1].startswith("{")
+    assert run_cli(capsys, "zn", "--q", "2", "--n", "3")[1].startswith("# q=2\n")
 
 
 @pytest.mark.parametrize("q", ["1" + "0" * 400, "1/1" + "0" * 400], ids=["1e400", "1e-400"])

@@ -5,6 +5,8 @@ from math import factorial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fpblab import dist, perms, series
 from fpblab.config import BudgetExceededError
@@ -286,9 +288,28 @@ def test_eval_engine():
             assert ser[n] == sum(c * q**k for k, c in enumerate(table[n])), (q, n)
 
 
+# any rational: q = 0, negative q, q = 2 (the Catalan route), denominators up to 2^4096
+_TEXT_QS = st.one_of(st.sampled_from([Fraction(0), Fraction(2), Fraction(-1), Fraction(-3, 2)]),
+                     st.builds(Fraction, st.integers(-(2**4096), 2**4096), st.integers(1, 2**4096)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 24), _TEXT_QS)
+@example(0, Fraction(1, 2))
+@example(30, Fraction(2))
+@example(30, Fraction(0))
+@example(12, HUGE_Q)
+def test_series_text_is_value_text_of_series(n_max, q):
+    # printed straight from U_n and b^n: the pairs are in lowest terms, so no gcd is needed
+    want = [series._value_to_text(v) for v in series.avoider_series(q, n_max)]
+    assert series._avoider_series_text(q, n_max) == want
+
+
 def test_eval_engine_float_rejected():
     with pytest.raises(TypeError, match="exact rational"):
         series.avoider_series(0.5, 5)
+    with pytest.raises(TypeError, match="exact rational"):
+        series._avoider_series_text(0.5, 5)
 
 
 def test_scaled_float_columns_track_exact():
@@ -402,6 +423,8 @@ def test_budget_refusals(monkeypatch):
     assert len(series.avoider_polynomials_231(5)) == 6
     with pytest.raises(BudgetExceededError, match="eval"):
         series.avoider_series(2, 50)
+    with pytest.raises(BudgetExceededError, match="eval size 50 exceeds budget 10"):
+        series._avoider_series_text(2, 50)
     with pytest.raises(BudgetExceededError, match="eval"):
         series.avoider_normalization(2, 50)
     with pytest.raises(BudgetExceededError, match="eval"):
