@@ -244,8 +244,9 @@ def convergence_table(kind: str, q, n_grid, m: int | None = None,
     q = as_rational(q)
     rows = []
     if kind == "growth":
+        regime_of(q)  # refuses q <= 0 before the pass, as `verify --growth` does
         # one pass of the normalization recurrence: avoider_series(q, top)[n] = U_n / b^n
-        top = max(n_grid)
+        top = max(n_grid, default=0)
         check_budget("eval", top)
         u = series._scaled_normalizations(q, top)
         for n in n_grid:

@@ -18,22 +18,27 @@ their reverses; 132-avoiders come through the first-return decomposition
 U A D B of the path (A is the head above the maximum, B the tail below
 it), and 213-avoiders are reverse-complements of 132-avoiders.
 
-A batch of walks is held bit-packed, one bit a step, and a walk becomes
-its Dyck path, one count block at a time, by one gather from strided
-windows of the doubled walk (the row twice over), with no index array.
-The per-call sampler `uniform_avoider` draws one walk per call and runs
-the same steps in plain Python ints (`_one_dyck_path`,
-`_avoider_from_path`): the same `random_raw` calls, chunk for chunk, so
-it draws what a one-row batch would draw and leaves the generator where
-that would. The fixed-point batch sampler counts 321/123 fixed points
-from the down-step and up-step indices of those paths, a block of rows
-at a time, with no sort and without building the permutations. Two
-threads share the count: while the calling thread counts the blocks of
-batch i, one helper thread draws batch i+1 and then counts blocks of
-batch i too. Only the helper draws, in batch order, so the random stream
-is the one of drawing the batches one after another, and each block
-writes its own slice of the result, so no count depends on which thread
-made it. Every other sampler draws and maps on the calling thread.
+A batch of walks is held bit-packed, one bit a step. The fixed-point
+batch sampler counts 321/123 fixed points a block of rows at a time
+straight from packed Dyck paths, which word shifts and one gather of word
+pairs rotate out of the packed walks (`_dyck_words`): no step is
+unpacked, nothing is sorted and no permutation is built. A 321 fixed
+point is a hill of the path, counted by bytes; a 123 fixed point is a
+peak at the middle or the one fill crossing, which a rank/select
+bisection over the path's step-pair masks finds. The other batch kernels
+unpack a block at a time, and a walk becomes its Dyck path by one gather
+from strided windows of the doubled walk (the row twice over), with no
+index array (`_dyck_from_walks`). The per-call sampler `uniform_avoider`
+draws one walk per call and runs the same steps in plain Python ints
+(`_one_dyck_path`, `_avoider_from_path`): the same `random_raw` calls,
+chunk for chunk, so it draws what a one-row batch would draw and leaves
+the generator where that would. Two threads share the fixed-point count:
+while the calling thread counts the blocks of batch i, one helper thread
+draws batch i+1 and then counts blocks of batch i too. Only the helper
+draws, in batch order, so the random stream is the one of drawing the
+batches one after another, and each block writes its own slice of the
+result, so no count depends on which thread made it. Every other sampler
+draws and maps on the calling thread.
 
 Every exact discrete draw over big-integer weights (fixed-point counts,
 the enumeration route) goes through one inverse-cdf helper. Once the total
@@ -73,8 +78,9 @@ from .series import as_rational
 _MAX_BATCH_CELLS = 8_000_000  # soft cap on rows*length per vectorized batch
 # rows per block of a fixed-point count: at most _BLOCK, and few enough that the count's
 # largest temporary stays within _BLOCK_BYTES, in cache and below the size above which
-# malloc hands freed memory back to the system (every block would fault its pages anew)
-_BLOCK = 128
+# malloc hands freed memory back to the system (every block would fault its pages anew);
+# the packed 123 search costs numpy calls per block, not per row, so blocks are large
+_BLOCK = 1024
 _BLOCK_BYTES = 2**19
 
 
@@ -385,84 +391,215 @@ def _perms_from_profiles(profiles: np.ndarray) -> np.ndarray:
     return sigma
 
 
-def _after_up(down: np.ndarray) -> np.ndarray:
-    """
-    Whether the step before each down-step is an up-step, from the sorted
-    flat indices of the down-steps of a block of Dyck paths (row r, step t
-    at r*2n + t): the gap to the down-step before it exceeds 1. Across a
-    row boundary the gap is t_0 + 1 > 1, right for the path's first
-    down-step, since the path before it ends with a down-step at 2n-1.
-    """
-    flags = np.empty(len(down), dtype=bool)
-    flags[:1] = True
-    np.greater(down[1:] - down[:-1], 1, out=flags[1:])
-    return flags
-
-
-def _before_up(up: np.ndarray) -> np.ndarray:
-    """
-    Whether each up-step is followed by an up-step, from the sorted flat
-    indices of the up-steps of a block of Dyck paths: the gap to the next
-    up-step is 1. Across a row boundary the gap is 2n - t >= 2, right for
-    the path's last up-step at t <= 2n-2, since the path ends with a
-    down-step.
-    """
-    flags = np.empty(len(up), dtype=bool)
-    flags[-1:] = False
-    np.equal(up[1:] - up[:-1], 1, out=flags[:-1])
-    return flags
-
-
 def _block_rows(row_bytes: int) -> int:
     """Rows per block of a count whose largest temporary takes `row_bytes` bytes a row."""
     return max(1, min(_BLOCK, _BLOCK_BYTES // max(row_bytes, 1)))
+
+
+def _packed_block_rows(n: int) -> tuple[int, int]:
+    """
+    Rows per block of the packed 321/123 count, and per part of a block
+    that is rotated at once. A block's largest temporary, the stacked
+    step-pair masks of the 123 search, takes two path rows of words a row; a
+    part's, the byte table lookups of the Dyck starts and of the hill count,
+    takes an intp index per path byte.
+    """
+    words = _raw_layout(n)[0]
+    return _block_rows(16 * words), _block_rows(64 * words)
+
+
+def _dyck_words(walks: np.ndarray, n: int) -> np.ndarray:
+    """
+    The Dyck paths of a batch of packed walks of `_walk_job`, packed as the
+    walks are: (rows, words) uint64, bit t of a row (bit t % 64 of word
+    t // 64) set where path step t is an up-step, the bits from 2n on clear.
+
+    The path is the 2n columns of the doubled walk (walk | walk << m) from
+    the Dyck start s on. The doubled rows are built by word shifts, a row's
+    words s // 64 .. s // 64 + words are gathered as one window of a strided
+    view, and each path word joins the bits of a pair of them, shifted by
+    s % 64. The high word's shift is taken in two parts, since a uint64 shift
+    by 64 is not defined.
+    """
+    rows, words = walks.shape
+    m = 2 * n + 1
+    start = _dyck_starts(walks, n)  # in [2, m+1]
+    # words enough for the window of words+1 from the last start
+    doubled = np.zeros((rows, (m + 1) // 64 + words + 1), dtype=np.uint64)
+    doubled[:, :words] = walks
+    q, r = divmod(m, 64)
+    doubled[:, q : q + words] |= walks << r
+    if r:
+        doubled[:, q + 1 : q + words + 1] |= walks >> (64 - r)
+    row_stride, step = doubled.strides
+    windows = np.ndarray((rows, doubled.shape[1] - words, words + 1), doubled.dtype, doubled, 0,
+                         (row_stride, step, step))
+    pairs = windows[np.arange(rows), start >> 6]
+    del doubled, windows
+    shift = (start & 63).astype(np.uint64)[:, None]
+    path = pairs[:, :-1] >> shift
+    path |= (pairs[:, 1:] << 1) << (63 - shift)
+    path[:, -1] &= (1 << (2 * n - 64 * (words - 1))) - 1
+    return path
+
+
+def _hill_table():
+    """
+    For each byte of 8 path steps (first step in the low bit, bit 1 an
+    up-step) and each height h = 0..8 before it: the hills within the byte,
+    up-steps from height 0 followed by a down-step, flat at 256 h + byte.
+    From height 8 on no step of a byte reaches 0.
+    """
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little").astype(np.int8)
+    steps = 2 * bits - 1
+    before = np.arange(9, dtype=np.int8)[:, None, None] + (np.cumsum(steps, axis=1) - steps)
+    hills = (bits[:, :-1] > bits[:, 1:]) & (before[:, :, :-1] == 0)
+    return hills.sum(axis=2, dtype=np.uint8).ravel()
+
+
+def _select_table():
+    """The position of the k-th set bit (k from 0) of each byte, flat at 8 byte + k."""
+    bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little")
+    return np.argsort(1 - bits, axis=1, kind="stable").astype(np.uint8).ravel()
+
+
+_HILLS = _hill_table()
+_SELECT = _select_table()
+_LANES = 0x0101010101010101  # a one in each byte lane of a word
+
+
+def _hill_counts(path: np.ndarray, n: int) -> np.ndarray:
+    """
+    The fixed points of the 321-avoiders of packed Dyck paths
+    (`_dyck_words`): the hills, up-steps from height 0 followed by a
+    down-step (t_x = 2x+1 after an up-step). The heights run over bytes:
+    `_HILLS`, indexed by each byte and its starting height clipped to 8,
+    counts the hills within it, and the pairs that straddle two bytes are
+    an up-step in bit 7 whose byte ends at height 1, then a down-step in
+    bit 0. The clear bits past the path read as down-steps below height 0,
+    where no up-step follows.
+    """
+    byte = path.astype("<u8", copy=False).view(np.uint8)
+    net = np.take(_BYTE_NET, byte)
+    np.negative(net, out=net)  # the byte tables read bit 1 as a down-step
+    height = net.cumsum(axis=1, dtype=_walk_dtype(n))  # after each byte
+    straddle = height[:, :-1] == 1
+    straddle &= (byte[:, :-1] >> 7).view(bool)
+    straddle &= ~(byte[:, 1:] & 1).view(bool)
+    height -= net  # before each byte
+    np.clip(height, 0, 8, out=height)
+    height <<= 8
+    height += byte
+    return np.take(_HILLS, height).sum(axis=1, dtype=np.int64) + straddle.sum(axis=1)
+
+
+def _select_bits(words: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """
+    The position in each uint64 word of its k-th set bit (k from 0, below
+    the word's popcount), by bytes: the popcounts of the bytes, summed into
+    every later lane by one multiplication, give the byte that holds the
+    bit, and `_SELECT` the bit within it.
+    """
+    k = k.astype(np.uint64)
+    upto = np.bitwise_count(words.view(np.uint8)).view(np.uint64) * _LANES  # bits in lanes 0..j
+    # a lane's high bit survives the subtraction where its count exceeds k
+    lane = 8 - np.bitwise_count(((upto | 0x80 * _LANES) - (k + 1) * _LANES) & 0x80 * _LANES)
+    lane <<= 3
+    k -= ((upto << 8) >> lane) & 255  # the set bits of the lanes below
+    k += ((words >> lane) & 255) << 3
+    return lane + np.take(_SELECT, k)
+
+
+def _fill_points(path: np.ndarray, n: int) -> np.ndarray:
+    """
+    Whether the 321-avoider of each packed Dyck path (`_dyck_words`) has a
+    fill point on the anti-diagonal, the fill part of the 123 count; see
+    docs/dyck_321_bijection.md, "The pairing".
+
+    The fill positions are the second steps of DD pairs and the unused
+    values the first steps of UU pairs, K of each in a row. The i-th fill
+    position pairs with the i-th unused value, and g(i), the down-rank of
+    the i-th DD plus the up-rank of the i-th UU, increases strictly with i,
+    so the row has a fill point iff g(i) = n-1 for some i; as g(i) >= 2i,
+    only i <= (n-1)/2 can. A lower-bound bisection over i finds it, every
+    row at once: select finds the i-th set bit of the stacked DD and UU
+    masks, the word by one `searchsorted` over their flat word-prefix
+    popcounts and the bit by `_select_bits`, and rank counts the up-steps
+    before it from the path's own prefix popcounts. Each mask also holds
+    the bit at step 2n, a sentinel past the K pairs, so that a select
+    beyond them stays within its row; no answer is read there.
+    """
+    rows, words = path.shape
+    masks = np.empty((2 * rows, words), dtype=np.uint64)
+    dd, uu = masks[:rows], masks[rows:]
+    np.left_shift(path, 1, out=dd)
+    dd[:, 1:] |= path[:, :-1] >> 63
+    dd |= path
+    np.invert(dd, out=dd)  # a down-step after a down-step, and the bits from 2n on
+    dd[:, -1] &= (1 << (2 * n + 1 - 64 * (words - 1))) - 1
+    np.right_shift(path, 1, out=uu)
+    uu[:, :-1] |= path[:, 1:] << 63
+    uu &= path  # an up-step before an up-step
+    uu[:, -1] |= 1 << (2 * n - 64 * (words - 1))
+    ones = np.bitwise_count(masks).ravel().cumsum(dtype=np.int32)
+    ends = ones[words - 1 :: words]
+    first = np.concatenate(([0], ends[:-1]), dtype=np.int32)  # the set bits before each mask row
+    pairs = ends[:rows] - first[:rows] - 1  # K, the sentinel left out
+    ups = np.bitwise_count(path).ravel().cumsum(dtype=np.int32)
+    flat_masks, flat_path = masks.ravel(), path.ravel()
+    row = np.arange(rows)
+    # the up-steps before each row (n a row), and where it starts in flat bits and in flat mask words
+    ups_before = np.concatenate((n * row, n * row))
+    bits_before = 64 * words * row
+    mask_words = np.concatenate((0 * row, np.full(rows, rows * words)))
+    found = np.zeros(rows, dtype=bool)
+    base = np.zeros(rows, dtype=np.int32)
+    # the probes base + half - 1 cover i = 0 .. 2^j - 2, so 2^j - 1 exceeds the candidates i <= (n-1)/2;
+    # the last probe that leaves base where it is lands on the lower bound, so a fill point is probed
+    half = 1 << ((n - 1) // 2 + 1).bit_length()
+    while half > 1:
+        half >>= 1
+        i = base + (half - 1)
+        rank = first + np.tile(np.minimum(i, pairs), 2)
+        at = np.searchsorted(ones, rank, side="right")  # the flat mask word of the rank-th set bit
+        word = flat_masks[at]
+        bit = _select_bits(word, rank - ones[at] + np.bitwise_count(word))
+        at -= mask_words  # the path word of that bit
+        up_rank = ups[at] - ups_before - np.bitwise_count(flat_path[at] >> bit)
+        g = 64 * at[:rows] + bit[:rows].astype(np.int64) - bits_before - up_rank[:rows] + up_rank[rows:]
+        live = i < pairs
+        found |= live & (g == n - 1)
+        base += half * (live & (g < n - 1))
+    return found
 
 
 def _fp_from_walks(walks: np.ndarray, n: int, reverse: bool = False) -> np.ndarray:
     """
     Fixed-point counts of the 321-avoiders that a batch of packed walks of
     `_walk_job` encode, or with reverse=True of their reverses (the
-    123-avoiders), without materializing the permutations; see
-    docs/dyck_321_bijection.md, "Counting from the down-step indices".
+    123-avoiders), straight from the packed paths and without
+    materializing the permutations; see docs/dyck_321_bijection.md, "The
+    count". The walks are counted in the blocks of `_packed_block_rows`.
 
-    The walks are counted a block at a time, few enough rows that an int64
-    index per down-step stays within _BLOCK_BYTES. Each block is rotated to
-    its Dyck paths, and one flat `nonzero` gives the down-step indices t in
-    order. Position x+1 is a weak excedance when an up-step precedes its
-    down-step, and a fixed point when also t = 2x+1. A fixed point of the
+    A 321 fixed point is a hill (`_hill_counts`). A fixed point of the
     reverse lies on the anti-diagonal: the excedance one is a peak at Dyck
-    index n, and the fill one is a fill position y that receives the value
-    n+1-y. Value v is unused when the v-th up-step is followed by an
-    up-step, which a second flat `nonzero`, of the up-steps, reads off as a
-    gap of 1. The i-th fill position of a row receives its i-th unused
-    value, and a row has as many of each, so the two lists of flat indices
-    pair them up entry by entry.
+    index n, an up-step at n-1 and a down-step at n, and the fill one a
+    fill position y that receives the value n+1-y (`_fill_points`).
     """
     rows = len(walks)
     out = np.zeros(rows, dtype=np.int64)
     if n == 0:
         return out
-    block = _block_rows(8 * n)
+    block, part = _packed_block_rows(n)
+    if not reverse:
+        for i in range(0, rows, part):
+            out[i : i + part] = _hill_counts(_dyck_words(walks[i : i + part], n), n)
+        return out
     for i in range(0, rows, block):
-        path = _dyck_from_walks(walks[i : i + block], n)
-        b = len(path)
-        if not reverse:
-            down = (~path).ravel().nonzero()[0]
-            # at flat index k = r*n + x, t = 2x+1 reads down[k] = 2k+1
-            fixed = _after_up(down) & (down == np.arange(1, 2 * b * n, 2))
-            out[i : i + b] = fixed.reshape(b, n).sum(axis=1)
-            continue
-        # the int64 step indices are dropped once read, so that few are alive at once
-        exc = _after_up((~path).ravel().nonzero()[0])
-        unused = _before_up(path.ravel().nonzero()[0])  # unused[r*n + v-1]: value v is unused
-        fill = ~exc
-        # a fill position r*n + x and its value r*n + v-1 lie on the
-        # anti-diagonal when x+1 + v = n+1, that is when they sum to 2rn + n-1
-        fill_at = fill.nonzero()[0]
-        per_row = n - exc.reshape(b, n).sum(axis=1)
-        target = np.arange(n - 1, 2 * n * b, 2 * n).repeat(per_row)
-        hit = fill_at[fill_at + unused.nonzero()[0] == target]
-        out[i : i + b] = (path[:, n - 1] > path[:, n]) + np.bincount(hit // n, minlength=b)
+        path = np.concatenate([_dyck_words(walks[j : j + part], n)
+                               for j in range(i, min(i + block, rows), part)])
+        peak = (path[:, (n - 1) // 64] >> (n - 1) % 64) & ~(path[:, n // 64] >> n % 64) & 1
+        out[i : i + len(path)] = _fill_points(path, n) + peak
     return out
 
 
@@ -577,11 +714,15 @@ def _count_batch(walks: np.ndarray, out: np.ndarray, count_block, block: int, dr
     The helper first runs `draw` (the fill of the next batch), then both
     threads take blocks from one iterator until none is left. Each block
     writes only its own slice of `out`, so the result does not depend on
-    which thread counts which block. `draw` and `count_block` are mostly
-    numpy calls that release the GIL, and must call only private kernels:
-    a traced public function would open its span on the helper thread.
-    The helper is joined before this returns or raises, and its error is
-    re-raised here.
+    which thread counts which block. `draw` and `count_block` must call
+    only private kernels: a traced public function would open its span on
+    the helper thread. The helper is joined before this returns or raises,
+    and its error is re-raised here.
+
+    The threads overlap only in part. Both make many short numpy calls,
+    and each call hands the interpreter lock over; two threads sharing the
+    blocks of one 123 batch at n = 1000 ran at x0.82-1.02 the speed of one
+    thread (docs/dyck_321_bijection.md, "Two threads").
     """
     lock = threading.Lock()
     starts = iter(range(0, len(walks), block))
@@ -644,7 +785,7 @@ def uniform_avoider_fp_batch(n: int, tau: str, count: int, rng: RandomSource) ->
     tau = _dyck_pattern(tau)
     if tau in ("321", "123"):
         reverse = tau == "123"
-        block = _block_rows(8 * n)  # as `_fp_from_walks` blocks its walks
+        block = _packed_block_rows(n)[0]  # as `_fp_from_walks` blocks its walks
 
         def count_block(walks):
             return _fp_from_walks(walks, n, reverse)

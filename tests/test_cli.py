@@ -332,6 +332,26 @@ def test_explore_refuses_nonpositive_bias(capsys, argv):
     assert (code, out, err) == (2, "", "error: bias parameter q must be positive\n")
 
 
+@pytest.mark.parametrize("q", ["0", "-1"])
+def test_growth_table_refuses_nonpositive_bias_before_the_pass(capsys, monkeypatch, q):
+    # as `verify --growth` does; it used to fail after the whole pass, on log(U_1 <= 0)
+    def no_pass(*args):
+        raise AssertionError("the normalization recurrence ran")
+
+    monkeypatch.setattr(series, "_scaled_normalizations", no_pass)
+    for grid in ("1,2,3", ","):
+        code, out, err = run_cli(capsys, "asym", "--kind", "growth", "--q", q, "--n-grid", grid)
+        assert (code, out, err) == (2, "", "error: bias parameter q must be positive\n"), grid
+
+
+@pytest.mark.parametrize("kind", [["growth", "--q", "2"], ["moments", "--q", "3", "--m", "1"],
+                                  ["distance", "--q", "2", "--law", "1"]], ids=lambda k: k[0])
+def test_asym_empty_grid_prints_an_empty_table(capsys, kind):
+    code, out, err = run_cli(capsys, "asym", "--kind", *kind, "--n-grid", ",")
+    assert (code, err) == (0, "")
+    assert out == f"# kind={kind[0]}\n# q={kind[2]}\n# ratio_monotone=True\nn,exact,predicted,ratio\n"
+
+
 def test_moments_table_names_the_first_n_past_the_budget(capsys):
     # the budget is checked along the grid in ascending order, so the first n past it is named
     code, out, err = run_cli(capsys, "asym", "--kind", "moments", "--q", "3",

@@ -265,6 +265,85 @@ def test_profile_fp_kernels_match_materialization():
         assert (sampling._fp_from_walks(walks, n, reverse=True) == rev).all()
 
 
+def _after_up(down):
+    """
+    Whether the step before each down-step is an up-step, from the sorted
+    flat indices of the down-steps of a block of Dyck paths (row r, step t
+    at r*2n + t): the gap to the down-step before it exceeds 1. Across a
+    row boundary the gap is t_0 + 1 > 1, right for the path's first
+    down-step, since the path before it ends with a down-step at 2n-1.
+    """
+    flags = np.empty(len(down), dtype=bool)
+    flags[:1] = True
+    np.greater(down[1:] - down[:-1], 1, out=flags[1:])
+    return flags
+
+
+def _before_up(up):
+    """
+    Whether each up-step is followed by an up-step, from the sorted flat
+    indices of the up-steps of a block of Dyck paths: the gap to the next
+    up-step is 1. Across a row boundary the gap is 2n - t >= 2, right for
+    the path's last up-step at t <= 2n-2, since the path ends with a
+    down-step.
+    """
+    flags = np.empty(len(up), dtype=bool)
+    flags[-1:] = False
+    np.equal(up[1:] - up[:-1], 1, out=flags[:-1])
+    return flags
+
+
+def _fp_by_step_indices(walks, n, reverse=False):
+    """
+    The count of `sampling._fp_from_walks` from the flat indices of the
+    down-steps and up-steps of the unpacked paths, 64 rows at a time.
+
+    Position x+1 is a weak excedance when an up-step precedes its
+    down-step, and a fixed point when also t_x = 2x+1. A fixed point of the
+    reverse is a peak at Dyck index n, or a fill position y receiving the
+    value n+1-y; value v is unused when the v-th up-step is followed by an
+    up-step, and the i-th fill position of a row receives its i-th unused
+    value, so the two lists of flat indices pair them up entry by entry.
+    """
+    rows = len(walks)
+    out = np.zeros(rows, dtype=np.int64)
+    if n == 0:
+        return out
+    for i in range(0, rows, 64):
+        path = sampling._dyck_from_walks(walks[i : i + 64], n)
+        b = len(path)
+        down = (~path).ravel().nonzero()[0]
+        exc = _after_up(down)
+        if not reverse:
+            # at flat index k = r*n + x, t = 2x+1 reads down[k] = 2k+1
+            fixed = exc & (down == np.arange(1, 2 * b * n, 2))
+            out[i : i + b] = fixed.reshape(b, n).sum(axis=1)
+            continue
+        unused = _before_up(path.ravel().nonzero()[0])  # unused[r*n + v-1]: value v is unused
+        # a fill position r*n + x and its value r*n + v-1 lie on the
+        # anti-diagonal when x+1 + v = n+1, that is when they sum to 2rn + n-1
+        fill_at = (~exc).nonzero()[0]
+        per_row = n - exc.reshape(b, n).sum(axis=1)
+        target = np.arange(n - 1, 2 * n * b, 2 * n).repeat(per_row)
+        hit = fill_at[fill_at + unused.nonzero()[0] == target]
+        out[i : i + b] = (path[:, n - 1] > path[:, n]) + np.bincount(hit // n, minlength=b)
+    return out
+
+
+@pytest.mark.parametrize("n", [*range(10), 31, 32, 33, 63, 64, 65, 127, 128, 129, 1000, 16382, 16383])
+def test_packed_fp_counts_match_step_index_oracle(n):
+    # 2n+1 either side of the first three 64-bit word boundaries, and the
+    # int16/int32 edge of _walk_dtype; several blocks at n = 1000
+    rows = 3 if n > 10_000 else 2500 if n == 1000 else 600
+    walks, fill = sampling._walk_job(n, rows, RandomSource(53, n).generator)
+    fill()
+    for reverse in (False, True):
+        want = _fp_by_step_indices(walks, n, reverse)
+        assert sampling._fp_from_walks(walks, n, reverse).tolist() == want.tolist(), (n, reverse)
+    if n == 1000:
+        assert sampling._packed_block_rows(n)[0] < rows  # blocks split the batch
+
+
 def test_fp_batch_matches_stage_oracle_across_batches(monkeypatch):
     # 7 paths per batch, so 25 paths span three full batches and a remainder,
     # drawn ahead on the helper thread; the oracle draws the same batches
@@ -536,6 +615,26 @@ def test_batch_unrestricted_memory_is_bounded():
         tracemalloc.stop()
     assert arr.shape == (200_000, 6)
     assert peak < 16 * 2**20, peak
+
+
+def test_fp_batch_memory_is_bounded():
+    # two packed walk batches (the one counted and the next, drawn by the
+    # helper), the helper's raw chunk (at most _MAX_BATCH_CELLS bits, a
+    # batch's size here), the result, and one count block's temporaries per
+    # thread: a 123 block peaks at about 2.7 _BLOCK_BYTES (1024 rows at
+    # n = 1000), so 4 leave room; whole-batch blocks take about 9.4 MB here
+    n, count = 1000, 20_000
+    batch = sampling._batch_rows(n, count) * 8 * sampling._raw_layout(n)[0]
+    bound = 3 * batch + 8 * count + 2 * 4 * sampling._BLOCK_BYTES
+    rng = RandomSource(59)  # numpy.random's lazy imports come before the trace
+    tracemalloc.start()
+    try:
+        fps = sampling.uniform_avoider_fp_batch(n, "123", count, rng)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(fps) == count
+    assert peak < bound, (peak, bound)
 
 
 def test_sample_fp_count_matches_exact_law():
