@@ -18,27 +18,27 @@ their reverses; 132-avoiders come through the first-return decomposition
 U A D B of the path (A is the head above the maximum, B the tail below
 it), and 213-avoiders are reverse-complements of 132-avoiders.
 
-A batch of walks is held bit-packed, one bit a step. The fixed-point
-batch sampler counts 321/123 fixed points a block of rows at a time
-straight from packed Dyck paths, which word shifts and one gather of word
-pairs rotate out of the packed walks (`_dyck_words`): no step is
-unpacked, nothing is sorted and no permutation is built. A 321 fixed
-point is a hill of the path, counted by bytes; a 123 fixed point is a
-peak at the middle or the one fill crossing, which a rank/select
-bisection over the path's step-pair masks finds. The other batch kernels
-unpack a block at a time, and a walk becomes its Dyck path by one gather
-from strided windows of the doubled walk (the row twice over), with no
-index array (`_dyck_from_walks`). The per-call sampler `uniform_avoider`
-draws one walk per call and runs the same steps in plain Python ints
-(`_one_dyck_path`, `_avoider_from_path`): the same `random_raw` calls,
-chunk for chunk, so it draws what a one-row batch would draw and leaves
-the generator where that would. Two threads share the fixed-point count:
-while the calling thread counts the blocks of batch i, one helper thread
-draws batch i+1 and then counts blocks of batch i too. Only the helper
-draws, in batch order, so the random stream is the one of drawing the
-batches one after another, and each block writes its own slice of the
-result, so no count depends on which thread made it. Every other sampler
-draws and maps on the calling thread.
+A batch of walks is held bit-packed, one bit a step, and every batch
+kernel rotates it one way: word shifts and one gather of word pairs turn
+the packed walks into packed Dyck paths (`_dyck_words`), which the
+kernels that map steps unpack (`_dyck_from_walks`). One count,
+`_fp_from_walks`, gives the fixed points of all four patterns a block of
+rows at a time. For 321/123 it reads them straight off the packed paths,
+with no step unpacked, nothing sorted and no permutation built: a 321
+fixed point is a hill of the path, counted by bytes; a 123 fixed point
+is a peak at the middle or the one fill crossing, which a rank/select
+bisection over the path's step-pair masks finds. For 132/213 it unpacks
+the paths of a block, and a fixed point is a pair of matching steps that
+mirror each other about the middle of the path. The per-call sampler
+`uniform_avoider` draws one walk per call and runs the same steps in
+plain Python ints (`_one_dyck_path`, `_avoider_from_path`): the same
+`random_raw` calls, chunk for chunk, so it draws what a one-row batch
+would draw and leaves the generator where that would. The fixed-point
+batch sampler draws ahead: while the calling thread counts batch i, one
+helper thread draws batch i+1. Only the helper draws after the first
+batch, in batch order, so the random stream is the one of drawing the
+batches one after another. Every other sampler draws and maps on the
+calling thread.
 
 Every exact discrete draw over big-integer weights (fixed-point counts,
 the enumeration route) goes through one inverse-cdf helper. Once the total
@@ -332,22 +332,10 @@ def _walk_dtype(n: int):
 def _dyck_from_walks(walks: np.ndarray, n: int) -> np.ndarray:
     """
     The Dyck paths of a batch of packed walks of `_walk_job`, as (rows, 2n)
-    bool, True an up-step.
-
-    The walks are unpacked to their bits, and each path is the window of 2n
-    steps of its doubled row that begins at the Dyck start: one gather from
-    a strided view holding every such window, with no index array and no
-    modulo.
+    bool, True an up-step: the packed paths of `_dyck_words`, unpacked.
     """
-    rows, m = len(walks), 2 * n + 1
-    start = _dyck_starts(walks, n)
-    up = np.unpackbits(walks.view(np.uint8), axis=1, count=m, bitorder="little").view(bool)
-    doubled = np.concatenate((up, up), axis=1)
-    row_stride, step = doubled.strides
-    # windows[r, c] = doubled[r, c : c + m-1] for every start c in [0, m+1];
-    # the ndarray constructor makes this view at a fraction of as_strided's cost
-    windows = np.ndarray((rows, m + 2, m - 1), doubled.dtype, doubled, 0, (row_stride, step, step))
-    return windows[np.arange(rows), start]
+    path = _dyck_words(walks, n).astype("<u8", copy=False).view(np.uint8)
+    return np.unpackbits(path, axis=1, count=2 * n, bitorder="little").view(bool)
 
 
 def _steps(up: np.ndarray) -> np.ndarray:
@@ -573,25 +561,33 @@ def _fill_points(path: np.ndarray, n: int) -> np.ndarray:
     return found
 
 
-def _fp_from_walks(walks: np.ndarray, n: int, reverse: bool = False) -> np.ndarray:
+def _fp_from_walks(walks: np.ndarray, n: int, tau: str) -> np.ndarray:
     """
-    Fixed-point counts of the 321-avoiders that a batch of packed walks of
-    `_walk_job` encode, or with reverse=True of their reverses (the
-    123-avoiders), straight from the packed paths and without
-    materializing the permutations; see docs/dyck_321_bijection.md, "The
-    count". The walks are counted in the blocks of `_packed_block_rows`.
+    Fixed-point counts of the tau-avoiders, tau in DYCK_PATTERNS, that a
+    batch of packed walks of `_walk_job` encode, a block of rows at a time.
 
-    A 321 fixed point is a hill (`_hill_counts`). A fixed point of the
-    reverse lies on the anti-diagonal: the excedance one is a peak at Dyck
-    index n, an up-step at n-1 and a down-step at n, and the fill one a
-    fill position y that receives the value n+1-y (`_fill_points`).
+    321 and 123 are counted straight from the packed paths, in the blocks
+    of `_packed_block_rows`, without materializing the permutations; see
+    docs/dyck_321_bijection.md, "The count". A 321 fixed point is a hill
+    (`_hill_counts`). A fixed point of the reverse (the 123-avoider) lies on
+    the anti-diagonal: the excedance one is a peak at Dyck index n, an
+    up-step at n-1 and a down-step at n, and the fill one a fill position y
+    that receives the value n+1-y (`_fill_points`). 132 and 213 are counted
+    from the unpacked paths of each block as the pairs of matching steps
+    that mirror each other about the middle (`_mirror_pairs`), since
+    reverse-complement keeps fixed points.
     """
     rows = len(walks)
     out = np.zeros(rows, dtype=np.int64)
     if n == 0:
         return out
+    if tau in ("132", "213"):
+        block = _block_rows(2 * (n + 1) * np.dtype(_walk_dtype(n)).itemsize)  # the two halves' heights
+        for i in range(0, rows, block):
+            out[i : i + block] = _mirror_pairs(_dyck_from_walks(walks[i : i + block], n))
+        return out
     block, part = _packed_block_rows(n)
-    if not reverse:
+    if tau == "321":
         for i in range(0, rows, part):
             out[i : i + part] = _hill_counts(_dyck_words(walks[i : i + part], n), n)
         return out
@@ -601,6 +597,34 @@ def _fp_from_walks(walks: np.ndarray, n: int, reverse: bool = False) -> np.ndarr
         peak = (path[:, (n - 1) // 64] >> (n - 1) % 64) & ~(path[:, n // 64] >> n % 64) & 1
         out[i : i + len(path)] = _fill_points(path, n) + peak
     return out
+
+
+def _mirror_pairs(up: np.ndarray) -> np.ndarray:
+    """
+    The fixed points of the 132-avoiders of Dyck paths given as up-step
+    flags (rows, 2n), without building them; see docs/dyck_321_bijection.md,
+    "The other patterns".
+
+    The k-th up-step, at step u, and its matching down-step, the d-th, at
+    step t, put n+1-k at position d. The steps between them are balanced,
+    so k + d = (u + t + 3) / 2, and the position is fixed iff t = 2n-1-u:
+    the pair is its own mirror image about the middle of the path. One pair
+    spans the middle at each level j below the middle's height: the last
+    up-step from j in the first half and the first down-step to j in the
+    second, which read backwards from the path's end is the last up-step
+    from j of the second half. So a fixed point is a step i < n where both
+    halves stand at one height before the step, and every later height of
+    each half is above it.
+    """
+    rows, n = len(up), up.shape[1] // 2
+    dtype = _walk_dtype(n)
+    height = np.zeros((2, rows, n + 1), dtype=dtype)  # each half's height after i steps
+    np.cumsum(_steps(up[:, :n]), axis=1, dtype=dtype, out=height[0, :, 1:])
+    np.cumsum(_steps(~up[:, : n - 1 : -1]), axis=1, dtype=dtype, out=height[1, :, 1:])
+    last = height[:, :, :-1] < np.minimum.accumulate(height[:, :, :0:-1], axis=2)[:, :, ::-1]
+    last[0] &= last[1]
+    last[0] &= height[0, :, :-1] == height[1, :, :-1]
+    return last[0].sum(axis=1)
 
 
 def _perms_132_from_dyck(steps: np.ndarray) -> np.ndarray:
@@ -706,50 +730,6 @@ def uniform_avoider(n: int, tau: str, rng: RandomSource) -> tuple[int, ...]:
     return _avoider_from_path(_one_dyck_path(n, rng.generator), tau)
 
 
-def _count_batch(walks: np.ndarray, out: np.ndarray, count_block, block: int, draw=None):
-    """
-    Fill `out` with `count_block` of `walks`, `block` rows at a time, on the
-    calling thread and a helper thread together.
-
-    The helper first runs `draw` (the fill of the next batch), then both
-    threads take blocks from one iterator until none is left. Each block
-    writes only its own slice of `out`, so the result does not depend on
-    which thread counts which block. `draw` and `count_block` must call
-    only private kernels: a traced public function would open its span on
-    the helper thread. The helper is joined before this returns or raises,
-    and its error is re-raised here.
-
-    The threads overlap only in part. Both make many short numpy calls,
-    and each call hands the interpreter lock over; two threads sharing the
-    blocks of one 123 batch at n = 1000 ran at x0.82-1.02 the speed of one
-    thread (docs/dyck_321_bijection.md, "Two threads").
-    """
-    lock = threading.Lock()
-    starts = iter(range(0, len(walks), block))
-
-    def count_blocks():
-        while True:
-            with lock:
-                i = next(starts, None)
-            if i is None:
-                return
-            out[i : i + block] = count_block(walks[i : i + block])
-
-    def helper():
-        if draw is not None:
-            draw()
-        count_blocks()
-
-    if draw is None and len(walks) <= block:
-        count_blocks()  # one block and nothing to draw: no work for a helper
-        return
-    join = _start_helper(helper)
-    try:
-        count_blocks()
-    finally:
-        join()
-
-
 def _start_helper(job):
     """Run `job` on a new thread; the returned call joins it and re-raises its error."""
     failed = []
@@ -774,43 +754,35 @@ def _start_helper(job):
 def uniform_avoider_fp_batch(n: int, tau: str, count: int, rng: RandomSource) -> np.ndarray:
     """
     Fixed-point counts of `count` uniform tau-avoiders, drawn in vectorized
-    batches of `_batch_rows` walks.
+    batches of `_batch_rows` walks and counted by `_fp_from_walks`.
 
-    While batch i is counted, a helper thread draws batch i+1 and then
-    counts blocks of batch i alongside the calling thread (`_count_batch`).
-    Only the helper draws after the first batch, in batch order, so the
-    stream is the one of drawing the batches one after another, and every
-    count is a function of its walk alone.
+    While the calling thread counts batch i, a helper thread draws batch
+    i+1 (the `fill` of its `_walk_job`, which calls only private kernels:
+    a traced public function would open its span on the helper). The first
+    batch is drawn on the calling thread and every later one by the helper,
+    in batch order, so the stream is the one of drawing the batches one
+    after another. The helper is joined before the next batch is counted,
+    also when the count fails, and its error is re-raised here.
     """
+    _check_sizes(n, count)
     tau = _dyck_pattern(tau)
-    if tau in ("321", "123"):
-        reverse = tau == "123"
-        block = _packed_block_rows(n)[0]  # as `_fp_from_walks` blocks its walks
-
-        def count_block(walks):
-            return _fp_from_walks(walks, n, reverse)
-    else:
-        ident = np.arange(1, n + 1)
-        block = _block_rows(16 * n)  # the int64 argsort of 2n levels a row
-
-        def count_block(walks):
-            # reverse-complement preserves fixed points, so 213 counts those of 132
-            return (_perms_132_from_dyck(_steps(_dyck_from_walks(walks, n))) == ident).sum(axis=1)
-
     out = np.empty(count, dtype=np.int64)
     if not count:
-        return out
+        return out  # a draw at count = 0 would still move the generator
     gen = rng.generator
     walks, fill = _walk_job(n, _batch_rows(n, count), gen)
     fill()
     done = 0
-    while walks is not None:
+    while done + len(walks) < count:
         b = len(walks)
-        following, fill = (_walk_job(n, _batch_rows(n, count - done - b), gen)
-                           if done + b < count else (None, None))
-        _count_batch(walks, out[done : done + b], count_block, block, fill)
-        walks = following
-        done += b
+        following, fill = _walk_job(n, _batch_rows(n, count - done - b), gen)
+        join = _start_helper(fill)
+        try:
+            out[done : done + b] = _fp_from_walks(walks, n, tau)
+        finally:
+            join()
+        walks, done = following, done + b
+    out[done:] = _fp_from_walks(walks, n, tau)
     return out
 
 

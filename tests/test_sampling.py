@@ -243,10 +243,12 @@ def test_walk_kernels_match_cycle_lemma_oracle(monkeypatch):
             sigmas.append(perms.profile_to_perm([t - x for x, t in enumerate(downs)]))
         arr = _pack_walks(np.array(walks, dtype=np.int8).reshape(len(walks), 2 * n + 1))
         assert sampling._steps(sampling._dyck_from_walks(arr, n)).tolist() == [list(p) for p in paths], n
-        want = [perms.fixed_points(s) for s in sigmas]
-        assert sampling._fp_from_walks(arr, n).tolist() == want, n
-        want_rev = [perms.fixed_points(s[::-1]) for s in sigmas]
-        assert sampling._fp_from_walks(arr, n, reverse=True).tolist() == want_rev, n
+        want = {"321": sigmas, "123": [s[::-1] for s in sigmas]}
+        for tau in ("132", "213"):
+            want[tau] = [sampling._avoider_from_path("".join("1" if step > 0 else "0" for step in path), tau)
+                         for path in paths]
+        for tau, avoiders in want.items():
+            assert sampling._fp_from_walks(arr, n, tau).tolist() == [perms.fixed_points(s) for s in avoiders], (n, tau)
 
 
 def test_profile_fp_kernels_match_materialization():
@@ -258,11 +260,10 @@ def test_profile_fp_kernels_match_materialization():
         walks, fill = sampling._walk_job(n, rows, gen)
         fill()
         steps = sampling._steps(sampling._dyck_from_walks(walks, n))
-        sigma = sampling._perms_from_profiles(sampling._profiles_from_dyck(steps))
-        direct = np.array([perms.fixed_points(tuple(s)) for s in sigma])
-        assert (sampling._fp_from_walks(walks, n) == direct).all()
-        rev = np.array([perms.fixed_points(tuple(s)[::-1]) for s in sigma])
-        assert (sampling._fp_from_walks(walks, n, reverse=True) == rev).all()
+        for tau in sampling.DYCK_PATTERNS:
+            sigma = sampling._avoiders_from_dyck(steps, tau)
+            direct = np.array([perms.fixed_points(tuple(s)) for s in sigma])
+            assert (sampling._fp_from_walks(walks, n, tau) == direct).all(), (n, tau)
 
 
 def _after_up(down):
@@ -337,9 +338,9 @@ def test_packed_fp_counts_match_step_index_oracle(n):
     rows = 3 if n > 10_000 else 2500 if n == 1000 else 600
     walks, fill = sampling._walk_job(n, rows, RandomSource(53, n).generator)
     fill()
-    for reverse in (False, True):
-        want = _fp_by_step_indices(walks, n, reverse)
-        assert sampling._fp_from_walks(walks, n, reverse).tolist() == want.tolist(), (n, reverse)
+    for tau in ("321", "123"):
+        want = _fp_by_step_indices(walks, n, reverse=tau == "123")
+        assert sampling._fp_from_walks(walks, n, tau).tolist() == want.tolist(), (n, tau)
     if n == 1000:
         assert sampling._packed_block_rows(n)[0] < rows  # blocks split the batch
 
@@ -388,33 +389,35 @@ def test_fp_batch_waits_for_a_slow_shuffle(monkeypatch):
     assert (got == want).all()
 
 
-def _count_by_thread(monkeypatch, on_caller=None, on_helper=None):
+def _on_helper_fill(monkeypatch, hook):
     """
-    Wrap the two count kernels of `uniform_avoider_fp_batch` so that each
-    block runs `on_caller` or `on_helper` first, by the thread counting it;
-    returns the list of threads (True for the caller) that counted blocks.
+    Wrap the draws of `uniform_avoider_fp_batch` so that a fill run on any
+    thread but this one (the helper's) runs `hook` first; returns a list
+    that gets the row count of each fill the helper finishes.
     """
-    caller, counted = threading.get_ident(), []
+    caller, drawn, walk_job = threading.get_ident(), [], sampling._walk_job
 
-    def wrap(kernel):
-        def counting(*args, **kwargs):
-            mine = threading.get_ident() == caller
-            counted.append(mine)
-            hook = on_caller if mine else on_helper
-            if hook is not None:
-                hook()
-            return kernel(*args, **kwargs)
-        return counting
+    def job(n, rows, gen):
+        walks, fill = walk_job(n, rows, gen)
 
-    monkeypatch.setattr(sampling, "_fp_from_walks", wrap(sampling._fp_from_walks))
-    monkeypatch.setattr(sampling, "_perms_132_from_dyck", wrap(sampling._perms_132_from_dyck))
-    return counted
+        def hooked_fill():
+            if threading.get_ident() == caller:
+                return fill()
+            hook()
+            fill()
+            drawn.append(rows)
+
+        return walks, hooked_fill
+
+    monkeypatch.setattr(sampling, "_walk_job", job)
+    return drawn
 
 
 def test_fp_batch_shared_count_matches_one_thread_oracle(monkeypatch):
-    # 3 rows per count block and 7 walks per batch, so every full batch has
-    # three blocks for the two threads to share; the oracle draws the same
-    # batches one after another on this thread and maps every path
+    # 3 rows per count block and 7 walks per batch, so every full batch is
+    # counted in three blocks on this thread while the helper draws the
+    # next; the oracle draws the same batches one after another on this
+    # thread and maps every path
     monkeypatch.setattr(sampling, "_BLOCK", 3)
     threads = threading.active_count()
     interval = sys.getswitchinterval()
@@ -438,52 +441,38 @@ def test_fp_batch_shared_count_matches_one_thread_oracle(monkeypatch):
     assert threading.active_count() == threads
 
 
-def test_fp_batch_surfaces_a_helper_count_error(monkeypatch):
-    # the calling thread counts slowly, so the helper takes blocks, and the
-    # first block it takes raises
-    monkeypatch.setattr(sampling, "_BLOCK", 3)
+def test_fp_batch_surfaces_a_helper_draw_error(monkeypatch):
+    # the helper's draw of the second batch raises; the calling thread
+    # re-raises it once it has counted the first batch, and leaves no thread
     monkeypatch.setattr(sampling, "_MAX_BATCH_CELLS", 7 * 19)
     threads = threading.active_count()
 
     def fail():
-        raise RuntimeError("count failed on the helper")
+        raise RuntimeError("draw failed on the helper")
 
-    _count_by_thread(monkeypatch, on_caller=lambda: time.sleep(0.05), on_helper=fail)
-    for tau in ("123", "132"):
-        with pytest.raises(RuntimeError, match="count failed on the helper"):
+    _on_helper_fill(monkeypatch, fail)
+    for tau in sampling.DYCK_PATTERNS:
+        with pytest.raises(RuntimeError, match="draw failed on the helper"):
             sampling.uniform_avoider_fp_batch(9, tau, 25, RandomSource(37))
         assert threading.active_count() == threads
 
 
 def test_fp_batch_joins_the_helper_when_the_caller_fails(monkeypatch):
-    # the helper is still busy with its slow blocks when the calling thread
-    # raises, so only a join before the error propagates leaves no thread
-    monkeypatch.setattr(sampling, "_BLOCK", 3)
+    # the helper is still drawing the next batch, slowly, when the count of
+    # the first one raises, so the error must wait for the join: the draw
+    # has finished and no thread is left once it propagates
     monkeypatch.setattr(sampling, "_MAX_BATCH_CELLS", 7 * 19)
     threads = threading.active_count()
 
-    def fail():
+    def fail(*args):
         raise RuntimeError("count failed on the calling thread")
 
-    _count_by_thread(monkeypatch, on_caller=fail, on_helper=lambda: time.sleep(0.05))
+    drawn = _on_helper_fill(monkeypatch, lambda: time.sleep(0.05))
+    monkeypatch.setattr(sampling, "_fp_from_walks", fail)
     with pytest.raises(RuntimeError, match="count failed on the calling thread"):
         sampling.uniform_avoider_fp_batch(9, "321", 25, RandomSource(37))
+    assert drawn == [7]
     assert threading.active_count() == threads
-
-
-def test_fp_batch_slow_caller_count_gives_the_same_counts(monkeypatch):
-    # each block the calling thread counts outlasts the helper's draw, so the
-    # helper counts the other blocks of every batch; the counts stay the same
-    monkeypatch.setattr(sampling, "_BLOCK", 3)
-    monkeypatch.setattr(sampling, "_MAX_BATCH_CELLS", 7 * 19)
-    taus = ("321", "123", "132", "213")
-    want = [sampling.uniform_avoider_fp_batch(9, tau, 25, RandomSource(41)) for tau in taus]
-    counted = _count_by_thread(monkeypatch, on_caller=lambda: time.sleep(0.05))
-    for tau, expect in zip(taus, want):
-        counted.clear()
-        got = sampling.uniform_avoider_fp_batch(9, tau, 25, RandomSource(41))
-        assert (got == expect).all(), tau
-        assert False in counted, tau  # the helper counted blocks
 
 
 def test_uniform_avoider_outputs_avoid():
@@ -620,9 +609,10 @@ def test_batch_unrestricted_memory_is_bounded():
 def test_fp_batch_memory_is_bounded():
     # two packed walk batches (the one counted and the next, drawn by the
     # helper), the helper's raw chunk (at most _MAX_BATCH_CELLS bits, a
-    # batch's size here), the result, and one count block's temporaries per
-    # thread: a 123 block peaks at about 2.7 _BLOCK_BYTES (1024 rows at
-    # n = 1000), so 4 leave room; whole-batch blocks take about 9.4 MB here
+    # batch's size here), the result, and the temporaries of the one count
+    # block on the calling thread: a 123 block peaks at about 2.7
+    # _BLOCK_BYTES (1024 rows at n = 1000), and the bound keeps the 8 it
+    # allowed when two threads counted; whole-batch blocks take about 9.4 MB
     n, count = 1000, 20_000
     batch = sampling._batch_rows(n, count) * 8 * sampling._raw_layout(n)[0]
     bound = 3 * batch + 8 * count + 2 * 4 * sampling._BLOCK_BYTES
@@ -711,6 +701,8 @@ def test_batch_samplers_refuse_negative_sizes():
         lambda n, c: sampling.sample_fp_count_batch(n, 2, "321", RandomSource(1), c,
                                                     mode="scaled-float"),
         lambda n, c: sampling.biased_avoider_batch(n, F(1, 2), RandomSource(1), c)[0],
+        lambda n, c: sampling.uniform_avoider_fp_batch(n, "321", c, RandomSource(1)),
+        lambda n, c: sampling.uniform_avoider_fp_batch(n, "132", c, RandomSource(1)),
     )
     for call in calls:
         with pytest.raises(ValueError, match="n must be >= 0"):
@@ -718,6 +710,8 @@ def test_batch_samplers_refuse_negative_sizes():
         with pytest.raises(ValueError, match="count must be >= 0"):
             call(4, -1)
         assert len(call(4, 0)) == 0
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        sampling.monte_carlo_fp_pmf(-1, "321", 5, RandomSource(1))
 
 
 def test_batch_rejection_with_huge_denominators():
