@@ -62,8 +62,6 @@ from .sampling import (
     RandomSource,
     biased_avoider_permutation,
     monte_carlo_fp_pmf,
-    sample_biased_unrestricted,
-    sample_fp_count,
     uniform_avoider,
 )
 from .series import (

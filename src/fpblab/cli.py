@@ -31,8 +31,8 @@ import numpy as np
 from . import asymptotics, dist, sampling, series
 from .config import BudgetExceededError
 from .dist import MeasureSpec, UnsupportedMeasureError, fp_pmf
-from .perms import PATTERNS, fixed_points, format_perm, format_perms
-from .series import TAU_CLASS, as_rational
+from .perms import PATTERNS, format_perms
+from .series import TAU_CLASS
 
 
 def _parse_q(text: str) -> Fraction:
@@ -192,16 +192,9 @@ def cmd_sample(args) -> int:
                                                            mode=mode))
     elif args.tau is None:
         blocks = _perm_blocks(sampling.sample_biased_unrestricted_batch(args.n, args.q, rng, args.count))
-    elif args.tau in sampling.DYCK_PATTERNS and as_rational(args.q) == 1:
-        # the uniform measure: the batch sampler keeps every row it draws
-        blocks = _perm_blocks(sampling.biased_avoider_batch(args.n, 1, rng, args.count, args.tau)[0])
     else:
-        sampling._check_sizes(args.n, args.count)
-        rows = []
-        for i in range(args.count):
-            sigma, _ = sampling.biased_avoider_permutation(args.n, args.q, args.tau, rng)
-            rows.append((i, fixed_points(sigma), format_perm(sigma)))
-        blocks = [rows]
+        blocks = _perm_blocks(sampling.biased_avoider_permutation(args.n, args.q, args.tau, rng,
+                                                                  args.count)[0])
     columns = ["sample_index", "fp"] + (["perm"] if emit_perm else [])
     Emitter(args.format, args.out).emit_blocks(
         columns, blocks,

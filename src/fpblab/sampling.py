@@ -29,16 +29,16 @@ fixed point is a hill of the path, counted by bytes; a 123 fixed point
 is a peak at the middle or the one fill crossing, which a rank/select
 bisection over the path's step-pair masks finds. For 132/213 it unpacks
 the paths of a block, and a fixed point is a pair of matching steps that
-mirror each other about the middle of the path. The per-call sampler
-`uniform_avoider` draws one walk per call and runs the same steps in
-plain Python ints (`_one_dyck_path`, `_avoider_from_path`): the same
-`random_raw` calls, chunk for chunk, so it draws what a one-row batch
-would draw and leaves the generator where that would. The fixed-point
-batch sampler draws ahead: while the calling thread counts batch i, one
-helper thread draws batch i+1. Only the helper draws after the first
-batch, in batch order, so the random stream is the one of drawing the
-batches one after another. Every other sampler draws and maps on the
-calling thread.
+mirror each other about the middle of the path. The documented per-call
+sampler `uniform_avoider`, which no program path calls, draws one walk per
+call and runs the same steps in plain Python ints (`_one_dyck_path`,
+`_avoider_from_path`): the same `random_raw` calls, chunk for chunk, so it
+draws what a one-row batch would draw and leaves the generator where that
+would. The fixed-point batch sampler draws ahead: while the calling thread
+counts batch i, one helper thread draws batch i+1. Only the helper draws
+after the first batch, in batch order, so the random stream is the one of
+drawing the batches one after another. Every other sampler draws and maps
+on the calling thread.
 
 Every exact discrete draw over big-integer weights (fixed-point counts,
 the enumeration route) goes through one inverse-cdf helper. Once the total
@@ -52,11 +52,14 @@ call. Every owed draw takes at least one candidate, so a round never draws
 past the candidate where one-at-a-time `randbelow` calls would stop: the
 values and the generator state afterwards are theirs.
 
-Whole-permutation sampling of biased avoiders is rejection from the
-uniform sampler (accept with probability q^fp, exact), which is only
-offered for q <= 1: above the phase point the acceptance rate decays
+Whole permutations of biased avoiders come from one call,
+`biased_avoider_permutation(n, q, tau, rng, count)`. For q <= 1 and the
+Dyck patterns it is exact rejection from the uniform batch sampler
+(accept with probability q^fp), in rounds of boundedly many rows.
+Otherwise it draws from the enumerated avoiders, within the `enum` cap
+only: above the phase point the acceptance rate of rejection decays
 exponentially, and fixed-point-count sampling covers every verification
-need there.
+need past the cap.
 """
 from __future__ import annotations
 
@@ -155,13 +158,6 @@ class RandomSource:
                 if x < bound:
                     out.append(x)
         return out
-
-    def bernoulli_power(self, q: Fraction, exponent: int) -> bool:
-        """Exact Bernoulli(q^exponent) event for rational q <= 1."""
-        if exponent == 0:
-            return True
-        a, b = q.numerator, q.denominator
-        return self.randbelow(b**exponent) < a**exponent
 
     def __repr__(self):
         return f"RandomSource(seed={self.seed}, stream_id={self.stream_id})"
@@ -824,11 +820,6 @@ def _inverse_cdf(weights: list[int], count: int, rng: RandomSource) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def sample_biased_unrestricted(n: int, q, rng: RandomSource) -> tuple[int, ...]:
-    """One permutation under the bias-q measure on S_n: row 0 of the batch sampler."""
-    return tuple(int(v) for v in sample_biased_unrestricted_batch(n, q, rng, 1)[0])
-
-
 def sample_biased_unrestricted_batch(n: int, q, rng: RandomSource, count: int) -> np.ndarray:
     """
     `count` permutations distributed exactly under the bias-q measure on
@@ -898,22 +889,15 @@ def sample_biased_unrestricted_batch(n: int, q, rng: RandomSource, count: int) -
 # ---------------------------------------------------------------------------
 
 
-def sample_fp_count(n: int, q, tau: str | None, rng: RandomSource, mode: str = "exact") -> int:
-    """
-    Draw the fixed-point count of a biased tau-avoider, or with tau=None of
-    a biased permutation of S_n (the law itself, no permutation is
-    constructed). Exact inverse cdf over big-integer weights, or float
-    inverse cdf in scaled-float mode.
-    """
-    return int(sample_fp_count_batch(n, q, tau, rng, 1, mode=mode)[0])
-
-
 def sample_fp_count_batch(n: int, q, tau: str | None, rng: RandomSource, count: int,
                           mode: str = "exact") -> np.ndarray:
     """
-    `count` draws of `sample_fp_count`. With tau=None in exact mode these
-    are the fixed-point counts K that `sample_biased_unrestricted_batch`
-    draws first, from the same stream.
+    `count` draws of the fixed-point count of a biased tau-avoider, or with
+    tau=None of a biased permutation of S_n (the law itself, no permutation
+    is constructed): exact inverse cdf over big-integer weights, or float
+    inverse cdf in scaled-float mode. With tau=None in exact mode these are
+    the fixed-point counts K that `sample_biased_unrestricted_batch` draws
+    first, from the same stream.
     """
     _check_sizes(n, count)
     q = _bias(q)
@@ -935,108 +919,98 @@ def sample_fp_count_batch(n: int, q, tau: str | None, rng: RandomSource, count: 
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def biased_avoider_permutation(n: int, q, tau: str, rng: RandomSource) -> tuple[tuple[int, ...], int]:
+def biased_avoider_permutation(n: int, q, tau: str, rng: RandomSource,
+                               count: int) -> tuple[np.ndarray, int]:
     """
-    One whole permutation under the biased avoiding measure, with the number
-    of uniform-sampler attempts used (expected attempts = Catalan(n) over
-    the normalization constant).
+    `count` whole permutations under the biased avoiding measure, as a
+    (count, n) int32 array, with the number of attempts used.
 
     For q <= 1 and the patterns 321/132/213/123 it draws uniform avoiders
-    and accepts one with exact probability q^fp. Otherwise, for n within the
-    enumeration cap and any q and pattern, it draws the fixed-point count k
-    by exact inverse cdf, then a uniform avoider with k fixed points from
-    the enumerated table. Supercritical whole-permutation sampling at large
-    n is refused by design.
-    """
-    q = _bias(q)
-    tau = check_pattern(tau)
-    if q <= 1 and tau in DYCK_PATTERNS:
-        attempts = 0
-        while True:
-            attempts += 1
-            sigma = uniform_avoider(n, tau, rng)
-            if rng.bernoulli_power(q, fixed_points(sigma)):
-                return sigma, attempts
-    caps = budgets()
-    if n <= caps["enum"]:
-        groups = _enumeration_table(n, tau)
-        k = int(_inverse_cdf(series.bias_weights([len(g) for g in groups], q), 1, rng)[0])
-        return groups[k][rng.randbelow(len(groups[k]))], 1
-    why = ("rejection is exponentially slow above the phase point" if q > 1
-           else f"rejection needs a uniform sampler, which pattern {tau} lacks")
-    if tau in series.TAU_CLASS:
-        alt = "the fixed-point count alone is served by sample_fp_count (CLI: sample without --emit perm)"
-    else:
-        alt = f"the fixed-point count of pattern {tau} has no route past that cap either"
-    raise UnsupportedMeasureError(
-        f"whole-permutation sampling for q={q}, tau={tau} at n={n} is unsupported ({why}; "
-        f"the enumeration route is capped at n={caps['enum']}); {alt}"
-    )
+    and accepts each with exact probability q^fp (at q = 1 every attempt),
+    so a row takes Catalan(n) over the normalization constant attempts on
+    average. The attempts are drawn in rounds, each sized from the
+    acceptance seen so far and at most `_block_rows(16 n)` rows: the
+    largest temporaries of mapping paths to avoiders take 16 bytes for each
+    of the n cells of a row (the two int64 index arrays of `np.nonzero` in
+    the profile bijection, the int64 `argsort` over 2n steps in the
+    first-return decomposition), so the memory of a call beyond its result
+    does not grow with `count`. The attempts are counted up to the one that
+    gave the last row kept.
 
-
-_enum_tables: dict[tuple[int, str], list[list[tuple[int, ...]]]] = {}
-
-
-def _enumeration_table(n: int, tau: str) -> list[list[tuple[int, ...]]]:
-    """All tau-avoiders of length n grouped by fixed-point count, for every q."""
-    key = (n, tau)
-    if key not in _enum_tables:
-        groups: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
-        for sigma in enumerate_avoiders(n, tau):
-            groups[fixed_points(sigma)].append(sigma)
-        _enum_tables[key] = groups
-    return _enum_tables[key]
-
-
-def biased_avoider_batch(n: int, q, rng: RandomSource, count: int,
-                         tau: str = "321") -> tuple[np.ndarray, int]:
-    """
-    Vectorized rejection sampler for biased tau-avoiders, q <= 1, for tau in
-    {321, 123, 132, 213}; at q = 1 every attempt is accepted.
-
-    Returns (permutations as a (count, n) array, total uniform attempts).
+    Otherwise, for n within the enumeration cap and any q and pattern,
+    each row draws its fixed-point count k by exact inverse cdf, then a
+    uniform member of the enumerated avoiders with k fixed points, one
+    attempt a row. Past the cap the call is refused before anything is
+    drawn: supercritical whole-permutation sampling at large n is refused
+    by design.
     """
     _check_sizes(n, count)
     q = _bias(q)
-    tau = _dyck_pattern(tau)
-    if q > 1:
-        raise UnsupportedMeasureError("rejection route requires q <= 1")
-    a, b = q.numerator, q.denominator
-    gen = rng.generator
+    tau = check_pattern(tau)
     out = np.empty((count, n), dtype=np.int32)
-    got = 0
-    attempts = 0
-    while got < count:
-        # size each round from the acceptance seen so far (all rows at q = 1)
-        need = count - got
-        rows = _batch_rows(n, ceil(need * attempts / max(got, 1)) if attempts else need)
-        sigma = _avoiders_from_dyck(_batch_dyck_steps(n, rows, gen), tau)
-        attempts += rows
-        accept = np.ones(rows, dtype=bool)
-        if q != 1:
-            fps = (sigma == np.arange(1, n + 1)).sum(axis=1)
-            for f in np.unique(fps):
-                sel = fps == f
-                bound = b ** int(f)
-                if f == 0:
-                    continue
-                if bound < 2**63:
-                    draws = gen.integers(0, bound, size=int(sel.sum()), dtype=np.uint64)
-                    accept[sel] = draws < a ** int(f)
-                else:
-                    # one stream with a bernoulli_power call per row, in row order
-                    top = a ** int(f)
-                    accept[sel] = [x < top for x in rng.randbelow_batch(bound, int(sel.sum()))]
-        acc_idx = np.nonzero(accept)[0]
-        take = min(len(acc_idx), count - got)
-        if take < len(acc_idx):
-            # stop the attempt counter at the draw that produced the last
-            # sample we keep, so the reported rate stays unbiased
-            attempts -= rows - (int(acc_idx[take - 1]) + 1)
-        if take:
-            out[got : got + take] = sigma[acc_idx[:take]]
-        got += take
-    return out, attempts
+    if q <= 1 and tau in DYCK_PATTERNS:
+        a, b = q.numerator, q.denominator
+        gen = rng.generator
+        most = _block_rows(16 * n)
+        got = attempts = 0
+        while got < count:
+            # size each round from the acceptance seen so far (all rows at q = 1)
+            need = count - got
+            rows = min(most, ceil(need * attempts / max(got, 1)) if attempts else need)
+            sigma = _avoiders_from_dyck(_batch_dyck_steps(n, rows, gen), tau)
+            attempts += rows
+            accept = np.ones(rows, dtype=bool)
+            if q != 1:
+                fps = (sigma == np.arange(1, n + 1)).sum(axis=1)
+                # np.bincount, not np.unique, whose first call imports numpy.ma (about 15 ms)
+                for f in np.flatnonzero(np.bincount(fps)).tolist():
+                    if f == 0:
+                        continue  # accepted with no draw
+                    sel = fps == f
+                    bound, top = b**f, a**f
+                    if bound < 2**63:
+                        accept[sel] = gen.integers(0, bound, size=int(sel.sum()), dtype=np.uint64) < top
+                    else:
+                        # the exact randbelow(b^f) < a^f of each row, in row order
+                        accept[sel] = [x < top for x in rng.randbelow_batch(bound, int(sel.sum()))]
+            kept = np.flatnonzero(accept)[:need]
+            if len(kept) == need:
+                attempts -= rows - (int(kept[-1]) + 1)
+            out[got : got + len(kept)] = sigma[kept]
+            got += len(kept)
+        return out, attempts
+    caps = budgets()
+    if n > caps["enum"]:
+        why = ("rejection is exponentially slow above the phase point" if q > 1
+               else f"rejection needs a uniform sampler, which pattern {tau} lacks")
+        if tau in series.TAU_CLASS:
+            alt = ("the fixed-point count alone is served by sample_fp_count_batch "
+                   "(CLI: sample without --emit perm)")
+        else:
+            alt = f"the fixed-point count of pattern {tau} has no route past that cap either"
+        raise UnsupportedMeasureError(
+            f"whole-permutation sampling for q={q}, tau={tau} at n={n} is unsupported ({why}; "
+            f"the enumeration route is capped at n={caps['enum']}); {alt}"
+        )
+    if count:
+        groups = _enumeration_table(n, tau)
+        weights = series.bias_weights([len(g) for g in groups], q)
+        for row in out:
+            group = groups[int(_inverse_cdf(weights, 1, rng)[0])]
+            row[:] = group[rng.randbelow(len(group))]
+    return out, count
+
+
+@lru_cache(maxsize=1)
+def _enumeration_table(n: int, tau: str) -> list[list[tuple[int, ...]]]:
+    """
+    All tau-avoiders of length n grouped by fixed-point count, for every q.
+    Only the last (n, tau) is kept: at n = 12 one table holds about 31 MB.
+    """
+    groups: list[list[tuple[int, ...]]] = [[] for _ in range(n + 1)]
+    for sigma in enumerate_avoiders(n, tau):
+        groups[fixed_points(sigma)].append(sigma)
+    return groups
 
 
 def monte_carlo_fp_pmf(n: int, tau: str, samples: int, rng: RandomSource) -> FixedPointPMF:

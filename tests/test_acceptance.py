@@ -208,7 +208,8 @@ def test_criterion_10_sampler_exactness():
         worst, stray = _whole_permutation_band_check(counts, probs, samples)
         ok &= worst <= 0 and stray == 0
         details.append(f"unrestricted q={q}: worst 4-sigma excess {worst:.2e}")
-    arr, _ = sampling.biased_avoider_batch(n, F(1, 2), sampling.RandomSource(MC_SEED_AVOIDER), samples)
+    arr, _ = sampling.biased_avoider_permutation(n, F(1, 2), "321", sampling.RandomSource(MC_SEED_AVOIDER),
+                                                 samples)
     counts = np.bincount(_codes(arr), minlength=6**n)
     weights = {s: F(1, 2) ** perms.fixed_points(s) for s in perms.enumerate_avoiders(n, "321")}
     z = sum(weights.values())

@@ -124,13 +124,14 @@ CANONICAL_STDOUT = {
     "zn --q 2 --tau 132 --n-max 40": "773561fc0f7dc7157d8d01144cb46be9193541c468bd65e90afdc52cbd4226ba",
     "asym --kind moments --q 3 --n-grid 1,2,400 --m 3":
         "2c79ec60db52dfdda62c1c1138bb700a89032cdfc62e0f6c80e4bd3394b19a7a",
-    # seeded dumps: the per-draw rejection route (q < 1) and the unrestricted batch
+    # seeded dumps: the rejection route (q < 1), whose rounds of at most _block_rows(16 n)
+    # rows set the stream (re-taken when a dump became one call), and the unrestricted batch
     "sample --n 60 --q 1/2 --tau 321 --count 2000 --emit perm --seed 7":
-        "55b3b1bc272aa3b0570c2c26e155cde7cc7c6b558945dcbd2c2d6b7ccf12dbe7",
+        "a4dcce46530f6d138625c18b7a93b28edeb60e5ea39d19eeebe6afe3c5a00316",
     "sample --n 60 --q 1/2 --tau 123 --count 2000 --emit perm --seed 7":
-        "4d6d73e55fcd9a87269ae7f837d30078b2ec78661f85ea61d46988c261722706",
+        "b580740db8e7964c9a5ee14078d6d59ef5e78199e240b2e8ba81448eade89a16",
     "sample --n 12 --q 1/2 --tau 132 --count 50 --emit perm --seed 7":
-        "15e7c605533050dd47a169f0a360ec22d0e45d4c562f00adfc77673aa5a75544",
+        "cbd08c224e21f734143ffdcc1cf15059919c14299ea746259a9fe4d4a5e80432",
     "sample --n 6 --q 1/2 --count 20000 --emit perm --seed 7":
         "2637cdfd60ef8192e9f2280212f3f3834999f26ccfc8909cc1c7c97859132055",
 }
@@ -175,7 +176,7 @@ def test_sample_determinism_and_header(capsys):
 def test_sample_perm_emission_avoids(capsys):
     from fpblab.perms import avoids, parse_perm
 
-    # q = 1/2 draws one avoider at a time by rejection, q = 1 one uniform batch
+    # q = 1/2 draws by rejection, q = 1 keeps every uniform avoider it draws
     for q, tau in (("1/2", "321"), ("1", "321"), ("1", "123"), ("1", "132"), ("1", "213")):
         code, out, _ = run_cli(capsys, "sample", "--n", "12", "--q", q, "--tau", tau,
                                "--count", "6", "--seed", "3", "--emit", "perm")
@@ -202,16 +203,16 @@ def test_sample_perm_emission_at_n0(capsys):
 
 @pytest.mark.parametrize("n", [0, 1, 6, 12])
 @pytest.mark.parametrize("count", [0, 1, 2, 3, 4, 5, 7])
-@pytest.mark.parametrize("tau", [None, "321", "132"])
-def test_sample_dumps_match_per_row_reference(capsys, monkeypatch, tmp_path, n, count, tau):
+@pytest.mark.parametrize("tau, q", [(None, "3/2"), ("321", "1"), ("132", "1"), ("321", "1/2"), ("231", "2")],
+                         ids=["None", "321", "132", "321-rejection", "231-enumeration"])
+def test_sample_dumps_match_per_row_reference(capsys, monkeypatch, tmp_path, n, count, tau, q):
     # the dump formatted row by row from the sampler's own output, as CSV and JSON, on
     # stdout and in the --out file; three rows per streamed block, so blocks split the table
     monkeypatch.setattr(cli, "_BLOCK", 3)
-    q = "3/2" if tau is None else "1"
     if tau is None:
         arr = sampling.sample_biased_unrestricted_batch(n, q, sampling.RandomSource(5), count)
     else:
-        arr, _ = sampling.biased_avoider_batch(n, 1, sampling.RandomSource(5), count, tau)
+        arr, _ = sampling.biased_avoider_permutation(n, q, tau, sampling.RandomSource(5), count)
     sigmas = [tuple(int(v) for v in row) for row in arr]
     meta = {"seed": "5", "stream_id": "0", "n": str(n), "q": q, "tau": tau or ""}
     emits = ("fp", "perm") if tau is None else ("perm",)

@@ -505,19 +505,17 @@ def test_uniform_avoider_mean_tracks_exact_law():
 
 def test_sample_biased_unrestricted_singleton_and_extreme_bias():
     rng = RandomSource(4)
-    assert sampling.sample_biased_unrestricted(1, 5, rng) == (1,)
-    hits = sum(
-        sampling.sample_biased_unrestricted(4, 10**6, rng) == (1, 2, 3, 4) for _ in range(800)
-    )
+    assert sampling.sample_biased_unrestricted_batch(1, 5, rng, 1).tolist() == [[1]]
+    arr = sampling.sample_biased_unrestricted_batch(4, 10**6, rng, 800)
+    hits = (arr == np.arange(1, 5)).all(axis=1).sum()
     assert hits / 800 > 0.99
 
 
 def test_sample_biased_unrestricted_distribution():
     rng = RandomSource(14)
     n, q, n_samples = 5, F(1, 2), 60000
-    counts = collections.Counter(
-        sampling.sample_biased_unrestricted(n, q, rng) for _ in range(n_samples)
-    )
+    arr = sampling.sample_biased_unrestricted_batch(n, q, rng, n_samples)
+    counts = collections.Counter(map(tuple, arr.tolist()))
     z = series.unrestricted_normalization(q, n)
     for sigma in perms.enumerate_permutations(n):
         p = float(q ** perms.fixed_points(sigma) / z)
@@ -590,8 +588,8 @@ def test_batch_unrestricted_blocks_do_not_change_the_draws(monkeypatch, block_by
     for n, q in ((6, F(1, 2)), (40, F(3))):
         for count in (1, 2, 7, 300):
             _assert_unrestricted_batch_is_oracle(n, q, count)
-    assert tuple(sampling.sample_biased_unrestricted(7, F(3, 2), RandomSource(8))) == tuple(
-        int(v) for v in _unrestricted_batch_oracle(7, F(3, 2), RandomSource(8), 1)[0])
+    np.testing.assert_array_equal(sampling.sample_biased_unrestricted_batch(7, F(3, 2), RandomSource(8), 1),
+                                  _unrestricted_batch_oracle(7, F(3, 2), RandomSource(8), 1))
 
 
 def test_batch_unrestricted_memory_is_bounded():
@@ -627,6 +625,24 @@ def test_fp_batch_memory_is_bounded():
     assert peak < bound, (peak, bound)
 
 
+def test_whole_permutation_memory_does_not_grow_with_count():
+    # the rejection route draws at most _block_rows(16 n) rows a round, so past the
+    # int32 result a q = 1 call at n = 60 holds one round's temporaries at any count
+    sampling.biased_avoider_permutation(60, 1, "321", RandomSource(1), 1)  # lazy imports before the trace
+    excess = []
+    for count in (2000, 20_000):
+        rng = RandomSource(61)
+        tracemalloc.start()
+        try:
+            arr, _ = sampling.biased_avoider_permutation(60, 1, "321", rng, count)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert arr.shape == (count, 60)
+        excess.append(peak - arr.nbytes)
+    assert excess[1] <= excess[0] + 2**16, excess
+
+
 def test_sample_fp_count_matches_exact_law():
     ks = sampling.sample_fp_count_batch(3, 2, "321", RandomSource(13), 40000)
     emp = np.bincount(ks, minlength=4) / 40000
@@ -637,16 +653,13 @@ def test_sample_fp_count_matches_exact_law():
     ks = sampling.sample_fp_count_batch(300, 3, "321", RandomSource(15), 20000, mode="scaled-float")
     exact_mean = float(dist.pmf_moment(fp_pmf(MeasureSpec(300, 3, "321")), 1))
     assert abs(ks.mean() - exact_mean) / exact_mean < 0.02
-    assert int(sampling.sample_fp_count(3, 2, "321", RandomSource(1))) in (0, 1, 3)
+    assert int(sampling.sample_fp_count_batch(3, 2, "321", RandomSource(1), 1)[0]) in (0, 1, 3)
 
 
 def test_biased_avoider_rejection_distribution():
-    rng = RandomSource(5)
     n_samples = 50000
-    counts = collections.Counter()
-    for _ in range(n_samples):
-        sigma, _ = sampling.biased_avoider_permutation(3, F(1, 2), "321", rng)
-        counts[sigma] += 1
+    arr, _ = sampling.biased_avoider_permutation(3, F(1, 2), "321", RandomSource(5), n_samples)
+    counts = collections.Counter(map(tuple, arr.tolist()))
     weights = {s: F(1, 2) ** perms.fixed_points(s) for s in perms.enumerate_avoiders(3, "321")}
     z = sum(weights.values())
     for sigma, w in weights.items():
@@ -655,20 +668,15 @@ def test_biased_avoider_rejection_distribution():
 
 
 def test_biased_avoider_uniform_bias_accepts_first_try():
-    rng = RandomSource(6)
-    for _ in range(20):
-        sigma, attempts = sampling.biased_avoider_permutation(7, 1, "321", rng)
-        assert attempts == 1
-        assert perms.avoids(sigma, "321")
+    arr, attempts = sampling.biased_avoider_permutation(7, 1, "321", RandomSource(6), 20)
+    assert attempts == 20
+    assert all(perms.avoids(tuple(r), "321") for r in arr.tolist())
 
 
 def test_biased_avoider_enumeration_route():
-    rng = RandomSource(9)
-    counts = collections.Counter()
-    for _ in range(30000):
-        sigma, attempts = sampling.biased_avoider_permutation(10, 2, "231", rng)
-        assert attempts == 1
-        counts[sigma] += 1
+    arr, attempts = sampling.biased_avoider_permutation(10, 2, "231", RandomSource(9), 30000)
+    assert attempts == 30000
+    counts = collections.Counter(map(tuple, arr.tolist()))
     exact = fp_pmf(MeasureSpec(10, 2, "231"))
     emp = collections.Counter()
     for sigma, c in counts.items():
@@ -677,21 +685,26 @@ def test_biased_avoider_enumeration_route():
     assert tv < 0.01
 
 
-def test_enumeration_table_is_shared_across_q(monkeypatch):
-    monkeypatch.setattr(sampling, "_enum_tables", {})
+def test_enumeration_table_is_shared_across_q():
+    table = sampling._enumeration_table
+    table.cache_clear()
     rng = RandomSource(10)
     for q in (F(1, 3), 2, F(7, 2)):
-        sigma, _ = sampling.biased_avoider_permutation(6, q, "231", rng)
-        assert perms.avoids(sigma, "231")
-    assert list(sampling._enum_tables) == [(6, "231")]
+        arr, _ = sampling.biased_avoider_permutation(6, q, "231", rng, 1)
+        assert perms.avoids(tuple(arr[0].tolist()), "231")
+    assert table.cache_info().misses == 1
+    # one table at a time: a second (n, tau) evicts the first
+    sampling.biased_avoider_permutation(5, 2, "312", rng, 1)
+    assert table.cache_info().currsize == 1
+    sampling.biased_avoider_permutation(6, 2, "231", rng, 1)
+    assert table.cache_info().misses == 3
 
 
 def test_biased_avoider_refusals():
     rng = RandomSource(7)
-    with pytest.raises(UnsupportedMeasureError, match="sample_fp_count"):
-        sampling.biased_avoider_permutation(20, 4, "321", rng)
-    with pytest.raises(UnsupportedMeasureError, match="q <= 1"):
-        sampling.biased_avoider_batch(5, 2, rng, 1)
+    for count in (3, 0):
+        with pytest.raises(UnsupportedMeasureError, match="sample_fp_count_batch"):
+            sampling.biased_avoider_permutation(20, 4, "321", rng, count)
 
 
 def test_batch_samplers_refuse_negative_sizes():
@@ -700,7 +713,8 @@ def test_batch_samplers_refuse_negative_sizes():
         lambda n, c: sampling.sample_fp_count_batch(n, 2, "321", RandomSource(1), c),
         lambda n, c: sampling.sample_fp_count_batch(n, 2, "321", RandomSource(1), c,
                                                     mode="scaled-float"),
-        lambda n, c: sampling.biased_avoider_batch(n, F(1, 2), RandomSource(1), c)[0],
+        lambda n, c: sampling.biased_avoider_permutation(n, F(1, 2), "321", RandomSource(1), c)[0],
+        lambda n, c: sampling.biased_avoider_permutation(n, 2, "231", RandomSource(1), c)[0],
         lambda n, c: sampling.uniform_avoider_fp_batch(n, "321", c, RandomSource(1)),
         lambda n, c: sampling.uniform_avoider_fp_batch(n, "132", c, RandomSource(1)),
     )
@@ -716,10 +730,10 @@ def test_batch_samplers_refuse_negative_sizes():
 
 def test_batch_rejection_with_huge_denominators():
     # b^f >= 2^63 for every f >= 1: the exact big-integer accept branch
-    arr, _ = sampling.biased_avoider_batch(8, F(1, 10**30), RandomSource(4), 300, "132")
+    arr, _ = sampling.biased_avoider_permutation(8, F(1, 10**30), "132", RandomSource(4), 300)
     assert ((arr == np.arange(1, 9)).sum(axis=1) == 0).all()
     near_one = F(2**64 - 1, 2**64)
-    arr, attempts = sampling.biased_avoider_batch(8, near_one, RandomSource(4), 300)
+    arr, attempts = sampling.biased_avoider_permutation(8, near_one, "321", RandomSource(4), 300)
     assert attempts == 300 and all(perms.avoids(tuple(r), "321") for r in arr)
 
 
@@ -728,7 +742,7 @@ def test_rejection_rate_accounting():
     # within 3 sigma at 10^4 draws, n = 8, q = 1/2
     n, q = 8, F(1, 2)
     n_samples = 10_000
-    _, attempts = sampling.biased_avoider_batch(n, q, RandomSource(23), n_samples)
+    _, attempts = sampling.biased_avoider_permutation(n, q, "321", RandomSource(23), n_samples)
     p = float(series.avoider_normalization(q, n) / series.catalan_numbers(n)[n])
     expected = n_samples / p
     sigma_attempts = math.sqrt(n_samples * (1 - p)) / p
@@ -739,13 +753,13 @@ def test_batch_rejection_matches_exact_law():
     # 132- and 213-avoiders share the 321 fixed-point law; q = 1 keeps every attempt
     exact = fp_pmf(MeasureSpec(6, F(1, 2), "321"))
     for tau in ("321", "132", "213"):
-        arr, _ = sampling.biased_avoider_batch(6, F(1, 2), RandomSource(19), 40000, tau)
+        arr, _ = sampling.biased_avoider_permutation(6, F(1, 2), tau, RandomSource(19), 40000)
         fps = (arr == np.arange(1, 7)).sum(axis=1)
         emp = np.bincount(fps, minlength=7) / 40000
         assert max(abs(emp[k] - float(exact.pmf(k))) for k in range(7)) < 0.01, tau
         assert all(perms.avoids(tuple(r), tau) for r in arr[:100])
     for tau in sampling.DYCK_PATTERNS:
-        arr, attempts = sampling.biased_avoider_batch(7, 1, RandomSource(21), 50, tau)
+        arr, attempts = sampling.biased_avoider_permutation(7, 1, tau, RandomSource(21), 50)
         assert attempts == 50 and all(perms.avoids(tuple(r), tau) for r in arr)
 
 
@@ -780,8 +794,8 @@ def test_documented_bijection_table_n4():
 
 
 def test_batch_samplers_are_deterministic():
-    a, att_a = sampling.biased_avoider_batch(6, F(1, 2), RandomSource(42), 5000)
-    b, att_b = sampling.biased_avoider_batch(6, F(1, 2), RandomSource(42), 5000)
+    a, att_a = sampling.biased_avoider_permutation(6, F(1, 2), "321", RandomSource(42), 5000)
+    b, att_b = sampling.biased_avoider_permutation(6, F(1, 2), "321", RandomSource(42), 5000)
     assert (a == b).all() and att_a == att_b
     u = sampling.sample_biased_unrestricted_batch(7, F(3, 2), RandomSource(42), 5000)
     v = sampling.sample_biased_unrestricted_batch(7, F(3, 2), RandomSource(42), 5000)
