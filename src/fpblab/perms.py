@@ -306,47 +306,35 @@ def perm_to_profile(sigma: Sequence[int]) -> tuple[int, ...]:
 def _gen_132_avoiders(n: int) -> list[tuple[int, ...]]:
     # First-return split at the position of n: everything before n uses the
     # largest remaining values (each 132-avoiding), everything after the
-    # smallest. Memoized on n; values are shifted as needed.
-    memo: dict[int, list[tuple[int, ...]]] = {0: [()]}
-
-    def gen(m: int) -> list[tuple[int, ...]]:
-        if m in memo:
-            return memo[m]
+    # smallest. Built bottom-up, lengths 0..n, so the shorter lists are
+    # freed on return; values are shifted as needed.
+    memo: list[list[tuple[int, ...]]] = [[()]]
+    for m in range(1, n + 1):
         out = []
         for j in range(m):  # j = number of entries before the maximum
-            heads = gen(j)
-            tails = gen(m - 1 - j)
             shift = m - 1 - j
-            for a in heads:
+            for a in memo[j]:
                 head = tuple(v + shift for v in a)
-                for b in tails:
+                for b in memo[m - 1 - j]:
                     out.append(head + (m,) + b)
-        memo[m] = out
-        return out
-
-    return gen(n)
+        memo.append(out)
+    return memo[n]
 
 
 def _gen_231_avoiders(n: int) -> list[tuple[int, ...]]:
     # Split at the position of n: values before n are all smaller than the
-    # values after it.
-    memo: dict[int, list[tuple[int, ...]]] = {0: [()]}
-
-    def gen(m: int) -> list[tuple[int, ...]]:
-        if m in memo:
-            return memo[m]
+    # values after it. Built bottom-up, as `_gen_132_avoiders`.
+    memo: list[list[tuple[int, ...]]] = [[()]]
+    for m in range(1, n + 1):
         out = []
         for j in range(m):
-            heads = gen(j)
-            tails = gen(m - 1 - j)
-            shift = j
-            for a in heads:
+            tails = [tuple(v + j for v in b) for b in memo[m - 1 - j]]
+            for a in memo[j]:
+                head = a + (m,)
                 for b in tails:
-                    out.append(a + (m,) + tuple(v + shift for v in b))
-        memo[m] = out
-        return out
-
-    return gen(n)
+                    out.append(head + b)
+        memo.append(out)
+    return memo[n]
 
 
 def enumerate_avoiders(n: int, tau: str | None = None, cap: int | None = None) -> Iterator[tuple[int, ...]]:

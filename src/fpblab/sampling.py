@@ -12,8 +12,9 @@ form `randbelow_batch`, which never round.
 Every uniform avoider is one uniform Dyck path mapped to a permutation;
 see docs/dyck_321_bijection.md. The path is the cycle-lemma rotation of a
 uniform walk of n+1 up-steps and n down-steps, and every such walk is
-drawn by `_walk_job`, exact bit rejection with a complement branch.
-321-avoiders come through the profile bijection and 123-avoiders are
+drawn by `_walk_job` from raw bits: a row with too few ones is
+complemented, one with at most a few too many is kept, and its excess
+ones, chosen uniformly, are cleared. 321-avoiders come through the profile bijection and 123-avoiders are
 their reverses; 132-avoiders come through the first-return decomposition
 U A D B of the path (A is the head above the maximum, B the tail below
 it), and 213-avoiders are reverse-complements of 132-avoiders.
@@ -21,7 +22,7 @@ it), and 213-avoiders are reverse-complements of 132-avoiders.
 A batch of walks is held bit-packed, one bit a step, and every batch
 kernel rotates it one way: word shifts and one gather of word pairs turn
 the packed walks into packed Dyck paths (`_dyck_words`), which the
-kernels that map steps unpack (`_dyck_from_walks`). One count,
+kernels that map steps unpack (`_unpack_paths`). One count,
 `_fp_from_walks`, gives the fixed points of all four patterns a block of
 rows at a time. For 321/123 it reads them straight off the packed paths,
 with no step unpacked, nothing sorted and no permutation built: a 321
@@ -68,7 +69,7 @@ import threading
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
-from math import ceil, exp, lgamma, log
+from math import ceil, exp, isqrt, lgamma, log
 
 import numpy as np
 
@@ -85,6 +86,9 @@ _MAX_BATCH_CELLS = 8_000_000  # soft cap on rows*length per vectorized batch
 # the packed 123 search costs numpy calls per block, not per row, so blocks are large
 _BLOCK = 1024
 _BLOCK_BYTES = 2**19
+# rows x n below which a rejection round of `biased_avoider_permutation` maps every path and
+# reads the fixed points off the avoiders: the packed count's numpy calls cost more there
+_MAP_ALL_CELLS = 4096
 
 
 class RandomSource:
@@ -168,29 +172,46 @@ class RandomSource:
 # ---------------------------------------------------------------------------
 
 
+def _window(n: int) -> int:
+    """
+    The window w of `_walk_job`: how many ones over n+1 a kept raw row may
+    hold. A wider window draws fewer raw rows a walk but clears more ones
+    (docs/dyck_321_bijection.md, "Drawing the walk", for the timings), and
+    the best w grows like n^(1/4). Below n = 128 the program mostly draws
+    small batches (rounds of at most 546 rows in the q < 1 dumps at n = 60,
+    8-row dumps), where a round of clearing costs more numpy calls than
+    the raw words it saves, so w = 0 there.
+    """
+    return isqrt(isqrt(n)) - 1 if n >= 128 else 0
+
+
 @lru_cache(maxsize=256)
 def _raw_layout(n: int):
     """
     How the walks of n+1 up-steps and n down-steps are drawn from raw words:
     the uint64 words per raw row (2n+1 bits, bit j giving column j), the
     mask of those bits as one read-only little-endian word per raw word,
-    and the call that sizes a chunk of raw rows for `need` more walks.
-    `_walk_job` and `_one_walk` both read it, so that they draw the same
-    chunks and hence the same walks.
+    the window w of `_window`, and the call that sizes a chunk of raw rows
+    for `need` more walks. `_walk_job` and `_one_walk` both read it, so
+    that they draw the same chunks and hence the same walks.
 
-    About 2/sqrt(pi n) of the raw rows are kept, so a chunk is sized from
-    that rate with three spare rows, which nearly always makes one chunk
-    suffice, and capped at _MAX_BATCH_CELLS bits (read at each call, so the
-    cached layout follows the cap).
+    A raw row is kept when it has k ones, n-w <= k <= n+1+w, which happens
+    with probability sum C(2n+1, k) / 2^(2n+1) over those k, about
+    2 (w+1) / sqrt(pi n) at large n; a chunk is sized from that rate with
+    three spare rows, which nearly always makes one chunk suffice, and
+    capped at _MAX_BATCH_CELLS bits (read at each call, so the cached
+    layout follows the cap).
     """
     m = 2 * n + 1
     words = (m + 63) // 64
     full = np.full(words, 2**64 - 1, dtype="<u8")
     full[-1] = (1 << (m - 64 * (words - 1))) - 1
     full.flags.writeable = False  # shared by every caller of the cached layout
-    # 2 C(m, n) / 2^m sizes the chunks only and never decides a row
-    rate = 2 * exp(lgamma(m + 1) - lgamma(n + 1) - lgamma(n + 2) - m * log(2))
-    return words, full, lambda need: min(ceil((need + 3) / rate), max(1, _MAX_BATCH_CELLS // m))
+    w = _window(n)
+    # the float rate sizes the chunks only and never decides a row
+    rate = sum(exp(lgamma(m + 1) - lgamma(k + 1) - lgamma(m - k + 1) - m * log(2))
+               for k in range(max(n - w, 0), min(n + 1 + w, m) + 1))
+    return words, full, w, lambda need: min(ceil((need + 3) / rate), max(1, _MAX_BATCH_CELLS // m))
 
 
 def _walk_job(n: int, rows: int, gen: np.random.Generator):
@@ -202,18 +223,23 @@ def _walk_job(n: int, rows: int, gen: np.random.Generator):
     uniform Dyck paths starts here, so the stream is the same whether the
     call runs at once or on a helper thread.
 
-    Exact bit rejection (docs/dyck_321_bijection.md, "Drawing the walk"): a
-    raw row is 2n+1 bits of raw Philox words, the last word masked, bit j
-    giving column j. Rows with n+1 ones are kept as drawn and rows with n
-    ones complemented (XOR with the mask of all 2n+1 bits); the complement
-    maps the second set one-to-one onto the first, so every walk has exactly
-    two preimages and is drawn uniformly. The test compares integer
-    popcounts and never rounds. The cost per walk grows like n^1.5, against
-    n for a per-row shuffle: the shuffle wins only from about n = 60 000,
-    above every default and every test. Raw rows are drawn in the chunks
-    that `_raw_layout` sizes.
+    Windowed bit rejection (docs/dyck_321_bijection.md, "Drawing the
+    walk"): a raw row is 2n+1 bits of raw Philox words, the last word
+    masked, bit j giving column j. A row with at most n ones is
+    complemented (XOR with the mask of all 2n+1 bits), and the row is kept
+    if it then holds n+1+e ones with e at most the window w of `_window`;
+    `_clear_excess` then clears e of its ones, each a uniformly chosen set
+    bit. Raw bits are exchangeable, and the complement and the uniform
+    clearing commute with every permutation of the columns, so the law of
+    a kept row is invariant under them; the walks of n+1 ones are one orbit,
+    so it is uniform. The tests compare integer popcounts and never round.
+    At w = 0 no bit is cleared and a row is kept iff it has n or n+1 ones.
+    A wider window keeps about w+1 times as many raw rows, each row's
+    clearing costs about e random words, and raw rows are drawn in the
+    chunks that `_raw_layout` sizes, with each chunk's clearing drawn right
+    after it.
     """
-    words, full, chunk = _raw_layout(n)
+    words, full, w, chunk = _raw_layout(n)
     walks = np.empty((rows, words), dtype="<u8")
 
     def fill():
@@ -222,37 +248,96 @@ def _walk_job(n: int, rows: int, gen: np.random.Generator):
             size = chunk(rows - got)
             raw = gen.bit_generator.random_raw(size * words).reshape(size, words)
             raw[:, -1] &= full[-1]
-            # ones - n is 1 for a row kept as drawn and 0 for one complemented
-            up = np.bitwise_count(raw).sum(axis=1, dtype=np.int32)
-            up -= n
-            keep = np.flatnonzero(up.view(np.uint32) <= 1)[: rows - got]
+            # d = ones - n, kept within [-w, w+1]; a row with d <= 0 is complemented,
+            # and its excess over n+1 ones is then -d (d-1 otherwise)
+            d = np.bitwise_count(raw).sum(axis=1, dtype=np.int32)
+            d -= n
+            keep = np.flatnonzero((d + w).view(np.uint32) <= 2 * w + 1)[: rows - got]
             out = walks[got : got + len(keep)]
             out[:] = raw[keep]
-            out[up[keep] == 0] ^= full
+            d = d[keep]
+            low = d <= 0
+            out[low] ^= full
+            if w:
+                _clear_excess(out, np.where(low, -d, d - 1), n, gen)
             got += len(keep)
 
     return walks, fill
+
+
+def _clear_excess(walks: np.ndarray, excess: np.ndarray, n: int, gen: np.random.Generator):
+    """
+    Clear excess[i] of the ones of packed row i, which holds n+1+excess[i],
+    one at a time, each a uniformly chosen set bit. Round r serves the rows
+    with more than r to clear, in row order: it draws each one's rank among
+    its set bits (`_randbelow_rows`), finds the word that holds it from the
+    word-prefix popcounts and the bit by `_select_bits`, and clears it.
+    """
+    todo = np.flatnonzero(excess)
+    r = 0
+    while todo.size:
+        rank = _randbelow_rows(excess[todo] + (n + 1 - r), gen)
+        sub = walks[todo]
+        upto = np.bitwise_count(sub).cumsum(axis=1, dtype=np.int64)
+        word = (upto <= rank[:, None]).sum(axis=1)
+        at = np.arange(len(todo))
+        val = sub[at, word]
+        bit = _select_bits(val, rank - upto[at, word] + np.bitwise_count(val))
+        walks[todo, word] = val ^ (np.uint64(1) << bit.astype(np.uint64))
+        r += 1
+        todo = todo[excess[todo] > r]
+
+
+def _randbelow_rows(bound: np.ndarray, gen: np.random.Generator) -> np.ndarray:
+    """
+    One exact uniform integer in [0, bound[i]) for each i, as int64, each
+    bound below 2^53: as in `RandomSource.randbelow`, a candidate is a raw
+    word masked to the bits of bound - 1 and the draw is the first candidate
+    below the bound. Each round draws one candidate for every draw still
+    owed, in order, so one bound draws what `randbelow` would.
+    """
+    bits = np.frexp((bound - 1).astype(np.float64))[1].astype(np.uint64)
+    mask = (np.uint64(1) << bits) - np.uint64(1)
+    out = np.empty(len(bound), dtype=np.int64)
+    todo = np.arange(len(bound))
+    while todo.size:
+        x = gen.bit_generator.random_raw(todo.size) & mask[todo]
+        ok = x < bound[todo]
+        out[todo[ok]] = x[ok]
+        todo = todo[~ok]
+    return out
 
 
 def _one_walk(n: int, gen: np.random.Generator) -> int:
     """
     The walk `_walk_job(n, 1, gen)` draws, from the same words, as an int
     whose bit j is set where column j is an up-step. Each raw row is read as
-    one int (little-endian words, so bit j is column j); the first row with
-    n+1 ones is kept as drawn, or complemented if it has n.
+    one int (little-endian words, so bit j is column j); the first row
+    within the window is kept, complemented if it has at most n ones, and
+    its excess ones are cleared one at a time, each by the rank that
+    `randbelow` would draw among the set bits still there.
     """
-    words, full, chunk = _raw_layout(n)
+    words, full, w, chunk = _raw_layout(n)
     width = 8 * words
     full = int.from_bytes(full.tobytes(), "little")  # the last word masked, the others whole
+    raw = gen.bit_generator.random_raw
     while True:
-        buf = gen.bit_generator.random_raw(chunk(1) * words).astype("<u8", copy=False).tobytes()
+        buf = raw(chunk(1) * words).astype("<u8", copy=False).tobytes()
         for i in range(0, len(buf), width):
             row = int.from_bytes(buf[i : i + width], "little") & full
-            ones = row.bit_count()
-            if ones == n + 1:
+            d = row.bit_count() - n
+            if -w <= d <= w + 1:
+                if d <= 0:
+                    row, d = row ^ full, 1 - d
+                for ones in range(n + d, n + 1, -1):  # the ones left before each clearing
+                    mask = (1 << (ones - 1).bit_length()) - 1
+                    while (rank := raw() & mask) >= ones:
+                        pass
+                    rest = row
+                    for _ in range(rank):
+                        rest &= rest - 1  # drop the lowest set bit
+                    row ^= rest & -rest
                 return row
-            if ones == n:
-                return row ^ full
 
 
 def _byte_tables():
@@ -300,8 +385,8 @@ def _dyck_starts(walks: np.ndarray, n: int) -> np.ndarray:
 
 def _one_dyck_path(n: int, gen: np.random.Generator) -> str:
     """
-    The Dyck path `_batch_dyck_steps(n, 1, gen)` draws, from the same words,
-    as a string of 2n steps, "1" up and "0" down, in plain Python.
+    The Dyck path of the walk `_walk_job(n, 1, gen)` draws, from the same
+    words, as a string of 2n steps, "1" up and "0" down, in plain Python.
 
     The path starts two columns after the last minimum of the walk's prefix
     sums, read cyclically. The sums run over the bytes of the down-steps
@@ -325,12 +410,9 @@ def _walk_dtype(n: int):
     return np.int16 if 2 * n + 2 < 2**15 else np.int32
 
 
-def _dyck_from_walks(walks: np.ndarray, n: int) -> np.ndarray:
-    """
-    The Dyck paths of a batch of packed walks of `_walk_job`, as (rows, 2n)
-    bool, True an up-step: the packed paths of `_dyck_words`, unpacked.
-    """
-    path = _dyck_words(walks, n).astype("<u8", copy=False).view(np.uint8)
+def _unpack_paths(path: np.ndarray, n: int) -> np.ndarray:
+    """Packed Dyck paths (`_dyck_words`) as (rows, 2n) bool, True an up-step."""
+    path = path.astype("<u8", copy=False).view(np.uint8)
     return np.unpackbits(path, axis=1, count=2 * n, bitorder="little").view(bool)
 
 
@@ -339,13 +421,6 @@ def _steps(up: np.ndarray) -> np.ndarray:
     steps = up.view(np.int8) * np.int8(2)
     steps -= 1
     return steps
-
-
-def _batch_dyck_steps(n: int, rows: int, gen: np.random.Generator) -> np.ndarray:
-    """`rows` independent uniform Dyck paths of semilength n, as (rows, 2n) +-1."""
-    walks, fill = _walk_job(n, rows, gen)
-    fill()
-    return _steps(_dyck_from_walks(walks, n))
 
 
 def _profiles_from_dyck(steps: np.ndarray) -> np.ndarray:
@@ -560,39 +635,49 @@ def _fill_points(path: np.ndarray, n: int) -> np.ndarray:
 def _fp_from_walks(walks: np.ndarray, n: int, tau: str) -> np.ndarray:
     """
     Fixed-point counts of the tau-avoiders, tau in DYCK_PATTERNS, that a
-    batch of packed walks of `_walk_job` encode, a block of rows at a time.
-
-    321 and 123 are counted straight from the packed paths, in the blocks
-    of `_packed_block_rows`, without materializing the permutations; see
-    docs/dyck_321_bijection.md, "The count". A 321 fixed point is a hill
-    (`_hill_counts`). A fixed point of the reverse (the 123-avoider) lies on
-    the anti-diagonal: the excedance one is a peak at Dyck index n, an
-    up-step at n-1 and a down-step at n, and the fill one a fill position y
-    that receives the value n+1-y (`_fill_points`). 132 and 213 are counted
-    from the unpacked paths of each block as the pairs of matching steps
-    that mirror each other about the middle (`_mirror_pairs`), since
-    reverse-complement keeps fixed points.
+    batch of packed walks of `_walk_job` encode, a block of rows at a time:
+    each block is rotated into packed paths (`_dyck_words`) in parts and
+    counted by `_fp_from_paths`. 321 and 123 take the blocks of
+    `_packed_block_rows` (321 one part a block); 132 and 213 blocks whose
+    two height rows of `_mirror_pairs` stay within _BLOCK_BYTES.
     """
     rows = len(walks)
     out = np.zeros(rows, dtype=np.int64)
     if n == 0:
         return out
     if tau in ("132", "213"):
-        block = _block_rows(2 * (n + 1) * np.dtype(_walk_dtype(n)).itemsize)  # the two halves' heights
-        for i in range(0, rows, block):
-            out[i : i + block] = _mirror_pairs(_dyck_from_walks(walks[i : i + block], n))
-        return out
-    block, part = _packed_block_rows(n)
-    if tau == "321":
-        for i in range(0, rows, part):
-            out[i : i + part] = _hill_counts(_dyck_words(walks[i : i + part], n), n)
-        return out
+        block = part = _block_rows(2 * (n + 1) * np.dtype(_walk_dtype(n)).itemsize)
+    else:
+        block, part = _packed_block_rows(n)
+        if tau == "321":
+            block = part  # the hill count is row-wise, as the rotation is
     for i in range(0, rows, block):
         path = np.concatenate([_dyck_words(walks[j : j + part], n)
                                for j in range(i, min(i + block, rows), part)])
-        peak = (path[:, (n - 1) // 64] >> (n - 1) % 64) & ~(path[:, n // 64] >> n % 64) & 1
-        out[i : i + len(path)] = _fill_points(path, n) + peak
+        out[i : i + len(path)] = _fp_from_paths(path, n, tau)
     return out
+
+
+def _fp_from_paths(path: np.ndarray, n: int, tau: str) -> np.ndarray:
+    """
+    Fixed-point counts of the tau-avoiders of packed Dyck paths
+    (`_dyck_words`, n >= 1), tau in DYCK_PATTERNS; see
+    docs/dyck_321_bijection.md, "The count". 321 and 123 are counted
+    straight from the packed paths, without materializing the permutations.
+    A 321 fixed point is a hill (`_hill_counts`). A fixed point of the
+    reverse (the 123-avoider) lies on the anti-diagonal: the excedance one
+    is a peak at Dyck index n, an up-step at n-1 and a down-step at n, and
+    the fill one a fill position y that receives the value n+1-y
+    (`_fill_points`). 132 and 213 are counted from the unpacked paths as
+    the pairs of matching steps that mirror each other about the middle
+    (`_mirror_pairs`), since reverse-complement keeps fixed points.
+    """
+    if tau == "321":
+        return _hill_counts(path, n)
+    if tau == "123":
+        peak = (path[:, (n - 1) // 64] >> (n - 1) % 64) & ~(path[:, n // 64] >> n % 64) & 1
+        return _fill_points(path, n) + peak
+    return _mirror_pairs(_unpack_paths(path, n))
 
 
 def _mirror_pairs(up: np.ndarray) -> np.ndarray:
@@ -929,13 +1014,20 @@ def biased_avoider_permutation(n: int, q, tau: str, rng: RandomSource,
     and accepts each with exact probability q^fp (at q = 1 every attempt),
     so a row takes Catalan(n) over the normalization constant attempts on
     average. The attempts are drawn in rounds, each sized from the
-    acceptance seen so far and at most `_block_rows(16 n)` rows: the
-    largest temporaries of mapping paths to avoiders take 16 bytes for each
-    of the n cells of a row (the two int64 index arrays of `np.nonzero` in
-    the profile bijection, the int64 `argsort` over 2n steps in the
-    first-return decomposition), so the memory of a call beyond its result
-    does not grow with `count`. The attempts are counted up to the one that
-    gave the last row kept.
+    acceptance seen so far and at most `_block_rows(16 n)` rows. A round's
+    walks are rotated into packed paths once; their fixed points come from
+    `_fp_from_paths`, and only the accepted paths are unpacked and mapped
+    to avoiders. A round of fewer than _MAP_ALL_CELLS cells (rows times n)
+    maps every path instead and reads the fixed points off the avoiders,
+    which takes fewer numpy calls; the draws are the same. The largest
+    temporaries take 16 bytes for each of the n cells of a row: the two
+    int64 index arrays of `np.nonzero` in the profile bijection, the int64
+    `argsort` over 2n steps in the first-return decomposition. The count's
+    are smaller: a round fits one block of `_fp_from_walks`, whose
+    temporaries take about 2n bytes a row (`_packed_block_rows`,
+    `_mirror_pairs`). So the memory of a call beyond its result does not
+    grow with `count`. The attempts are counted up to the one that gave
+    the last row kept.
 
     Otherwise, for n within the enumeration cap and any q and pattern,
     each row draws its fixed-point count k by exact inverse cdf, then a
@@ -957,11 +1049,14 @@ def biased_avoider_permutation(n: int, q, tau: str, rng: RandomSource,
             # size each round from the acceptance seen so far (all rows at q = 1)
             need = count - got
             rows = min(most, ceil(need * attempts / max(got, 1)) if attempts else need)
-            sigma = _avoiders_from_dyck(_batch_dyck_steps(n, rows, gen), tau)
+            walks, fill = _walk_job(n, rows, gen)
+            fill()
+            path = _dyck_words(walks, n)
             attempts += rows
+            sigma = _avoiders_from_dyck(_steps(_unpack_paths(path, n)), tau) if rows * n < _MAP_ALL_CELLS else None
             accept = np.ones(rows, dtype=bool)
-            if q != 1:
-                fps = (sigma == np.arange(1, n + 1)).sum(axis=1)
+            if q != 1 and n:  # at n = 0 every row has no fixed point and is kept with no draw
+                fps = _fp_from_paths(path, n, tau) if sigma is None else (sigma == np.arange(1, n + 1)).sum(axis=1)
                 # np.bincount, not np.unique, whose first call imports numpy.ma (about 15 ms)
                 for f in np.flatnonzero(np.bincount(fps)).tolist():
                     if f == 0:
@@ -976,7 +1071,8 @@ def biased_avoider_permutation(n: int, q, tau: str, rng: RandomSource,
             kept = np.flatnonzero(accept)[:need]
             if len(kept) == need:
                 attempts -= rows - (int(kept[-1]) + 1)
-            out[got : got + len(kept)] = sigma[kept]
+            out[got : got + len(kept)] = (_avoiders_from_dyck(_steps(_unpack_paths(path[kept], n)), tau)
+                                          if sigma is None else sigma[kept])
             got += len(kept)
         return out, attempts
     caps = budgets()

@@ -1,5 +1,7 @@
 """Permutation core: containment oracle agreement, symmetries, enumeration."""
+import gc
 import itertools
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -152,3 +154,25 @@ def test_profile_bijection_round_trip():
         for sigma in perms.enumerate_avoiders(n, "321"):
             prof = perms.perm_to_profile(sigma)
             assert perms.profile_to_perm(prof) == sigma
+
+
+@pytest.mark.parametrize("tau", ["132", "213", "231", "312"])
+def test_enumeration_frees_its_memo(tau):
+    # with the collector off, memory held by cyclic garbage is never freed:
+    # once the result is dropped, memory returns near where it was (the
+    # first call fills the interpreter's free lists of small tuples)
+    enabled = gc.isenabled()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        list(perms.enumerate_avoiders(10, tau))
+        base = tracemalloc.get_traced_memory()[0]
+        avoiders = list(perms.enumerate_avoiders(10, tau))
+        held = tracemalloc.get_traced_memory()[0] - base
+        del avoiders
+        left = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert held > 1_500_000 and left < 300_000, (held, left)

@@ -96,15 +96,38 @@ def all_dyck_paths(n):
     return list(extend(n, n, 0, []))
 
 
+def _dyck_from_walks(walks, n):
+    """The Dyck paths of packed walks, as (rows, 2n) bool, True an up-step."""
+    return sampling._unpack_paths(sampling._dyck_words(walks, n), n)
+
+
+def _batch_dyck_steps(n, rows, gen):
+    """`rows` uniform Dyck paths of semilength n from one `_walk_job`, as (rows, 2n) +-1."""
+    walks, fill = sampling._walk_job(n, rows, gen)
+    fill()
+    return sampling._steps(_dyck_from_walks(walks, n))
+
+
+@pytest.fixture
+def window(monkeypatch):
+    """Sets the window w of the walk draw for the rest of a test; the cached layouts are dropped either side."""
+    def set_window(w):
+        monkeypatch.setattr(sampling, "_window", lambda n: w)
+        sampling._raw_layout.cache_clear()
+
+    yield set_window
+    sampling._raw_layout.cache_clear()
+
+
 def test_uniform_dyck_semilength_one():
-    steps = sampling._batch_dyck_steps(1, 10, RandomSource(1).generator)
+    steps = _batch_dyck_steps(1, 10, RandomSource(1).generator)
     assert steps.tolist() == [[1, -1]] * 10
 
 
 def test_uniform_dyck_frequencies():
     # the batch kernel every sampler runs: its rows are exactly the
     # Catalan(3) = 5 Dyck paths, each within 4 sigma of 1/5 at this fixed seed
-    steps = sampling._batch_dyck_steps(3, 30000, RandomSource(8).generator)
+    steps = _batch_dyck_steps(3, 30000, RandomSource(8).generator)
     counts = collections.Counter(map(tuple, steps.tolist()))
     assert set(counts) == set(all_dyck_paths(3))
     band = 4 * math.sqrt(0.2 * 0.8 / 30000)
@@ -155,20 +178,61 @@ class _RecordingGenerator:
         return words
 
 
-def _walks_by_bit_rejection(draws, n, rows):
-    """Big-integer oracle of the generator: the walks its raw words give, by branch."""
+def _walks_by_bit_rejection(draws, n, rows, w):
+    """
+    Big-integer oracle of the generator: the walks its raw words give under
+    the window w, and the kept rows counted by branch (True: complemented).
+    A chunk's kept rows are cleared in rounds; round r draws a rank for each
+    row with more than r ones to clear, one candidate a row still owed per
+    draw, and clears the set bit of that rank.
+    """
     m = 2 * n + 1
     mask = (1 << m) - 1
+    draws = iter(draws)
     walks, branches = [], collections.Counter()
-    for raw in np.concatenate(draws).reshape(-1, (m + 63) // 64):
-        x = sum(int(w) << (64 * i) for i, w in enumerate(raw)) & mask
-        ones = bin(x).count("1")
-        if ones not in (n, n + 1) or len(walks) == rows:
-            continue
-        branches[ones] += 1
-        x = x if ones == n + 1 else ~x & mask
-        walks.append([1 if x >> j & 1 else -1 for j in range(m)])
+    while len(walks) < rows:
+        kept = []
+        for raw in next(draws).reshape(-1, (m + 63) // 64):
+            x = sum(int(word) << (64 * i) for i, word in enumerate(raw)) & mask
+            ones = bin(x).count("1")
+            low = ones <= n
+            excess = (m - ones if low else ones) - (n + 1)
+            if excess > w or len(walks) + len(kept) == rows:
+                continue
+            branches[low] += 1
+            kept.append([~x & mask if low else x, excess])
+        r = 0
+        while owed := [k for k in kept if k[1] > r]:
+            ranks, todo = {}, list(range(len(owed)))
+            while todo:
+                words = next(draws).tolist()
+                assert len(words) == len(todo)
+                for i, word in zip(todo, words):
+                    bound = n + 1 + owed[i][1] - r
+                    candidate = word & ((1 << (bound - 1).bit_length()) - 1)
+                    if candidate < bound:
+                        ranks[i] = candidate
+                todo = [i for i in todo if i not in ranks]
+            for i, k in enumerate(owed):
+                k[0] &= ~(1 << [j for j in range(m) if k[0] >> j & 1][ranks[i]])
+            r += 1
+        walks += [[1 if x >> j & 1 else -1 for j in range(m)] for x, _ in kept]
+    assert next(draws, None) is None  # every draw was read
     return np.array(walks, dtype=np.int8).reshape(len(walks), m), branches
+
+
+def _check_walks_against_oracle(n, seed, w):
+    gen = _RecordingGenerator(RandomSource(seed, n).generator)
+    walks, fill = sampling._walk_job(n, 300, gen)
+    fill()
+    walks = _unpack_walks(walks, n)
+    assert walks.shape == (300, 2 * n + 1)
+    assert ((walks == 1) | (walks == -1)).all()
+    assert ((walks == 1).sum(axis=1) == n + 1).all()
+    want, branches = _walks_by_bit_rejection(gen.draws, n, 300, w)
+    assert (walks == want).all(), (n, w)
+    # both branches feed the kept rows: as drawn, and complemented
+    assert branches[False] > 0 and branches[True] > 0, (n, w, branches)
 
 
 def test_walks_match_big_integer_oracle_at_word_edges():
@@ -177,17 +241,78 @@ def test_walks_match_big_integer_oracle_at_word_edges():
     # last word as often as not, so any bit the mask lets through changes a
     # popcount and shows up against the oracle.
     for n in (0, 31, 32, 63, 64):
-        gen = _RecordingGenerator(RandomSource(43, n).generator)
-        walks, fill = sampling._walk_job(n, 300, gen)
-        fill()
-        walks = _unpack_walks(walks, n)
-        assert walks.shape == (300, 2 * n + 1)
-        assert ((walks == 1) | (walks == -1)).all()
-        assert ((walks == 1).sum(axis=1) == n + 1).all()
-        want, branches = _walks_by_bit_rejection(gen.draws, n, 300)
-        assert (walks == want).all(), n
-        # both branches feed the kept rows: n+1 ones as drawn, n ones complemented
-        assert branches[n] > 0 and branches[n + 1] > 0, (n, branches)
+        _check_walks_against_oracle(n, 43, sampling._window(n))
+
+
+def test_windowed_walks_match_big_integer_oracle(window):
+    # the same word edges under windows that clear ones, and 2n+1 in {257, 259}
+    # (just past the fourth word boundary) under the program's own window
+    assert sampling._window(128) > 0
+    for n in (128, 129):
+        _check_walks_against_oracle(n, 43, sampling._window(n))
+    for w in (1, 3):
+        window(w)
+        for n in (0, 31, 32, 63, 64):
+            _check_walks_against_oracle(n, 43, w)
+
+
+class _ScriptedGenerator:
+    """
+    Hands out scripted raw words: every chunk of raw rows is copies of one
+    row, and each single word is the next removal rank, with a high bit set
+    that the rank's mask must drop. A second chunk means the row was not kept.
+    """
+
+    class Rejected(Exception):
+        pass
+
+    def __init__(self, row, ranks):
+        self.bit_generator, self.row, self.ranks, self.chunks = self, row, list(ranks), 0
+
+    def random_raw(self, size=None):
+        if size is not None and size > 1:
+            self.chunks += 1
+            if self.chunks > 1:
+                raise self.Rejected
+            return np.full(size, self.row, dtype=np.uint64)
+        word = self.ranks.pop(0) | 1 << 63
+        return word if size is None else np.array([word], dtype=np.uint64)
+
+
+def _one_row_batch(n, gen):
+    walks, fill = sampling._walk_job(n, 1, gen)
+    fill()
+    return int(walks[0, 0])
+
+
+def test_walk_rule_is_exactly_uniform(window):
+    # every raw row of 2n+1 bits and every sequence of removal ranks, pushed
+    # through the one-row batch draw and the one-walk draw: each walk of n+1
+    # ones gets the same total weight, 2^-(2n+1) a raw row times 1/bound for
+    # each rank, exactly, and a row is kept iff its excess is within the window
+    for n in range(4):
+        m = 2 * n + 1
+        for w in sorted({0, 1, 2, sampling._window(n), n + 1}):
+            window(w)
+            weight = {x: [Fraction(0), Fraction(0)] for x in range(2**m) if bin(x).count("1") == n + 1}
+            kept_rows = 0
+            for row in range(2**m):
+                ones = bin(row).count("1")
+                excess = max(ones, m - ones) - (n + 1)
+                bounds = [n + 1 + excess - r for r in range(excess)]
+                kept_rows += excess <= w
+                for ranks in itertools.product(*map(range, bounds)):
+                    p = Fraction(1, math.prod(bounds))
+                    for i, draw in enumerate((_one_row_batch, sampling._one_walk)):
+                        gen = _ScriptedGenerator(row, ranks)
+                        try:
+                            walk = draw(n, gen)
+                        except _ScriptedGenerator.Rejected:
+                            assert excess > w, (n, w, row)
+                            continue
+                        assert excess <= w and not gen.ranks, (n, w, row, ranks)
+                        weight[walk][i] += p
+            assert {tuple(v) for v in weight.values()} == {(Fraction(kept_rows, len(weight)),) * 2}, (n, w)
 
 
 def test_dyck_bijection_exhaustive():
@@ -212,7 +337,7 @@ def test_one_walk_path_is_the_batch_kernel_of_one_row(tau):
     for n in (0, 1, 2, 4, 31, 32, 33, 63, 64, 65, 200):
         one, batch = RandomSource(47, n), RandomSource(47, n)
         for _ in range(40):
-            steps = sampling._batch_dyck_steps(n, 1, batch.generator)
+            steps = _batch_dyck_steps(n, 1, batch.generator)
             want = tuple(sampling._avoiders_from_dyck(steps, tau)[0].tolist())
             assert sampling.uniform_avoider(n, tau, one) == want, (n, tau)
         np.testing.assert_equal(one.generator.bit_generator.state,
@@ -242,7 +367,7 @@ def test_walk_kernels_match_cycle_lemma_oracle(monkeypatch):
             downs = [j for j, step in enumerate(path) if step < 0]
             sigmas.append(perms.profile_to_perm([t - x for x, t in enumerate(downs)]))
         arr = _pack_walks(np.array(walks, dtype=np.int8).reshape(len(walks), 2 * n + 1))
-        assert sampling._steps(sampling._dyck_from_walks(arr, n)).tolist() == [list(p) for p in paths], n
+        assert sampling._steps(_dyck_from_walks(arr, n)).tolist() == [list(p) for p in paths], n
         want = {"321": sigmas, "123": [s[::-1] for s in sigmas]}
         for tau in ("132", "213"):
             want[tau] = [sampling._avoider_from_path("".join("1" if step > 0 else "0" for step in path), tau)
@@ -259,7 +384,7 @@ def test_profile_fp_kernels_match_materialization():
                     (31, 500), (32, 500), (63, 500), (64, 500), (65, 500)):
         walks, fill = sampling._walk_job(n, rows, gen)
         fill()
-        steps = sampling._steps(sampling._dyck_from_walks(walks, n))
+        steps = sampling._steps(_dyck_from_walks(walks, n))
         for tau in sampling.DYCK_PATTERNS:
             sigma = sampling._avoiders_from_dyck(steps, tau)
             direct = np.array([perms.fixed_points(tuple(s)) for s in sigma])
@@ -311,7 +436,7 @@ def _fp_by_step_indices(walks, n, reverse=False):
     if n == 0:
         return out
     for i in range(0, rows, 64):
-        path = sampling._dyck_from_walks(walks[i : i + 64], n)
+        path = _dyck_from_walks(walks[i : i + 64], n)
         b = len(path)
         down = (~path).ravel().nonzero()[0]
         exc = _after_up(down)
@@ -360,7 +485,7 @@ def test_fp_batch_matches_stage_oracle_across_batches(monkeypatch):
             for tau in ("321", "123", "132", "213"):
                 got = sampling.uniform_avoider_fp_batch(n, tau, 25, RandomSource(23, n))
                 gen = RandomSource(23, n).generator
-                want = [(sampling._avoiders_from_dyck(sampling._batch_dyck_steps(n, b, gen), tau)
+                want = [(sampling._avoiders_from_dyck(_batch_dyck_steps(n, b, gen), tau)
                          == ident).sum(axis=1) for b in (7, 7, 7, 4)]
                 assert (got == np.concatenate(want)).all(), (n, tau)
     finally:
@@ -432,7 +557,7 @@ def test_fp_batch_shared_count_matches_one_thread_oracle(monkeypatch):
                     got = sampling.uniform_avoider_fp_batch(n, tau, count, rng)
                     gen = RandomSource(29, n).generator
                     sizes = [7] * (count // 7) + [count % 7] * (count % 7 > 0)
-                    want = [(sampling._avoiders_from_dyck(sampling._batch_dyck_steps(n, b, gen), tau)
+                    want = [(sampling._avoiders_from_dyck(_batch_dyck_steps(n, b, gen), tau)
                              == ident).sum(axis=1) for b in sizes]
                     assert got.tolist() == np.concatenate([np.zeros(0, np.int64), *want]).tolist(), (n, tau, count)
                     np.testing.assert_equal(rng.generator.bit_generator.state, gen.bit_generator.state)
@@ -735,6 +860,49 @@ def test_batch_rejection_with_huge_denominators():
     near_one = F(2**64 - 1, 2**64)
     arr, attempts = sampling.biased_avoider_permutation(8, near_one, "321", RandomSource(4), 300)
     assert attempts == 300 and all(perms.avoids(tuple(r), "321") for r in arr)
+
+
+def _rejection_mapping_every_row(n, q, tau, rng, count):
+    """The q <= 1 rejection with every attempted path mapped to its avoider before the accept test."""
+    a, b = q.numerator, q.denominator
+    gen, got, attempts, out = rng.generator, 0, 0, []
+    while got < count:
+        need = count - got
+        rows = min(sampling._block_rows(16 * n), math.ceil(need * attempts / max(got, 1)) if attempts else need)
+        sigma = sampling._avoiders_from_dyck(_batch_dyck_steps(n, rows, gen), tau)
+        attempts += rows
+        fps = (sigma == np.arange(1, n + 1)).sum(axis=1)
+        accept = np.ones(rows, dtype=bool)
+        for f in np.flatnonzero(np.bincount(fps)).tolist() if q != 1 else []:
+            sel = fps == f
+            if f and b**f < 2**63:
+                accept[sel] = gen.integers(0, b**f, size=int(sel.sum()), dtype=np.uint64) < a**f
+            elif f:
+                accept[sel] = [x < a**f for x in rng.randbelow_batch(b**f, int(sel.sum()))]
+        kept = np.flatnonzero(accept)[:need]
+        if len(kept) == need:
+            attempts -= rows - (int(kept[-1]) + 1)
+        out.append(sigma[kept])
+        got += len(kept)
+    return np.concatenate([np.zeros((0, n), np.int32), *out]), attempts
+
+
+@pytest.mark.parametrize("tau", sampling.DYCK_PATTERNS)
+@pytest.mark.parametrize("cells", [0, 2**20])
+def test_rejection_maps_only_the_kept_rows(monkeypatch, cells, tau):
+    # the same rows, attempts and generator state as mapping every attempt;
+    # a small byte budget makes rounds of a few dozen rows, so that one call
+    # spans many rounds; every round counts on the packed paths (cells = 0),
+    # or every round maps all its paths; n = 130 draws with a window
+    monkeypatch.setattr(sampling, "_BLOCK_BYTES", 2**14)
+    monkeypatch.setattr(sampling, "_MAP_ALL_CELLS", cells)
+    for n, q in ((9, F(1)), (9, F(1, 2)), (40, F(1, 2)), (130, F(1, 2)), (9, F(2**64 - 1, 2**64)),
+                 (40, F(2**70 + 1, 2**71))):
+        rng, ref = RandomSource(61, n), RandomSource(61, n)
+        got, attempts = sampling.biased_avoider_permutation(n, q, tau, rng, 150)
+        want, want_attempts = _rejection_mapping_every_row(n, q, tau, ref, 150)
+        assert (got == want).all() and attempts == want_attempts, (n, q)
+        np.testing.assert_equal(rng.generator.bit_generator.state, ref.generator.bit_generator.state)
 
 
 def test_rejection_rate_accounting():
