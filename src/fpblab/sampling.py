@@ -86,9 +86,6 @@ _MAX_BATCH_CELLS = 8_000_000  # soft cap on rows*length per vectorized batch
 # the packed 123 search costs numpy calls per block, not per row, so blocks are large
 _BLOCK = 1024
 _BLOCK_BYTES = 2**19
-# rows x n below which a rejection round of `biased_avoider_permutation` maps every path and
-# reads the fixed points off the avoiders: the packed count's numpy calls cost more there
-_MAP_ALL_CELLS = 4096
 
 
 class RandomSource:
@@ -176,11 +173,17 @@ def _window(n: int) -> int:
     """
     The window w of `_walk_job`: how many ones over n+1 a kept raw row may
     hold. A wider window draws fewer raw rows a walk but clears more ones
-    (docs/dyck_321_bijection.md, "Drawing the walk", for the timings), and
-    the best w grows like n^(1/4). Below n = 128 the program mostly draws
-    small batches (rounds of at most 546 rows in the q < 1 dumps at n = 60,
-    8-row dumps), where a round of clearing costs more numpy calls than
-    the raw words it saves, so w = 0 there.
+    (docs/dyck_321_bijection.md, "Drawing the walk", for the timings).
+    What decides the best w is the rows a batch draws as much as n: a
+    round of clearing costs numpy calls per batch, and saves raw words per
+    row. The cut at n = 128 stands in for batch size. The batches the
+    program draws below it are mostly small (rounds of at most 546 rows in
+    the q < 1 dumps at n = 60, 8-row dumps), where w = 0 is fastest, though
+    the 66 115-row batches of `verify --law 3 --n 60` would take w = 1 at a
+    tenth less. Above it, w grows like n^(1/4), the best w of the sweep at
+    n = 1000 (3998-row batches), 4000 and 16 000; at n = 200 with 1024 rows
+    the formula's w = 2 is within a tenth of the best, w = 1. Only n = 1000
+    is measured end to end by the benchmark.
     """
     return isqrt(isqrt(n)) - 1 if n >= 128 else 0
 
@@ -292,11 +295,11 @@ def _randbelow_rows(bound: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     """
     One exact uniform integer in [0, bound[i]) for each i, as int64, each
     bound below 2^53: as in `RandomSource.randbelow`, a candidate is a raw
-    word masked to the bits of bound - 1 and the draw is the first candidate
-    below the bound. Each round draws one candidate for every draw still
+    word masked to the bits of bound - 1 (at least one bit) and the draw is
+    the first candidate below the bound. Each round draws one candidate for every draw still
     owed, in order, so one bound draws what `randbelow` would.
     """
-    bits = np.frexp((bound - 1).astype(np.float64))[1].astype(np.uint64)
+    bits = np.maximum(np.frexp((bound - 1).astype(np.float64))[1], 1).astype(np.uint64)
     mask = (np.uint64(1) << bits) - np.uint64(1)
     out = np.empty(len(bound), dtype=np.int64)
     todo = np.arange(len(bound))
@@ -652,8 +655,8 @@ def _fp_from_walks(walks: np.ndarray, n: int, tau: str) -> np.ndarray:
         if tau == "321":
             block = part  # the hill count is row-wise, as the rotation is
     for i in range(0, rows, block):
-        path = np.concatenate([_dyck_words(walks[j : j + part], n)
-                               for j in range(i, min(i + block, rows), part)])
+        parts = [_dyck_words(walks[j : j + part], n) for j in range(i, min(i + block, rows), part)]
+        path = np.concatenate(parts) if len(parts) > 1 else parts[0]
         out[i : i + len(path)] = _fp_from_paths(path, n, tau)
     return out
 
@@ -1017,16 +1020,13 @@ def biased_avoider_permutation(n: int, q, tau: str, rng: RandomSource,
     acceptance seen so far and at most `_block_rows(16 n)` rows. A round's
     walks are rotated into packed paths once; their fixed points come from
     `_fp_from_paths`, and only the accepted paths are unpacked and mapped
-    to avoiders. A round of fewer than _MAP_ALL_CELLS cells (rows times n)
-    maps every path instead and reads the fixed points off the avoiders,
-    which takes fewer numpy calls; the draws are the same. The largest
-    temporaries take 16 bytes for each of the n cells of a row: the two
-    int64 index arrays of `np.nonzero` in the profile bijection, the int64
-    `argsort` over 2n steps in the first-return decomposition. The count's
-    are smaller: a round fits one block of `_fp_from_walks`, whose
-    temporaries take about 2n bytes a row (`_packed_block_rows`,
-    `_mirror_pairs`). So the memory of a call beyond its result does not
-    grow with `count`. The attempts are counted up to the one that gave
+    to avoiders. The largest temporaries take 16 bytes for each of the n
+    cells of a row: the two int64 index arrays of `np.nonzero` in the
+    profile bijection, the int64 `argsort` over 2n steps in the
+    first-return decomposition. The count's are smaller: a round fits one
+    block of `_fp_from_walks`, whose temporaries take about 2n bytes a row
+    (`_packed_block_rows`, `_mirror_pairs`). So the memory of a call beyond
+    its result does not grow with `count`. The attempts are counted up to the one that gave
     the last row kept.
 
     Otherwise, for n within the enumeration cap and any q and pattern,
@@ -1053,10 +1053,9 @@ def biased_avoider_permutation(n: int, q, tau: str, rng: RandomSource,
             fill()
             path = _dyck_words(walks, n)
             attempts += rows
-            sigma = _avoiders_from_dyck(_steps(_unpack_paths(path, n)), tau) if rows * n < _MAP_ALL_CELLS else None
             accept = np.ones(rows, dtype=bool)
             if q != 1 and n:  # at n = 0 every row has no fixed point and is kept with no draw
-                fps = _fp_from_paths(path, n, tau) if sigma is None else (sigma == np.arange(1, n + 1)).sum(axis=1)
+                fps = _fp_from_paths(path, n, tau)
                 # np.bincount, not np.unique, whose first call imports numpy.ma (about 15 ms)
                 for f in np.flatnonzero(np.bincount(fps)).tolist():
                     if f == 0:
@@ -1071,8 +1070,7 @@ def biased_avoider_permutation(n: int, q, tau: str, rng: RandomSource,
             kept = np.flatnonzero(accept)[:need]
             if len(kept) == need:
                 attempts -= rows - (int(kept[-1]) + 1)
-            out[got : got + len(kept)] = (_avoiders_from_dyck(_steps(_unpack_paths(path[kept], n)), tau)
-                                          if sigma is None else sigma[kept])
+            out[got : got + len(kept)] = _avoiders_from_dyck(_steps(_unpack_paths(path[kept], n)), tau)
             got += len(kept)
         return out, attempts
     caps = budgets()

@@ -888,14 +888,11 @@ def _rejection_mapping_every_row(n, q, tau, rng, count):
 
 
 @pytest.mark.parametrize("tau", sampling.DYCK_PATTERNS)
-@pytest.mark.parametrize("cells", [0, 2**20])
-def test_rejection_maps_only_the_kept_rows(monkeypatch, cells, tau):
+def test_rejection_maps_only_the_kept_rows(monkeypatch, tau):
     # the same rows, attempts and generator state as mapping every attempt;
     # a small byte budget makes rounds of a few dozen rows, so that one call
-    # spans many rounds; every round counts on the packed paths (cells = 0),
-    # or every round maps all its paths; n = 130 draws with a window
+    # spans many rounds; n = 130 draws with a window
     monkeypatch.setattr(sampling, "_BLOCK_BYTES", 2**14)
-    monkeypatch.setattr(sampling, "_MAP_ALL_CELLS", cells)
     for n, q in ((9, F(1)), (9, F(1, 2)), (40, F(1, 2)), (130, F(1, 2)), (9, F(2**64 - 1, 2**64)),
                  (40, F(2**70 + 1, 2**71))):
         rng, ref = RandomSource(61, n), RandomSource(61, n)
