@@ -31,7 +31,7 @@ import numpy as np
 from . import asymptotics, dist, sampling, series
 from .config import BudgetExceededError
 from .dist import MeasureSpec, UnsupportedMeasureError, fp_pmf
-from .perms import PATTERNS, format_perms
+from .perms import PATTERNS
 from .series import TAU_CLASS
 
 
@@ -57,6 +57,17 @@ def load_verify_defaults() -> dict:
 
 
 _BLOCK = 4096  # rows per block of a streamed table
+_BLOCK_CELLS = 2**16  # integer cells per block of a sample dump, so that wide rows stream too
+
+# a sample dump's row by format and --emit: the bytes that open it and those that follow
+# each of its column groups (the sample index, the fixed points and, for perm, the
+# permutation's entries), then the bytes that join two rows
+_DUMP_LAYOUT = {
+    ("csv", "fp"): ((b"", b",", b"\n"), b""),
+    ("json", "fp"): ((b"[", b",", b"]"), b","),
+    ("csv", "perm"): ((b"", b",", b",", b"\n"), b""),
+    ("json", "perm"): ((b"[", b",", b',"', b'"]'), b","),
+}
 
 
 class Emitter:
@@ -69,7 +80,7 @@ class Emitter:
     Canonical JSON is `json.dumps(payload, sort_keys=True, separators=(",",
     ":"))` of {"columns": ..., "meta": ..., "rows": [...]}. Its keys are
     sorted, so "rows" comes last and the text streams: the head up to
-    `"rows":[`, the rows' dumps joined by ",", then `]}`.
+    `"rows":[`, the blocks' rows joined by ",", then `]}`.
     """
 
     def __init__(self, fmt: str, out_path: str | None):
@@ -77,55 +88,114 @@ class Emitter:
         self.out_path = out_path
 
     def emit(self, columns: list[str], rows, preamble: list[str] = ()):
-        """`rows` is any iterable of sequences of len(columns) values, written _BLOCK at a time."""
-        rows = iter(rows)
-        self.emit_blocks(columns, iter(lambda: list(islice(rows, _BLOCK)), []), preamble)
-
-    def emit_blocks(self, columns: list[str], blocks, preamble: list[str] = ()):
         """
-        `blocks` is an iterable of blocks, each an iterable of rows, read
-        once; each block is formatted and written before the next is read.
-        CSV fills one "%s,...,%s" line template per row with a single `%`
-        over the flattened rows of a block, which prints each value as
-        `str` does.
+        `rows` is any iterable of sequences of len(columns) values, of any
+        type, formatted and written _BLOCK at a time. CSV fills one
+        "%s,...,%s" line template per row with a single `%` over the
+        flattened rows of a block, which prints each value as `str` does.
+        """
+        rows = iter(rows)
+        blocks = iter(lambda: list(islice(rows, _BLOCK)), [])
+        if self.fmt == "csv":
+            template = ",".join(["%s"] * len(columns)) + "\n"
+            texts = (template * len(block) % tuple(chain.from_iterable(block)) for block in blocks)
+        else:
+            texts = (json.dumps(block, sort_keys=True, separators=(",", ":"))[1:-1] for block in blocks)
+        self.emit_blocks(columns, texts, preamble)
+
+    def emit_blocks(self, columns: list[str], texts, preamble: list[str] = ()):
+        """
+        `texts` is an iterable of the text of blocks of rows, read once;
+        each block is written before the next is read. A CSV block is its
+        rows, each ending in a newline; a JSON block is its rows' dumps
+        joined by ",", and may be empty.
         """
         target = open(self.out_path, "w", encoding="utf-8") if self.out_path else nullcontext(sys.stdout)
         with target as fh:
             if self.fmt == "csv":
                 fh.write("".join(f"# {line}\n" for line in preamble) + ",".join(columns) + "\n")
-                template = ",".join(["%s"] * len(columns)) + "\n"
-                for block in blocks:
-                    flat = tuple(chain.from_iterable(block))
-                    fh.write(template * (len(flat) // len(columns)) % flat)
+                for text in texts:
+                    fh.write(text)
                 return
             head = {"columns": columns}
             if preamble:
                 head["meta"] = dict(line.partition("=")[::2] for line in preamble)
             fh.write(json.dumps(head, sort_keys=True, separators=(",", ":"))[:-1] + ',"rows":[')
             sep = ""
-            for block in blocks:
-                text = json.dumps(list(block), sort_keys=True, separators=(",", ":"))[1:-1]
+            for text in texts:
                 if text:
                     fh.write(sep + text)
                     sep = ","
             fh.write("]}\n")
 
 
-def _fp_blocks(ks: np.ndarray):
-    """The rows (sample index, fixed points) of a dump of counts, _BLOCK at a time."""
+def _render_rows(groups: list[np.ndarray], literals: tuple[bytes, ...], joiner: bytes = b"") -> str:
+    """
+    The text of a block of rows of non-negative integers. Each column group
+    is a (rows, k) integer array, k >= 0, whose k cells are joined by a
+    space and printed in decimal. literals[0] opens each row,
+    literals[g + 1] follows group g and is not empty, and `joiner` comes
+    between two rows.
+
+    The block is one uint8 matrix, a row of bytes per row, filled in a few
+    numpy calls: the literals from one line template, then each group's
+    digits, right-aligned in the width of the group's largest value, by
+    repeated unsigned division by 10, with the unused leading digits left
+    0. One boolean compaction drops those 0 pads, so no Python object is
+    made per value.
+
+    >>> groups = [np.array([[9], [10]]), np.array([[0], [2]]), np.array([[2, 1, 3], [1, 2, 13]])]
+    >>> _render_rows(groups, (b"", b",", b",", b"\\n"))
+    '9,0,2 1 3\\n10,2,1 2 13\\n'
+    >>> _render_rows(groups, (b"[", b",", b',"', b'"]'), b",")
+    '[9,0,"2 1 3"],[10,2,"1 2 13"]'
+    """
+    rows = len(groups[0])
+    ends = list(literals[1:])
+    ends[-1] += joiner
+    widths = [len(str(int(g.max()))) if g.size else 0 for g in groups]
+    spans = [b" ".join([bytes(w)] * g.shape[1]) for g, w in zip(groups, widths)]
+    line = literals[0] + b"".join(span + end for span, end in zip(spans, ends))
+    out = np.empty((rows, len(line)), dtype=np.uint8)
+    out[:] = np.frombuffer(line, dtype=np.uint8)
+    at = len(literals[0])
+    for g, w, span, end in zip(groups, widths, spans, ends):
+        if g.size:
+            # each cell's digits and the byte after them (for the last cell, the first of `end`)
+            cells = out[:, at : at + len(span) + 1].reshape(rows, -1, w + 1)
+            x = g.astype(np.uint32 if w < 10 else np.uint64)
+            cells[..., w - 1] = x % 10 + 48
+            for d in range(w - 2, -1, -1):
+                x //= 10
+                cells[..., d] = np.where(x, x % 10 + 48, 0)
+        at += len(span) + len(end)
+    text = out[out != 0].tobytes().decode("ascii")
+    return text[: len(text) - len(joiner)]
+
+
+def _fp_blocks(ks: np.ndarray, fmt: str):
+    """The text of the rows (sample index, fixed points) of a dump of counts, _BLOCK at a time."""
+    literals, joiner = _DUMP_LAYOUT[fmt, "fp"]
     for i in range(0, len(ks), _BLOCK):
-        yield zip(range(i, i + _BLOCK), ks[i : i + _BLOCK].tolist())
+        block = ks[i : i + _BLOCK, None]
+        yield _render_rows([np.arange(i, i + len(block))[:, None], block], literals, joiner)
 
 
-def _perm_blocks(perms: np.ndarray):
+def _perm_blocks(perms: np.ndarray, fmt: str):
     """
-    The rows (sample index, fixed points, permutation) of a dump of a
-    (count, n) array of permutations, _BLOCK at a time.
+    The text of the rows (sample index, fixed points, permutation) of a
+    dump of a (count, n) array of permutations, a block at a time: at most
+    _BLOCK rows and _BLOCK_CELLS integers, so that a block's memory does
+    not grow with n.
     """
-    ident = np.arange(1, perms.shape[1] + 1)
-    for i in range(0, len(perms), _BLOCK):
-        block = perms[i : i + _BLOCK]
-        yield zip(range(i, i + _BLOCK), (block == ident).sum(axis=1).tolist(), format_perms(block))
+    count, n = perms.shape
+    literals, joiner = _DUMP_LAYOUT[fmt, "perm"]
+    step = max(1, min(_BLOCK, _BLOCK_CELLS // (n + 2)))
+    ident = np.arange(1, n + 1)
+    for i in range(0, count, step):
+        block = perms[i : i + step]
+        fps = np.count_nonzero(block == ident, axis=1)[:, None]
+        yield _render_rows([np.arange(i, i + len(block))[:, None], fps, block], literals, joiner)
 
 
 def cmd_count(args) -> int:
@@ -189,12 +259,13 @@ def cmd_sample(args) -> int:
         # the counts alone: without --tau the law is exact, whatever --fp-mode says
         mode = args.fp_mode if args.tau else "exact"
         blocks = _fp_blocks(sampling.sample_fp_count_batch(args.n, args.q, args.tau, rng, args.count,
-                                                           mode=mode))
+                                                           mode=mode), args.format)
     elif args.tau is None:
-        blocks = _perm_blocks(sampling.sample_biased_unrestricted_batch(args.n, args.q, rng, args.count))
+        blocks = _perm_blocks(sampling.sample_biased_unrestricted_batch(args.n, args.q, rng, args.count),
+                              args.format)
     else:
         blocks = _perm_blocks(sampling.biased_avoider_permutation(args.n, args.q, args.tau, rng,
-                                                                  args.count)[0])
+                                                                  args.count)[0], args.format)
     columns = ["sample_index", "fp"] + (["perm"] if emit_perm else [])
     Emitter(args.format, args.out).emit_blocks(
         columns, blocks,

@@ -73,15 +73,6 @@ def format_perm(sigma: Sequence[int]) -> str:
     return " ".join(str(v) for v in sigma)
 
 
-def format_perms(rows) -> list[str]:
-    """`format_perm` of every row of a (count, n) integer array, formatted in one pass."""
-    count, n = rows.shape
-    if not count:
-        return []
-    line = " ".join(["%d"] * n)
-    return ("\n".join([line] * count) % tuple(rows.ravel().tolist())).split("\n")
-
-
 def parse_perm(text: str) -> tuple[int, ...]:
     """Inverse of `format_perm`; validates the result."""
     entries = tuple(int(tok) for tok in text.split())

@@ -1075,8 +1075,15 @@ def biased_avoider_permutation(n: int, q, tau: str, rng: RandomSource,
         return out, attempts
     caps = budgets()
     if n > caps["enum"]:
-        why = ("rejection is exponentially slow above the phase point" if q > 1
-               else f"rejection needs a uniform sampler, which pattern {tau} lacks")
+        if q <= 1:
+            why = f"rejection needs a uniform sampler, which pattern {tau} lacks"
+        elif tau == "123":
+            # not slow: accepting a uniform 123-avoider with probability q^(fp - 2) keeps
+            # at least P(fp = 2) of the draws, which tends to 1/16
+            why = ("rejection at q > 1 is not implemented for pattern 123, whose avoiders have "
+                   "at most 2 fixed points")
+        else:
+            why = "rejection is exponentially slow above the phase point"
         if tau in series.TAU_CLASS:
             alt = ("the fixed-point count alone is served by sample_fp_count_batch "
                    "(CLI: sample without --emit perm)")

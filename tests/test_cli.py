@@ -199,6 +199,45 @@ def test_sample_perm_emission_at_n0(capsys):
             assert code == 0 and err == "", (q, argv)
             assert [l for l in out.splitlines() if not l.startswith("#")] == [
                 "sample_index,fp,perm", "0,0,", "1,0,"], (q, argv)
+            code, out, err = run_cli(capsys, "sample", "--n", "0", "--q", q, "--count", "2",
+                                     "--emit", "perm", "--format", "json", *argv)
+            assert code == 0 and err == "" and out.endswith('"rows":[[0,0,""],[1,0,""]]}\n'), (q, argv)
+
+
+def _reference_dump(columns, meta, rows):
+    """A dump as CSV and canonical JSON, formatted row by row with `str` and `json.dumps`."""
+    csv = [f"# {k}={v}" for k, v in meta.items()] + [",".join(columns)]
+    csv += [",".join(str(v) for v in row) for row in rows]
+    payload = {"columns": columns, "meta": meta, "rows": rows}
+    return {"csv": "\n".join(csv) + "\n",
+            "json": json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"}
+
+
+def _check_dump(capsys, tmp_path, argv, want):
+    """`sample argv` writes `want`, as CSV and JSON, on stdout and in the --out file."""
+    for fmt, text in want.items():
+        code, out, _ = run_cli(capsys, "sample", *argv, "--format", fmt)
+        assert code == 0 and out == text, (argv, fmt)
+        target = tmp_path / f"dump.{fmt}"
+        code, out, _ = run_cli(capsys, "sample", *argv, "--format", fmt, "--out", str(target))
+        assert code == 0 and out == "" and target.read_text() == text, (argv, fmt, "--out")
+
+
+def _check_dumps_of(capsys, tmp_path, n, q, tau, count, seed=5):
+    """The perm dump (and, without tau, the fp dump) against the sampler's own rows."""
+    if tau is None:
+        arr = sampling.sample_biased_unrestricted_batch(n, q, sampling.RandomSource(seed), count)
+    else:
+        arr, _ = sampling.biased_avoider_permutation(n, q, tau, sampling.RandomSource(seed), count)
+    sigmas = [tuple(int(v) for v in row) for row in arr]
+    meta = {"seed": str(seed), "stream_id": "0", "n": str(n), "q": q, "tau": tau or ""}
+    for emit in ("fp", "perm") if tau is None else ("perm",):
+        columns = ["sample_index", "fp"] + (["perm"] if emit == "perm" else [])
+        rows = [[i, fixed_points(s)] + ([format_perm(s)] if emit == "perm" else [])
+                for i, s in enumerate(sigmas)]
+        argv = ["--n", str(n), "--q", q, "--count", str(count), "--seed", str(seed),
+                "--emit", emit] + (["--tau", tau] if tau else [])
+        _check_dump(capsys, tmp_path, argv, _reference_dump(columns, meta, rows))
 
 
 @pytest.mark.parametrize("n", [0, 1, 6, 12])
@@ -209,30 +248,47 @@ def test_sample_dumps_match_per_row_reference(capsys, monkeypatch, tmp_path, n, 
     # the dump formatted row by row from the sampler's own output, as CSV and JSON, on
     # stdout and in the --out file; three rows per streamed block, so blocks split the table
     monkeypatch.setattr(cli, "_BLOCK", 3)
-    if tau is None:
-        arr = sampling.sample_biased_unrestricted_batch(n, q, sampling.RandomSource(5), count)
-    else:
-        arr, _ = sampling.biased_avoider_permutation(n, q, tau, sampling.RandomSource(5), count)
-    sigmas = [tuple(int(v) for v in row) for row in arr]
-    meta = {"seed": "5", "stream_id": "0", "n": str(n), "q": q, "tau": tau or ""}
-    emits = ("fp", "perm") if tau is None else ("perm",)
-    for emit in emits:
-        columns = ["sample_index", "fp"] + (["perm"] if emit == "perm" else [])
-        rows = [[i, fixed_points(s)] + ([format_perm(s)] if emit == "perm" else [])
-                for i, s in enumerate(sigmas)]
-        argv = ["sample", "--n", str(n), "--q", q, "--count", str(count), "--seed", "5",
-                "--emit", emit] + (["--tau", tau] if tau else [])
-        csv = [f"# {k}={v}" for k, v in meta.items()] + [",".join(columns)]
-        csv += [",".join(str(v) for v in row) for row in rows]
-        payload = {"columns": columns, "meta": meta, "rows": rows}
-        want = {"csv": "\n".join(csv) + "\n",
-                "json": json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"}
-        for fmt, text in want.items():
-            code, out, _ = run_cli(capsys, *argv, "--format", fmt)
-            assert code == 0 and out == text, (emit, fmt)
-            target = tmp_path / f"{emit}.{fmt}"
-            code, out, _ = run_cli(capsys, *argv, "--format", fmt, "--out", str(target))
-            assert code == 0 and out == "" and target.read_text() == text, (emit, fmt, "--out")
+    _check_dumps_of(capsys, tmp_path, n, q, tau, count)
+
+
+@pytest.mark.parametrize("block", [7, 10, 4096], ids=["inside-blocks", "at-block-borders", "one-block"])
+def test_dump_index_widths_match_per_row_reference(capsys, monkeypatch, tmp_path, block):
+    # the sample index grows a digit at rows 10, 100 and 1000: inside a block of 7 rows
+    # (7-13, 98-104, 994-1000), as a block of 10 rows starts, or in one block
+    monkeypatch.setattr(cli, "_BLOCK", block)
+    _check_dumps_of(capsys, tmp_path, 2, "1/2", None, 1001)
+    _check_dumps_of(capsys, tmp_path, 3, "1", "321", 1001)
+
+
+@pytest.mark.parametrize("n", [0, 1, 9, 10, 99, 100])
+@pytest.mark.parametrize("count", [0, 1, 5])
+def test_dump_entry_widths_match_per_row_reference(capsys, tmp_path, n, count):
+    # permutation entries and fixed-point counts of one digit (n = 9) and of two (n = 10),
+    # up to 99 and up to 100; the empty permutation at n = 0
+    _check_dumps_of(capsys, tmp_path, n, "5", None, count)
+    _check_dumps_of(capsys, tmp_path, n, "1", "321", count)
+
+
+def test_wide_dump_blocks_match_per_row_reference(capsys, tmp_path):
+    # 1002 integers a row: a block holds 65 rows of n = 1000, so 70 rows take two blocks
+    assert cli._BLOCK_CELLS // 1002 < 70
+    _check_dumps_of(capsys, tmp_path, 1000, "1", "321", 70)
+
+
+@pytest.mark.parametrize("tau, mode", [(None, "exact"), ("321", "exact"), ("321", "scaled-float")])
+def test_fp_dumps_match_per_row_reference(capsys, monkeypatch, tmp_path, tau, mode):
+    # the counts alone, by each of their routes: at q = 5 the counts at n = 100 run past
+    # one digit; 7 rows a block, so the index crosses its digit widths inside blocks
+    monkeypatch.setattr(cli, "_BLOCK", 7)
+    q, seed = "5", 11
+    for n, count in ((0, 1), (1, 0), (9, 1), (10, 5), (100, 1001)):
+        ks = sampling.sample_fp_count_batch(n, q, tau, sampling.RandomSource(seed), count, mode=mode)
+        meta = {"seed": str(seed), "stream_id": "0", "n": str(n), "q": q, "tau": tau or ""}
+        rows = [[i, int(k)] for i, k in enumerate(ks)]
+        argv = ["--n", str(n), "--q", q, "--count", str(count), "--seed", str(seed),
+                "--fp-mode", mode] + (["--tau", tau] if tau else [])
+        _check_dump(capsys, tmp_path, argv, _reference_dump(["sample_index", "fp"], meta, rows))
+    assert max(k for _, k in rows) >= 10
 
 
 def test_sample_dump_memory_is_bounded():
@@ -247,6 +303,25 @@ def test_sample_dump_memory_is_bounded():
         with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
             code = main(["sample", "--n", str(n), "--q", "1/2", "--count", str(count),
                          "--emit", "perm", "--seed", str(seed)])
+        dump_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert dump_peak - sampler_peak < 8 * 2**20, (dump_peak, sampler_peak)
+
+
+def test_wide_dump_memory_is_bounded():
+    # a block is capped in integers as well as rows, so a dump of long permutations
+    # holds a few of them at a time, as the 200 000-row dump of n = 6 does
+    n, count, seed = 1000, 2000, 4242
+    tracemalloc.start()
+    try:
+        sampling.biased_avoider_permutation(n, "1", "321", sampling.RandomSource(seed), count)
+        sampler_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            code = main(["sample", "--n", str(n), "--q", "1", "--tau", "321", "--count",
+                         str(count), "--emit", "perm", "--seed", str(seed)])
         dump_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -308,6 +383,11 @@ def test_sample_refusal_exit_code(capsys):
                            "--count", "3", "--emit", "perm")
     assert code == 2
     assert "unsupported" in err and "pattern 231" in err and "> 1" not in err
+    # a 123-avoider has at most 2 fixed points: its q > 1 refusal does not call rejection slow
+    code, out, err = run_cli(capsys, "sample", "--n", "30", "--q", "2", "--tau", "123",
+                             "--count", "3", "--emit", "perm")
+    assert code == 2 and out == ""
+    assert "unsupported" in err and "pattern 123" in err and "slow" not in err
 
 
 def test_sample_refuses_nonpositive_bias(capsys):
