@@ -129,7 +129,7 @@ class Emitter:
             fh.write("]}\n")
 
 
-def _render_rows(groups: list[np.ndarray], literals: tuple[bytes, ...], joiner: bytes = b"") -> str:
+def _render_rows(groups: list[np.ndarray], literals: tuple[bytes, ...], joiner: bytes) -> str:
     """
     The text of a block of rows of non-negative integers. Each column group
     is a (rows, k) integer array, k >= 0, whose k cells are joined by a
@@ -145,7 +145,7 @@ def _render_rows(groups: list[np.ndarray], literals: tuple[bytes, ...], joiner: 
     made per value.
 
     >>> groups = [np.array([[9], [10]]), np.array([[0], [2]]), np.array([[2, 1, 3], [1, 2, 13]])]
-    >>> _render_rows(groups, (b"", b",", b",", b"\\n"))
+    >>> _render_rows(groups, (b"", b",", b",", b"\\n"), b"")
     '9,0,2 1 3\\n10,2,1 2 13\\n'
     >>> _render_rows(groups, (b"[", b",", b',"', b'"]'), b",")
     '[9,0,"2 1 3"],[10,2,"1 2 13"]'
