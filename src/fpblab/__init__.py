@@ -22,7 +22,6 @@ from .asymptotics import (
     limit_law,
     mean_coefficient,
     normalization_growth,
-    rayleigh_moment,
     regime_of,
     variance_coefficient,
 )
@@ -48,7 +47,6 @@ from .dist import (
 from .perms import (
     PATTERNS,
     EnumerationCapError,
-    Permutation,
     avoids,
     contains_pattern,
     enumerate_avoiders,

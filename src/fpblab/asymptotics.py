@@ -189,24 +189,6 @@ def limit_law(law_id: int | str, q) -> LimitLawSpec:
     raise ValueError(f"law id must be 1..5, got {law_id}")
 
 
-def rayleigh_moment(m, sigma: float) -> float:
-    """
-    m-th moment of Rayleigh(sigma): (sigma*sqrt(2))^m * Gamma(m/2 + 1).
-
-    Integer m uses the exact half-integer Gamma values; any real m > -2 is
-    accepted through the Lanczos route.
-    """
-    if m <= -2:
-        raise ValueError("moments exist only for m > -2")
-    if m == 0:
-        return 1.0
-    if isinstance(m, int) or float(m).is_integer():
-        g = special.gamma_half_integer(int(m) + 2)
-    else:
-        g = special.gamma(m / 2.0 + 1.0)
-    return (sigma * math.sqrt(2.0)) ** m * g
-
-
 def factorial_moment_prediction(m: int, n: int) -> float:
     """Critical-regime factorial-moment growth: 3^m Gamma(m/2+1) n^(m/2)."""
     return 3.0**m * special.gamma_half_integer(m + 2) * n ** (m / 2.0)

@@ -277,7 +277,7 @@ def cmd_sample(args) -> int:
 
 def _verify_growth(args, emitter) -> int:
     defaults = load_verify_defaults()["growth"]
-    grid = args.n_grid or [args.n or defaults["n"]]
+    grid = args.n_grid or [defaults["n"] if args.n is None else args.n]
     table = asymptotics.convergence_table("growth", args.q, grid)
     regime = asymptotics.regime_of(args.q)
     tol = args.tol if args.tol is not None else defaults["tolerance"][regime]
@@ -294,7 +294,7 @@ def _verify_growth(args, emitter) -> int:
 def _verify_law(args, emitter) -> int:
     spec_law = asymptotics.limit_law(args.law, args.q)
     defaults = load_verify_defaults()[spec_law.name]
-    grid = args.n_grid or [args.n or defaults["n"]]
+    grid = args.n_grid or [defaults["n"] if args.n is None else args.n]
     tol = args.tol if args.tol is not None else defaults["tolerance"]
     rows = []
     ok = True

@@ -15,7 +15,6 @@ single-pass scans. Their agreement is tested exhaustively for n <= 8.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .config import budgets
@@ -35,37 +34,6 @@ def is_permutation(entries: Sequence[int]) -> bool:
     [True, True, True, False, False]
     """
     return sorted(entries) == list(range(1, len(entries) + 1))
-
-
-@dataclass(frozen=True)
-class Permutation:
-    """A permutation of {1..n}, validated at construction."""
-
-    entries: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "entries", tuple(self.entries))
-        if not is_permutation(self.entries):
-            raise ValueError(f"not a permutation of 1..{len(self.entries)}: {self.entries!r}")
-
-    @property
-    def n(self) -> int:
-        return len(self.entries)
-
-    def fixed_points(self) -> int:
-        return fixed_points(self.entries)
-
-    def avoids(self, tau: str) -> bool:
-        return avoids(self.entries, tau)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __str__(self) -> str:
-        return format_perm(self.entries)
 
 
 def format_perm(sigma: Sequence[int]) -> str:

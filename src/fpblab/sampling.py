@@ -14,10 +14,11 @@ see docs/dyck_321_bijection.md. The path is the cycle-lemma rotation of a
 uniform walk of n+1 up-steps and n down-steps, and every such walk is
 drawn by `_walk_job` from raw bits: a row with too few ones is
 complemented, one with at most a few too many is kept, and its excess
-ones, chosen uniformly, are cleared. 321-avoiders come through the profile bijection and 123-avoiders are
-their reverses; 132-avoiders come through the first-return decomposition
-U A D B of the path (A is the head above the maximum, B the tail below
-it), and 213-avoiders are reverse-complements of 132-avoiders.
+ones, chosen uniformly, are cleared. 321-avoiders come through the
+profile bijection and 123-avoiders are their reverses; 132-avoiders come
+through the first-return decomposition U A D B of the path (A is the head
+above the maximum, B the tail below it), and 213-avoiders are
+reverse-complements of 132-avoiders.
 
 A batch of walks is held bit-packed, one bit a step, and every batch
 kernel rotates it one way: word shifts and one gather of word pairs turn
@@ -30,12 +31,9 @@ fixed point is a hill of the path, counted by bytes; a 123 fixed point
 is a peak at the middle or the one fill crossing, which a rank/select
 bisection over the path's step-pair masks finds. For 132/213 it unpacks
 the paths of a block, and a fixed point is a pair of matching steps that
-mirror each other about the middle of the path. The documented per-call
-sampler `uniform_avoider`, which no program path calls, draws one walk per
-call and runs the same steps in plain Python ints (`_one_dyck_path`,
-`_avoider_from_path`): the same `random_raw` calls, chunk for chunk, so it
-draws what a one-row batch would draw and leaves the generator where that
-would. The fixed-point batch sampler draws ahead: while the calling thread
+mirror each other about the middle of the path. The per-call sampler
+`uniform_avoider` is a one-row batch of `biased_avoider_permutation` at
+q = 1. The fixed-point batch sampler draws ahead: while the calling thread
 counts batch i, one helper thread draws batch i+1. Only the helper draws
 after the first batch, in batch order, so the random stream is the one of
 drawing the batches one after another. Every other sampler draws and maps
@@ -76,7 +74,7 @@ import numpy as np
 from . import series
 from .config import budgets
 from .dist import FixedPointPMF, MeasureSpec, Provenance, UnsupportedMeasureError, fixed_point_row, fp_pmf
-from .perms import check_pattern, enumerate_avoiders, fixed_points, profile_to_perm
+from .perms import check_pattern, enumerate_avoiders, fixed_points
 from .series import as_rational
 
 _MAX_BATCH_CELLS = 8_000_000  # soft cap on rows*length per vectorized batch
@@ -95,12 +93,16 @@ class RandomSource:
     Philox is counter-based, so the key fully determines the stream
     regardless of platform or thread count. Sources are cheap value-like
     objects; use one per task and `spawn` new stream ids for parallel work
-    (never share one source between threads).
+    (never share one source between threads). The seed and the stream id
+    are each one uint64 word of the key, so each must lie in [0, 2^64).
     """
 
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = int(seed)
         self.stream_id = int(stream_id)
+        for name, value in (("seed", self.seed), ("stream id", self.stream_id)):
+            if not 0 <= value < 2**64:
+                raise ValueError(f"{name} must be in [0, 2^64), got {value}")
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self.generator = np.random.Generator(np.random.Philox(key=key))
 
@@ -195,8 +197,8 @@ def _raw_layout(n: int):
     the uint64 words per raw row (2n+1 bits, bit j giving column j), the
     mask of those bits as one read-only little-endian word per raw word,
     the window w of `_window`, and the call that sizes a chunk of raw rows
-    for `need` more walks. `_walk_job` and `_one_walk` both read it, so
-    that they draw the same chunks and hence the same walks.
+    for `need` more walks. A walk's chunk decides where the generator is
+    left, so the chunk size is part of every seeded stream.
 
     A raw row is kept when it has k ones, n-w <= k <= n+1+w, which happens
     with probability sum C(2n+1, k) / 2^(2n+1) over those k, about
@@ -311,38 +313,6 @@ def _randbelow_rows(bound: np.ndarray, gen: np.random.Generator) -> np.ndarray:
     return out
 
 
-def _one_walk(n: int, gen: np.random.Generator) -> int:
-    """
-    The walk `_walk_job(n, 1, gen)` draws, from the same words, as an int
-    whose bit j is set where column j is an up-step. Each raw row is read as
-    one int (little-endian words, so bit j is column j); the first row
-    within the window is kept, complemented if it has at most n ones, and
-    its excess ones are cleared one at a time, each by the rank that
-    `randbelow` would draw among the set bits still there.
-    """
-    words, full, w, chunk = _raw_layout(n)
-    width = 8 * words
-    full = int.from_bytes(full.tobytes(), "little")  # the last word masked, the others whole
-    raw = gen.bit_generator.random_raw
-    while True:
-        buf = raw(chunk(1) * words).astype("<u8", copy=False).tobytes()
-        for i in range(0, len(buf), width):
-            row = int.from_bytes(buf[i : i + width], "little") & full
-            d = row.bit_count() - n
-            if -w <= d <= w + 1:
-                if d <= 0:
-                    row, d = row ^ full, 1 - d
-                for ones in range(n + d, n + 1, -1):  # the ones left before each clearing
-                    mask = (1 << (ones - 1).bit_length()) - 1
-                    while (rank := raw() & mask) >= ones:
-                        pass
-                    rest = row
-                    for _ in range(rank):
-                        rest &= rest - 1  # drop the lowest set bit
-                    row ^= rest & -rest
-                return row
-
-
 def _byte_tables():
     """
     For each byte of 8 steps (first step in the low bit, bit 1 a down-step):
@@ -357,8 +327,6 @@ def _byte_tables():
 
 
 _BYTE_NET, _BYTE_LOW, _BYTE_LAST = _byte_tables()
-# the same tables as lists, for the one-walk path in plain Python
-_LSB_NET, _LSB_LOW, _LSB_LAST = (t.tolist() for t in (_BYTE_NET, _BYTE_LOW, _BYTE_LAST))
 
 
 def _dyck_starts(walks: np.ndarray, n: int) -> np.ndarray:
@@ -376,36 +344,13 @@ def _dyck_starts(walks: np.ndarray, n: int) -> np.ndarray:
     the down-steps (the walk XOR the mask of its 2n+1 columns) index the
     byte tables, which give each byte's net sum, lowest prefix sum and last
     position of it. Padding bits stay clear, so they read as up-steps and
-    never reach a minimum. (One walk at a time goes through `_one_dyck_path`
-    instead, in plain Python.)
+    never reach a minimum.
     """
     down = (walks ^ _raw_layout(n)[1]).astype("<u8", copy=False).view(np.uint8)
     low = np.take(_BYTE_NET, down).cumsum(axis=1, dtype=_walk_dtype(n))
     low += np.take(_BYTE_LOW, down)  # the lowest prefix sum within each byte
     byte = down.shape[1] - 1 - low[:, ::-1].argmin(axis=1)  # the last byte reaching the minimum
     return 8 * byte + _BYTE_LAST[down[np.arange(len(walks)), byte]] + 2
-
-
-def _one_dyck_path(n: int, gen: np.random.Generator) -> str:
-    """
-    The Dyck path of the walk `_walk_job(n, 1, gen)` draws, from the same
-    words, as a string of 2n steps, "1" up and "0" down, in plain Python.
-
-    The path starts two columns after the last minimum of the walk's prefix
-    sums, read cyclically. The sums run over the bytes of the down-steps
-    with the byte tables of `_dyck_starts`, first step in the low bit;
-    padding bits read as up-steps.
-    """
-    m = 2 * n + 1
-    walk = _one_walk(n, gen)
-    height, low, last_min = 0, m, 0
-    for i, byte in enumerate((walk ^ (1 << m) - 1).to_bytes((m + 7) // 8, "little")):
-        height += _LSB_NET[byte]
-        if height + _LSB_LOW[byte] <= low:
-            low = height + _LSB_LOW[byte]
-            last_min = 8 * i + _LSB_LAST[byte]
-    steps = format(walk, f"0{m}b")[::-1]  # column j at index j
-    return (steps + steps)[last_min + 2 : last_min + 2 + 2 * n]
 
 
 def _walk_dtype(n: int):
@@ -752,32 +697,6 @@ def _avoiders_from_dyck(steps: np.ndarray, tau: str) -> np.ndarray:
     return sigma.shape[1] + 1 - sigma[:, ::-1] if tau == "213" else sigma
 
 
-def _avoider_from_path(path: str, tau: str) -> tuple[int, ...]:
-    """
-    The tau-avoider of one Dyck path given as a string of "1" (up) and "0"
-    (down) steps: the map of `_avoiders_from_dyck`, in plain Python.
-
-    321: the profile of the x-th down-step (x from 0, at index t_x) is t_x - x,
-    the up-steps before it, a running sum of the runs of up-steps that
-    `split` cuts out; 123 is the reverse. 132: read left to right, a stack
-    matches each down-step, the d-th, with its up-step, the k-th, and puts
-    n+1-k at position d; 213 is the reverse-complement.
-    """
-    n = len(path) // 2
-    if tau in ("321", "123"):
-        sigma = profile_to_perm(list(accumulate(map(len, path.split("0")[:n]))))
-        return sigma[::-1] if tau == "123" else sigma
-    sigma, open_ups, k = [], [], 0
-    for step in path:
-        if step == "1":
-            k += 1
-            open_ups.append(k)
-        else:
-            sigma.append(n + 1 - open_ups.pop())
-    # reverse-complement: sigma'_x = n+1 - sigma_{n+1-x}
-    return tuple(n + 1 - v for v in reversed(sigma)) if tau == "213" else tuple(sigma)
-
-
 def _batch_rows(n: int, remaining: int) -> int:
     return max(1, min(remaining, _MAX_BATCH_CELLS // max(2 * n + 1, 1), 200_000))
 
@@ -801,17 +720,19 @@ def _dyck_pattern(tau: str) -> str:
 
 def uniform_avoider(n: int, tau: str, rng: RandomSource) -> tuple[int, ...]:
     """
-    One uniform element of S_n(tau) for tau in {321, 132, 213, 123}.
+    One uniform element of S_n(tau) for tau in {321, 132, 213, 123}: a
+    one-row `biased_avoider_permutation` at q = 1, which draws one walk
+    (`_walk_job(n, 1, ·)`) and no accept draw. A call costs about 0.1 ms
+    at n = 4 and 60, nearly all of it numpy call overhead, and about 0.3 ms
+    at n = 1000 (2 vCPU, Python 3.11, numpy 2.4); draw many avoiders in
+    one batch call.
 
     Patterns 231 and 312 are refused only because the Dyck kernel has no
     branch for them yet (the reverse of a 132-avoider avoids 231, and its
     complement avoids 312); use `enumerate_avoiders` within the `enum`
     budget instead.
     """
-    tau = _dyck_pattern(tau)
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    return _avoider_from_path(_one_dyck_path(n, rng.generator), tau)
+    return tuple(biased_avoider_permutation(n, 1, _dyck_pattern(tau), rng, 1)[0][0].tolist())
 
 
 def _start_helper(job):

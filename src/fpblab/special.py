@@ -1,5 +1,6 @@
 """
-Self-contained special functions: erf/erfc, the normal cdf, and Gamma.
+Self-contained special functions: erf/erfc, the normal cdf, and Gamma at
+integers and half-integers.
 
 The distance checks need a normal cdf that is identical on every platform,
 so erf is implemented here from its defining series rather than calling the
@@ -12,10 +13,9 @@ platform libm:
   erfc(x) = exp(-x^2)/sqrt(pi) * 1/(x + 1/(2x + 2/(x + 3/(2x + ...)))),
   evaluated bottom-up at fixed depth (converges geometrically for x > 3).
 
-Gamma comes in two flavours: exact values at integers and half-integers
-(products of odd numbers times sqrt(pi)), and a 9-term Lanczos
-approximation (g = 7) for general arguments, ~1e-13 relative error. Both
-are cross-checked against math.gamma/math.erf in the tests.
+Gamma is exact at integers and half-integers (products of odd numbers
+times sqrt(pi)), the only arguments the moment predictions take. Both are
+cross-checked against math.gamma/math.erf in the tests.
 """
 from __future__ import annotations
 
@@ -82,37 +82,6 @@ def gamma_half_integer(twice_x: int) -> float:
         return float(math.factorial(twice_x // 2 - 1))
     k = (twice_x - 1) // 2  # Gamma(k + 1/2)
     return math.factorial(2 * k) / (4**k * math.factorial(k)) * _SQRT_PI
-
-
-# Lanczos approximation, g = 7, 9 terms (classic double-precision constants)
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-
-def gamma(x: float) -> float:
-    """Gamma for real x (poles at nonpositive integers raise), ~1e-13 relative."""
-    if 2 * x == int(2 * x) and x > 0:
-        return gamma_half_integer(int(2 * x))
-    if x < 0.5:
-        if x == int(x):
-            raise ValueError(f"gamma pole at {x}")
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    x -= 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (x + i)
-    t = x + _LANCZOS_G + 0.5
-    return math.sqrt(2.0 * math.pi) * t ** (x + 0.5) * math.exp(-t) * acc
 
 
 def log_of_int(x: int) -> float:

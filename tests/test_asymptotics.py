@@ -105,27 +105,6 @@ def test_limit_law_hypothesis_refusals():
         asym.limit_law("gauss", 4)
 
 
-def test_rayleigh_moments():
-    sigma = 3 / math.sqrt(2)
-    assert asym.rayleigh_moment(2, sigma) == pytest.approx(9.0)
-    assert asym.rayleigh_moment(0, sigma) == 1.0
-    assert asym.rayleigh_moment(1, sigma) == pytest.approx(3 * math.sqrt(math.pi) / 2)
-    # half-integer route and Lanczos route agree
-    assert asym.rayleigh_moment(2.5, sigma) == pytest.approx(
-        (sigma * math.sqrt(2)) ** 2.5 * math.gamma(2.25), rel=1e-12
-    )
-    with pytest.raises(ValueError):
-        asym.rayleigh_moment(-2, sigma)
-
-
-def test_rayleigh_moment_ratio_bound():
-    # ratio of consecutive moments is at most sigma * sqrt(m + 2)
-    sigma = 3 / math.sqrt(2)
-    for m in range(21):
-        ratio = asym.rayleigh_moment(m + 1, sigma) / asym.rayleigh_moment(m, sigma)
-        assert ratio <= sigma * math.sqrt(m + 2) + 1e-12
-
-
 def test_convergence_table_growth():
     table = asym.convergence_table("growth", 1, [50, 200, 800])
     assert [r.n for r in table.rows] == [50, 200, 800]

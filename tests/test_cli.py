@@ -400,6 +400,31 @@ def test_sample_refuses_nonpositive_bias(capsys):
         assert "bias parameter q must be positive" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["sample", "--n", "5", "--count", "2"],
+    ["pmf", "--n", "5", "--q", "1", "--tau", "321", "--mode", "monte-carlo", "--samples", "10"],
+    ["verify", "--law", "2", "--q", "1", "--n", "20", "--samples", "10"],
+], ids=["sample", "pmf", "verify"])
+def test_seed_or_stream_out_of_range_is_refused(capsys, command):
+    # each is one uint64 word of the Philox key: out of range it is a refused value (exit 2), not a crash
+    for flag, value, name in (("--seed", "-1", "seed"), ("--stream", "-3", "stream id"),
+                              ("--seed", str(2**64), "seed"), ("--stream", str(2**64), "stream id")):
+        code, out, err = run_cli(capsys, *command, flag, value)
+        assert (code, out, err) == (2, "", f"error: {name} must be in [0, 2^64), got {value}\n"), flag
+    code, out, _ = run_cli(capsys, *command, "--seed", str(2**64 - 1), "--stream", str(2**64 - 1))
+    assert code in (0, 1) and out
+
+
+def test_verify_n_zero_is_checked_at_zero(capsys):
+    # --n 0 is checked at n = 0, as --n-grid 0 is, and never replaced by the default n
+    code, out, err = run_cli(capsys, "verify", "--growth", "--q", "3", "--n", "0")
+    assert (code, out, err) == (2, "", "error: n must be >= 1\n")
+    code, out, err = run_cli(capsys, "verify", "--law", "1", "--q", "2", "--n", "0")
+    assert code == 1 and err == ""
+    assert out.startswith("FAIL check=poisson q=2 n=0 ") and "\n0,2,,poisson," in out
+    assert run_cli(capsys, "verify", "--law", "1", "--q", "2", "--n-grid", "0") == (code, out, err)
+
+
 @pytest.mark.parametrize("argv", [
     ["--q", "0"],
     ["--q-grid", "0"],

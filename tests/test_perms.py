@@ -121,15 +121,6 @@ def test_enumeration_caps_follow_budget(monkeypatch):
     assert len(next(perms.enumerate_permutations(11))) == 11
 
 
-def test_permutation_type_validation():
-    p = perms.Permutation((3, 1, 2))
-    assert p.n == 3 and p.fixed_points() == 0 and p.avoids("321")
-    with pytest.raises(ValueError):
-        perms.Permutation((1, 3))
-    with pytest.raises(ValueError):
-        perms.Permutation((1, 1, 2))
-
-
 def test_pattern_validation():
     with pytest.raises(ValueError, match="pattern"):
         perms.avoids((1, 2, 3), "322")

@@ -27,6 +27,16 @@ def test_random_source_determinism():
     assert RandomSource(99).spawn(4).stream_id == 4
 
 
+def test_random_source_key_words_are_uint64():
+    top = 2**64 - 1
+    assert RandomSource(top, top).generator.bit_generator.state["state"]["key"].tolist() == [top, top]
+    for seed, stream in ((-1, 0), (2**64, 0), (0, -1), (0, 2**64)):
+        with pytest.raises(ValueError, match=r"must be in \[0, 2\^64\)"):
+            RandomSource(seed, stream)
+    with pytest.raises(ValueError, match="stream id"):
+        RandomSource(1).spawn(-2)
+
+
 def test_randbelow_exact_and_reproducible():
     rng = RandomSource(5)
     big = 10**40
@@ -269,14 +279,13 @@ class _ScriptedGenerator:
     def __init__(self, row, ranks):
         self.bit_generator, self.row, self.ranks, self.chunks = self, row, list(ranks), 0
 
-    def random_raw(self, size=None):
-        if size is not None and size > 1:
+    def random_raw(self, size):
+        if size > 1:
             self.chunks += 1
             if self.chunks > 1:
                 raise self.Rejected
             return np.full(size, self.row, dtype=np.uint64)
-        word = self.ranks.pop(0) | 1 << 63
-        return word if size is None else np.array([word], dtype=np.uint64)
+        return np.array([self.ranks.pop(0) | 1 << 63], dtype=np.uint64)
 
 
 def _one_row_batch(n, gen):
@@ -287,14 +296,14 @@ def _one_row_batch(n, gen):
 
 def test_walk_rule_is_exactly_uniform(window):
     # every raw row of 2n+1 bits and every sequence of removal ranks, pushed
-    # through the one-row batch draw and the one-walk draw: each walk of n+1
-    # ones gets the same total weight, 2^-(2n+1) a raw row times 1/bound for
-    # each rank, exactly, and a row is kept iff its excess is within the window
+    # through the one-row batch draw: each walk of n+1 ones gets the same
+    # total weight, 2^-(2n+1) a raw row times 1/bound for each rank, exactly,
+    # and a row is kept iff its excess is within the window
     for n in range(4):
         m = 2 * n + 1
         for w in sorted({0, 1, 2, sampling._window(n), n + 1}):
             window(w)
-            weight = {x: [Fraction(0), Fraction(0)] for x in range(2**m) if bin(x).count("1") == n + 1}
+            weight = {x: Fraction(0) for x in range(2**m) if bin(x).count("1") == n + 1}
             kept_rows = 0
             for row in range(2**m):
                 ones = bin(row).count("1")
@@ -302,22 +311,46 @@ def test_walk_rule_is_exactly_uniform(window):
                 bounds = [n + 1 + excess - r for r in range(excess)]
                 kept_rows += excess <= w
                 for ranks in itertools.product(*map(range, bounds)):
-                    p = Fraction(1, math.prod(bounds))
-                    for i, draw in enumerate((_one_row_batch, sampling._one_walk)):
-                        gen = _ScriptedGenerator(row, ranks)
-                        try:
-                            walk = draw(n, gen)
-                        except _ScriptedGenerator.Rejected:
-                            assert excess > w, (n, w, row)
-                            continue
-                        assert excess <= w and not gen.ranks, (n, w, row, ranks)
-                        weight[walk][i] += p
-            assert {tuple(v) for v in weight.values()} == {(Fraction(kept_rows, len(weight)),) * 2}, (n, w)
+                    gen = _ScriptedGenerator(row, ranks)
+                    try:
+                        walk = _one_row_batch(n, gen)
+                    except _ScriptedGenerator.Rejected:
+                        assert excess > w, (n, w, row)
+                        continue
+                    assert excess <= w and not gen.ranks, (n, w, row, ranks)
+                    weight[walk] += Fraction(1, math.prod(bounds))
+            assert set(weight.values()) == {Fraction(kept_rows, len(weight))}, (n, w)
+
+
+def _avoider_from_path(path, tau):
+    """
+    The tau-avoider of one Dyck path given as +-1 steps, in plain Python:
+    the oracle of the batch map `sampling._avoiders_from_dyck`.
+
+    321: the profile of the x-th down-step (x from 0, at step t_x) is
+    t_x - x, the up-steps before it; 123 is the reverse. 132: read left to
+    right, a stack matches each down-step, the d-th, with its up-step, the
+    k-th, and puts n+1-k at position d; 213 is the reverse-complement.
+    """
+    n = len(path) // 2
+    if tau in ("321", "123"):
+        downs = [t for t, step in enumerate(path) if step < 0]
+        sigma = perms.profile_to_perm([t - x for x, t in enumerate(downs)])
+        return sigma[::-1] if tau == "123" else sigma
+    sigma, open_ups, k = [], [], 0
+    for step in path:
+        if step > 0:
+            k += 1
+            open_ups.append(k)
+        else:
+            sigma.append(n + 1 - open_ups.pop())
+    # reverse-complement: sigma'_x = n+1 - sigma_{n+1-x}
+    return tuple(n + 1 - v for v in reversed(sigma)) if tau == "213" else tuple(sigma)
 
 
 def test_dyck_bijection_exhaustive():
     # the batch map of the samplers, on every path at once: injective, onto
-    # S_n(tau); the one-walk map of the per-call sampler agrees path by path
+    # S_n(tau), and the plain-Python map of every path
     for n in range(1, 8):
         paths = all_dyck_paths(n)
         for tau in sampling.DYCK_PATTERNS:
@@ -325,9 +358,7 @@ def test_dyck_bijection_exhaustive():
             images = [tuple(row) for row in batch.tolist()]
             assert len(set(images)) == len(paths), (n, tau)
             assert set(images) == set(perms.enumerate_avoiders(n, tau)), (n, tau)
-            one = [sampling._avoider_from_path("".join("1" if s > 0 else "0" for s in p), tau)
-                   for p in paths]
-            assert one == images, (n, tau)
+            assert [_avoider_from_path(p, tau) for p in paths] == images, (n, tau)
 
 
 @pytest.mark.parametrize("tau", ["321", "123", "132", "213"])
@@ -355,25 +386,18 @@ def _dyck_path_by_cycle_lemma(walk):
 
 
 def test_walk_kernels_match_cycle_lemma_oracle(monkeypatch):
-    # every walk for n <= 6, rotated and mapped in pure Python (perms.profile_to_perm);
-    # three rows per block, so that blocks split the batch
+    # every walk for n <= 6, rotated and mapped in pure Python; three rows per
+    # block, so that blocks split the batch
     monkeypatch.setattr(sampling, "_BLOCK", 3)
     for n in range(7):
         walks = [tuple(1 if j in ups else -1 for j in range(2 * n + 1))
                  for ups in itertools.combinations(range(2 * n + 1), n + 1)]
         paths = [_dyck_path_by_cycle_lemma(w) for w in walks]
-        sigmas = []
-        for path in paths:
-            downs = [j for j, step in enumerate(path) if step < 0]
-            sigmas.append(perms.profile_to_perm([t - x for x, t in enumerate(downs)]))
         arr = _pack_walks(np.array(walks, dtype=np.int8).reshape(len(walks), 2 * n + 1))
         assert sampling._steps(_dyck_from_walks(arr, n)).tolist() == [list(p) for p in paths], n
-        want = {"321": sigmas, "123": [s[::-1] for s in sigmas]}
-        for tau in ("132", "213"):
-            want[tau] = [sampling._avoider_from_path("".join("1" if step > 0 else "0" for step in path), tau)
-                         for path in paths]
-        for tau, avoiders in want.items():
-            assert sampling._fp_from_walks(arr, n, tau).tolist() == [perms.fixed_points(s) for s in avoiders], (n, tau)
+        for tau in sampling.DYCK_PATTERNS:
+            want = [perms.fixed_points(_avoider_from_path(p, tau)) for p in paths]
+            assert sampling._fp_from_walks(arr, n, tau).tolist() == want, (n, tau)
 
 
 def test_profile_fp_kernels_match_materialization():
@@ -610,10 +634,10 @@ def test_uniform_avoider_outputs_avoid():
 
 
 def test_uniform_avoider_distribution_small_n():
-    rng = RandomSource(12)
     n_samples = 25000
     for tau in ("321", "132", "213", "123"):
-        counts = collections.Counter(sampling.uniform_avoider(4, tau, rng) for _ in range(n_samples))
+        rows = sampling.biased_avoider_permutation(4, 1, tau, RandomSource(12), n_samples)[0]
+        counts = collections.Counter(map(tuple, rows.tolist()))
         assert len(counts) == 14
         band = 4 * math.sqrt((1 / 14) * (13 / 14) / n_samples)
         assert all(abs(c / n_samples - 1 / 14) < band for c in counts.values()), tau

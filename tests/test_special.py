@@ -42,17 +42,6 @@ def test_gamma_half_integers_exact():
         special.gamma_half_integer(0)
 
 
-def test_gamma_general_accuracy():
-    for i in range(1, 250):
-        x = 0.013 + i * 0.0719
-        rel = abs(special.gamma(x) - math.gamma(x)) / abs(math.gamma(x))
-        assert rel < 1e-12, x
-    for x in (-0.5, -1.5, -2.3):
-        assert abs(special.gamma(x) - math.gamma(x)) < 1e-11 * abs(math.gamma(x))
-    with pytest.raises(ValueError):
-        special.gamma(-2.0)
-
-
 def test_log_of_int_beyond_float_range():
     big = 7**5000
     want = 5000 * math.log(7)
