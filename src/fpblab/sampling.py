@@ -27,7 +27,8 @@ kernels that map steps unpack (`_unpack_paths`). One count,
 `_fp_from_walks`, gives the fixed points of all four patterns a block of
 rows at a time. For 321/123 it reads them straight off the packed paths,
 with no step unpacked, nothing sorted and no permutation built: a 321
-fixed point is a hill of the path, counted by bytes; a 123 fixed point
+fixed point is a hill of the path, counted by halfwords of 16 steps
+through a table built on first use; a 123 fixed point
 is a peak at the middle or the one fill crossing, which a rank/select
 bisection over the path's step-pair masks finds. For 132/213 it unpacks
 the paths of a block, and a fixed point is a pair of matching steps that
@@ -49,7 +50,11 @@ read big-endian and masked), and a round draws one candidate for each
 draw still owed, at most _MAX_BATCH_CELLS bits, in a single generator
 call. Every owed draw takes at least one candidate, so a round never draws
 past the candidate where one-at-a-time `randbelow` calls would stop: the
-values and the generator state afterwards are theirs.
+values and the generator state afterwards are theirs. The draws stay
+numpy word rows: a round keeps its candidates by a word-by-word comparison
+with the bound, the accept step compares them with a^fp the same way, and
+the inverse cdf places each draw among the cumulative weights by its top
+64 bits, comparing whole numbers in Python only where those tie.
 
 Whole permutations of biased avoiders come from one call,
 `biased_avoider_permutation(n, q, tau, rng, count)`. For q <= 1 and the
@@ -129,18 +134,20 @@ class RandomSource:
             if x < bound:
                 return x
 
-    def randbelow_batch(self, bound: int, count: int) -> list[int]:
+    def randbelow_batch(self, bound: int, count: int) -> np.ndarray:
         """
         `count` exact uniform integers in [0, bound): the values of `count`
-        `randbelow` calls, leaving the generator in the same state.
+        `randbelow` calls, leaving the generator in the same state, as a
+        (count, words) uint64 array, row i the words of the i-th value with
+        the most significant first (words: those that hold bound - 1).
 
         A candidate is the raw uint64 words (`bit_generator.random_raw`,
         the words `integers(0, 2**64, dtype=np.uint64)` returns) that hold
         the bits of bound - 1, read big-endian and masked to them; it is
-        kept iff it is below bound. Each round draws one candidate per draw
-        still owed, at most _MAX_BATCH_CELLS bits, in one call. Every owed draw takes at least
-        one candidate, so a round never draws past the candidate where the
-        sequential calls would stop.
+        kept iff it is below bound (`_words_below`). Each round draws one
+        candidate per draw still owed, at most _MAX_BATCH_CELLS bits, in one
+        call. Every owed draw takes at least one candidate, so a round never
+        draws past the candidate where the sequential calls would stop.
         """
         if bound <= 0:
             raise ValueError("bound must be positive")
@@ -148,22 +155,37 @@ class RandomSource:
             raise ValueError("count must be >= 0")
         bits = max((bound - 1).bit_length(), 1)
         words = (bits + 63) // 64
-        size = 8 * words  # bytes per candidate
-        mask = (1 << bits) - 1
+        mask = np.uint64((1 << bits - 64 * (words - 1)) - 1)  # of the first word
         cap = max(1, _MAX_BATCH_CELLS // (64 * words))
-        out: list[int] = []
-        while len(out) < count:
-            need = min(count - len(out), cap)
-            raw = self.generator.bit_generator.random_raw(need * words)
-            buf = raw.astype(">u8").tobytes()
-            for j in range(0, len(buf), size):
-                x = int.from_bytes(buf[j : j + size], "big") & mask
-                if x < bound:
-                    out.append(x)
+        out = np.empty((count, words), dtype=np.uint64)
+        got = 0
+        while got < count:
+            need = min(count - got, cap)
+            raw = self.generator.bit_generator.random_raw(need * words).reshape(need, words)
+            raw[:, 0] &= mask
+            kept = raw[_words_below(raw, bound)]
+            out[got : got + len(kept)] = kept
+            got += len(kept)
         return out
 
     def __repr__(self):
         return f"RandomSource(seed={self.seed}, stream_id={self.stream_id})"
+
+
+def _words_below(x: np.ndarray, value: int) -> np.ndarray:
+    """
+    Whether each row of x, the uint64 words of a number with the most
+    significant first, is below the integer value >= 0: the first word
+    where the row and value differ decides.
+    """
+    words = x.shape[1]
+    if value >> 64 * words:
+        return np.ones(len(x), dtype=bool)
+    limit = np.array([(value >> 64 * j) & (2**64 - 1) for j in range(words - 1, -1, -1)], dtype=np.uint64)
+    differ = x != limit
+    first = differ.argmax(axis=1)
+    at = np.arange(len(x))
+    return differ[at, first] & (x[at, first] < limit[first])
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +348,33 @@ def _byte_tables():
             7 - np.argmin(prefix[:, ::-1], axis=1))
 
 
-_BYTE_NET, _BYTE_LOW, _BYTE_LAST = _byte_tables()
+def _read_only(*tables):
+    for table in tables:
+        table.flags.writeable = False  # shared by every caller of a cached table
+    return tables
+
+
+@lru_cache(maxsize=1)
+def _start_tables():
+    """
+    The byte tables of `_byte_tables` for halfwords of 16 steps (bit 1 a
+    down-step): each halfword's net sum, its lowest prefix sum less that
+    net sum, and the last position (0..15) where that lowest prefix sum is
+    reached. The halfword whose first step is in the low bit of byte lo and
+    whose ninth is in the low bit of byte hi sits at 256 lo + hi, where a
+    '>u2' view of packed rows reads it. The high byte's lowest prefix sum is
+    the low byte's net sum plus its own, and a tie goes to the high byte,
+    the later one. Built on first use.
+    """
+    net, low, last = _byte_tables()
+    last = last.astype(np.int8)
+    lowest = low + net  # the lowest prefix sum of each byte
+    whole = net[:, None] + net[None, :]
+    high = net[:, None] + lowest[None, :]  # the lowest prefix sum within the high byte
+    low16 = np.minimum(high, lowest[:, None]) - whole
+    # broadcast arithmetic, not np.where, which is slow to broadcast
+    last16 = last[:, None] + (high <= lowest[:, None]) * (8 + last[None, :] - last[:, None])
+    return _read_only(whole.ravel(), low16.ravel(), last16.astype(np.uint8).ravel())
 
 
 def _dyck_starts(walks: np.ndarray, n: int) -> np.ndarray:
@@ -340,21 +388,27 @@ def _dyck_starts(walks: np.ndarray, n: int) -> np.ndarray:
     up-step leaves a uniform Dyck path, whose first step is therefore two
     columns after the last minimum.
 
-    The prefix sums run over bytes, an eighth of the columns: the bytes of
-    the down-steps (the walk XOR the mask of its 2n+1 columns) index the
-    byte tables, which give each byte's net sum, lowest prefix sum and last
-    position of it. Padding bits stay clear, so they read as up-steps and
-    never reach a minimum.
+    The prefix sums run over halfwords, a sixteenth of the columns: the
+    halfwords of the down-steps (the walk XOR the mask of its 2n+1 columns)
+    index the tables of `_start_tables`, which give each halfword's net sum,
+    lowest prefix sum and last position of it. Padding bits stay clear, so
+    they read as up-steps and never reach a minimum.
     """
-    down = (walks ^ _raw_layout(n)[1]).astype("<u8", copy=False).view(np.uint8)
-    low = np.take(_BYTE_NET, down).cumsum(axis=1, dtype=_walk_dtype(n))
-    low += np.take(_BYTE_LOW, down)  # the lowest prefix sum within each byte
-    byte = down.shape[1] - 1 - low[:, ::-1].argmin(axis=1)  # the last byte reaching the minimum
-    return 8 * byte + _BYTE_LAST[down[np.arange(len(walks)), byte]] + 2
+    down = (walks ^ _raw_layout(n)[1]).astype("<u8", copy=False).view(">u2")
+    net, low, last = _start_tables()
+    at = down.astype(np.intp)  # one conversion for both lookups
+    prefix = np.take(net, at).cumsum(axis=1, dtype=_walk_dtype(n))
+    prefix += np.take(low, at)  # the lowest prefix sum within each halfword
+    half = down.shape[1] - 1 - prefix[:, ::-1].argmin(axis=1)  # the last halfword reaching the minimum
+    return 16 * half + last[down[np.arange(len(walks)), half]] + 2
 
 
 def _walk_dtype(n: int):
-    """The narrowest dtype holding a walk's prefix sums (up to 2n+1 in size)."""
+    """
+    The dtype of the prefix sums of the walks of `_walk_job` and of their
+    Dyck paths, the padding bits of packed rows included: they stay within
+    max(n+1, 64) in size, and int16 is used while 2n+2 < 2^15.
+    """
     return np.int16 if 2 * n + 2 < 2**15 else np.int32
 
 
@@ -408,11 +462,11 @@ def _packed_block_rows(n: int) -> tuple[int, int]:
     Rows per block of the packed 321/123 count, and per part of a block
     that is rotated at once. A block's largest temporary, the stacked
     step-pair masks of the 123 search, takes two path rows of words a row; a
-    part's, the byte table lookups of the Dyck starts and of the hill count,
-    takes an intp index per path byte.
+    part's, the halfword table lookups of the Dyck starts and of the hill
+    count, takes an intp index per path halfword.
     """
     words = _raw_layout(n)[0]
-    return _block_rows(16 * words), _block_rows(64 * words)
+    return _block_rows(16 * words), _block_rows(32 * words)
 
 
 def _dyck_words(walks: np.ndarray, n: int) -> np.ndarray:
@@ -450,18 +504,30 @@ def _dyck_words(walks: np.ndarray, n: int) -> np.ndarray:
     return path
 
 
+@lru_cache(maxsize=1)
 def _hill_table():
     """
-    For each byte of 8 path steps (first step in the low bit, bit 1 an
-    up-step) and each height h = 0..8 before it: the hills within the byte,
-    up-steps from height 0 followed by a down-step, flat at 256 h + byte.
-    From height 8 on no step of a byte reaches 0.
+    For each even height h = 0, 2, .., 16 and each halfword of 16 path
+    steps (bit 1 an up-step), indexed as in `_start_tables`: the hills
+    within the halfword when it starts at height h, up-steps from height 0
+    followed by a down-step, flat at 65536 h/2 + halfword. A halfword of a
+    path starts at an even step, so at an even height, and from height 16
+    on it holds no hill. Built on first use from the hills of each byte at
+    each height -8..8 before it: those of the low byte at h and those of the
+    high byte at h plus the low byte's net sum, clipped to 8, from where a
+    byte holds none. At an even h no hill spans the two bytes, since bit 7
+    of the low byte starts at an odd height.
     """
     bits = np.unpackbits(np.arange(256, dtype=np.uint8)[:, None], axis=1, bitorder="little").astype(np.int8)
     steps = 2 * bits - 1
-    before = np.arange(9, dtype=np.int8)[:, None, None] + (np.cumsum(steps, axis=1) - steps)
-    hills = (bits[:, :-1] > bits[:, 1:]) & (before[:, :, :-1] == 0)
-    return hills.sum(axis=2, dtype=np.uint8).ravel()
+    byte, t = np.nonzero(bits[:, :-1] > bits[:, 1:])  # the up-steps followed by a down-step
+    start = (np.cumsum(steps, axis=1) - steps)[byte, t]  # their heights less the byte's starting height
+    hills = np.bincount(256 * (8 - start) + byte, minlength=17 * 256).astype(np.uint8).reshape(17, 256)
+    height = np.arange(0, 17, 2, dtype=np.int8)
+    after = height[:, None] + steps.sum(axis=1, dtype=np.int8)  # (h, lo): the height after the low byte
+    table = hills[np.minimum(after, 8) + 8]  # (h, lo, hi): the high byte's hills
+    table += hills[np.minimum(height, 8) + 8][:, :, None]  # the low byte's
+    return _read_only(table.ravel())[0]
 
 
 def _select_table():
@@ -470,34 +536,30 @@ def _select_table():
     return np.argsort(1 - bits, axis=1, kind="stable").astype(np.uint8).ravel()
 
 
-_HILLS = _hill_table()
 _SELECT = _select_table()
 _LANES = 0x0101010101010101  # a one in each byte lane of a word
 
 
-def _hill_counts(path: np.ndarray, n: int) -> np.ndarray:
+def _hill_counts(path: np.ndarray) -> np.ndarray:
     """
     The fixed points of the 321-avoiders of packed Dyck paths
     (`_dyck_words`): the hills, up-steps from height 0 followed by a
-    down-step (t_x = 2x+1 after an up-step). The heights run over bytes:
-    `_HILLS`, indexed by each byte and its starting height clipped to 8,
-    counts the hills within it, and the pairs that straddle two bytes are
-    an up-step in bit 7 whose byte ends at height 1, then a down-step in
-    bit 0. The clear bits past the path read as down-steps below height 0,
-    where no up-step follows.
+    down-step (t_x = 2x+1 after an up-step). The heights run over
+    halfwords: `_hill_table`, indexed by each halfword and its starting
+    height clipped to 0..16, counts the hills within it. A path is at
+    height 0 only before an even step, and a halfword ends with an odd one,
+    so no hill straddles two halfwords. The clear bits past the path read
+    as down-steps below height 0, where no up-step follows.
     """
-    byte = path.astype("<u8", copy=False).view(np.uint8)
-    net = np.take(_BYTE_NET, byte)
-    np.negative(net, out=net)  # the byte tables read bit 1 as a down-step
-    height = net.cumsum(axis=1, dtype=_walk_dtype(n))  # after each byte
-    straddle = height[:, :-1] == 1
-    straddle &= (byte[:, :-1] >> 7).view(bool)
-    straddle &= ~(byte[:, 1:] & 1).view(bool)
-    height -= net  # before each byte
-    np.clip(height, 0, 8, out=height)
-    height <<= 8
-    height += byte
-    return np.take(_HILLS, height).sum(axis=1, dtype=np.int64) + straddle.sum(axis=1)
+    at = path.astype("<u8", copy=False).view(">u2").astype(np.intp)  # halfwords as `_hill_table` reads them
+    net = np.take(_start_tables()[0], at)
+    np.negative(net, out=net)  # the start tables read bit 1 as a down-step
+    height = net.cumsum(axis=1, dtype=np.int32)
+    height -= net  # before each halfword, an even height
+    np.clip(height, 0, 16, out=height)
+    height <<= 15
+    at += height
+    return np.take(_hill_table(), at).sum(axis=1, dtype=np.int64)
 
 
 def _select_bits(words: np.ndarray, k: np.ndarray) -> np.ndarray:
@@ -559,6 +621,7 @@ def _fill_points(path: np.ndarray, n: int) -> np.ndarray:
     ups_before = np.concatenate((n * row, n * row))
     bits_before = 64 * words * row
     mask_words = np.concatenate((0 * row, np.full(rows, rows * words)))
+    mask_starts = words * np.arange(2 * rows)  # the flat word each mask row starts at
     found = np.zeros(rows, dtype=bool)
     base = np.zeros(rows, dtype=np.int32)
     # the probes base + half - 1 cover i = 0 .. 2^j - 2, so 2^j - 1 exceeds the candidates i <= (n-1)/2;
@@ -568,7 +631,14 @@ def _fill_points(path: np.ndarray, n: int) -> np.ndarray:
         half >>= 1
         i = base + (half - 1)
         rank = first + np.tile(np.minimum(i, pairs), 2)
-        at = np.searchsorted(ones, rank, side="right")  # the flat mask word of the rank-th set bit
+        # the flat mask word of the rank-th set bit: the first of its row whose running
+        # popcount exceeds the rank, by a bisection over that row's words alone
+        at = mask_starts.copy()
+        size = words
+        while size > 1:
+            step = size // 2
+            at += step * (ones[at + (step - 1)] <= rank)
+            size -= step
         word = flat_masks[at]
         bit = _select_bits(word, rank - ones[at] + np.bitwise_count(word))
         at -= mask_words  # the path word of that bit
@@ -621,7 +691,7 @@ def _fp_from_paths(path: np.ndarray, n: int, tau: str) -> np.ndarray:
     (`_mirror_pairs`), since reverse-complement keeps fixed points.
     """
     if tau == "321":
-        return _hill_counts(path, n)
+        return _hill_counts(path)
     if tau == "123":
         peak = (path[:, (n - 1) // 64] >> (n - 1) % 64) & ~(path[:, n // 64] >> n % 64) & 1
         return _fill_points(path, n) + peak
@@ -813,15 +883,36 @@ def _bias(q) -> Fraction:
 
 
 def _inverse_cdf(weights: list[int], count: int, rng: RandomSource) -> np.ndarray:
-    """`count` exact draws of k with probability weights[k] / sum(weights)."""
+    """
+    `count` exact draws of k with probability weights[k] / sum(weights):
+    the number of cumulative weights at or below a uniform draw from
+    [0, total). Past 2^63 the draws come from `randbelow_batch` as word
+    rows, and each is placed among the cumulative weights by its top 64
+    bits (the bits from b - 64 up, b those of total - 1): a draw whose top
+    bits equal those of some cumulative weights is compared whole with
+    them, in Python.
+    """
     total = sum(weights)
     if total < 2**63:
         cum = np.cumsum(np.array(weights, dtype=np.uint64))
         draws = rng.generator.integers(0, total, size=count, dtype=np.uint64)
         return np.searchsorted(cum, draws, side="right").astype(np.int64)
     cum_list = list(accumulate(weights))
-    return np.array([bisect.bisect_right(cum_list, x) for x in rng.randbelow_batch(total, count)],
-                    dtype=np.int64)
+    draws = rng.randbelow_batch(total, count)
+    shift = max((total - 1).bit_length() - 64, 0)
+    # a cumulative weight equal to a total of 2^(shift + 64) has 65 top bits: clipped, it ties
+    # with the largest draws, which are then compared whole
+    tops = np.array([min(c >> shift, 2**64 - 1) for c in cum_list], dtype=np.uint64)
+    low, r = draws.shape[1] - 1 - shift // 64, np.uint64(shift % 64)  # the word holding bit `shift`
+    top = draws[:, low] >> r
+    if r:
+        top |= draws[:, low - 1] << (64 - r)
+    k = np.searchsorted(tops, top, side="right")
+    ties = np.searchsorted(tops, top, side="left")
+    for i in np.flatnonzero(ties < k).tolist():
+        x = int.from_bytes(draws[i].astype(">u8").tobytes(), "big")
+        k[i] = bisect.bisect_right(cum_list, x, ties[i], k[i])
+    return k.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -987,7 +1078,7 @@ def biased_avoider_permutation(n: int, q, tau: str, rng: RandomSource,
                         accept[sel] = gen.integers(0, bound, size=int(sel.sum()), dtype=np.uint64) < top
                     else:
                         # the exact randbelow(b^f) < a^f of each row, in row order
-                        accept[sel] = [x < top for x in rng.randbelow_batch(bound, int(sel.sum()))]
+                        accept[sel] = _words_below(rng.randbelow_batch(bound, int(sel.sum())), top)
             kept = np.flatnonzero(accept)[:need]
             if len(kept) == need:
                 attempts -= rows - (int(kept[-1]) + 1)

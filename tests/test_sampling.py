@@ -1,7 +1,10 @@
 """Samplers: determinism, exactness against enumeration, rate accounting."""
+import bisect
 import collections
 import itertools
 import math
+import os
+import subprocess
 import sys
 import threading
 import time
@@ -49,15 +52,34 @@ def test_randbelow_exact_and_reproducible():
     assert all(abs(counts[i] / 9000 - 1 / 3) < 0.02 for i in range(3))
 
 
+def _word_ints(rows):
+    """The integers of uint64 word rows, the most significant word first."""
+    return [sum(int(w) << 64 * (len(row) - 1 - j) for j, w in enumerate(row)) for row in rows]
+
+
 @pytest.mark.parametrize("bound", [1, 2, 2**63, 2**64, 2**64 + 1, 2**128 - 1, 3**1000],
                          ids=["1", "2", "2^63", "2^64", "2^64+1", "2^128-1", "3^1000"])
 def test_randbelow_batch_is_sequential_randbelow(bound):
     # same values, and the generator left where the sequential calls leave it
+    words = (max((bound - 1).bit_length(), 1) + 63) // 64
     for count in (0, 1, 7, 3000):
         batch, seq = RandomSource(31, 2), RandomSource(31, 2)
-        assert batch.randbelow_batch(bound, count) == [seq.randbelow(bound) for _ in range(count)]
+        rows = batch.randbelow_batch(bound, count)
+        assert rows.dtype == np.uint64 and rows.shape == (count, words)
+        assert _word_ints(rows) == [seq.randbelow(bound) for _ in range(count)]
         np.testing.assert_equal(batch.generator.bit_generator.state,
                                 seq.generator.bit_generator.state)
+
+
+def test_words_below_compares_whole_numbers():
+    # rows equal to the value, and rows that differ from it in one word only
+    for value in (0, 1, 2**64 - 1, 2**64, 2**64 + 5, 3**100, 2**192 - 1):
+        words = max((value.bit_length() + 63) // 64, 1)
+        near = [value + d for d in (-2**64, -2, -1, 0, 1, 2**64, 2**128) if 0 <= value + d < 2**(64 * words)]
+        rows = np.array([[(x >> 64 * j) & (2**64 - 1) for j in range(words - 1, -1, -1)] for x in near],
+                        dtype=np.uint64)
+        assert sampling._words_below(rows, value).tolist() == [x < value for x in near], value
+    assert sampling._words_below(np.zeros((3, 1), dtype=np.uint64), 2**64).all()
 
 
 def test_randbelow_reads_the_words_of_full_range_integers():
@@ -83,13 +105,67 @@ def test_randbelow_batch_rounds_never_overdraw(monkeypatch):
     monkeypatch.setattr(sampling, "_MAX_BATCH_CELLS", 3 * 64 * 2)
     for bound in (2**64 + 1, 2**127 + 1, 3 * 2**100):
         batch, seq = RandomSource(8), RandomSource(8)
-        assert batch.randbelow_batch(bound, 500) == [seq.randbelow(bound) for _ in range(500)]
+        assert _word_ints(batch.randbelow_batch(bound, 500)) == [seq.randbelow(bound) for _ in range(500)]
         np.testing.assert_equal(batch.generator.bit_generator.state,
                                 seq.generator.bit_generator.state)
     with pytest.raises(ValueError, match="bound must be positive"):
         RandomSource(8).randbelow_batch(0, 3)
     with pytest.raises(ValueError, match="count must be >= 0"):
         RandomSource(8).randbelow_batch(5, -1)
+
+
+@pytest.mark.parametrize("weights", [
+    [2**62, 2**62 - 1], [2**62, 2**62], [2**62, 0, 2**62 + 1], [2**63, 2**63 - 1], [2**63, 2**63],
+    [2**64 - 3, 3, 0], [1, 2**64], [3**99, 5, 0, 2 * 3**99], series.unrestricted_weights(2, 200),
+], ids=["2^63-1", "2^63", "2^63+1", "2^64-1", "2^64", "2^64-zero-last", "2^64+1", "3^100", "n200-q2"])
+def test_inverse_cdf_is_sequential_randbelow_and_bisect(weights):
+    # the draws and the generator state of the path before word rows: below 2^63
+    # uint64 draws and searchsorted, past it one randbelow and one bisect a draw
+    cum = list(itertools.accumulate(weights))
+    total = cum[-1]
+    for count in (0, 1, 7, 3000):
+        rng, ref = RandomSource(37, count), RandomSource(37, count)
+        got = sampling._inverse_cdf(weights, count, rng)
+        if total < 2**63:
+            draws = ref.generator.integers(0, total, size=count, dtype=np.uint64)
+            want = np.searchsorted(np.cumsum(np.array(weights, dtype=np.uint64)), draws, side="right").tolist()
+        else:
+            want = [bisect.bisect_right(cum, ref.randbelow(total)) for _ in range(count)]
+        assert got.dtype == np.int64 and got.tolist() == want, count
+        np.testing.assert_equal(rng.generator.bit_generator.state, ref.generator.bit_generator.state)
+
+
+class _ScriptedWords:
+    """Hands out scripted raw words in order, as `random_raw` hands out its stream."""
+
+    def __init__(self, words):
+        self.bit_generator, self.words = self, list(words)
+
+    def random_raw(self, size):
+        out, self.words = self.words[:size], self.words[size:]
+        return np.array(out, dtype=np.uint64)
+
+
+def test_inverse_cdf_resolves_top_word_ties():
+    # draws scripted at, just below and just above cumulative weights, so that
+    # their top 64 bits equal those of one or more cumulative weights (several
+    # share them: 2^140+3, +1, +1, +5); two candidates past the total are
+    # rejected on the way, and a 142-bit total takes three words a draw
+    weights = [2**140 + 3, 1, 1, 5, 2**139, 7, 2**140]
+    cum = list(itertools.accumulate(weights))
+    total = cum[-1]
+    draws = [c + d for c in cum[:-1] for d in (-2, -1, 0, 1, 2)] + [0, total - 1]
+    script = []
+    for x in draws[:5] + [total, 2**142 - 1] + draws[5:]:
+        script += [(x >> 64 * j) & (2**64 - 1) for j in (2, 1, 0)]
+    shift = (total - 1).bit_length() - 64
+    assert len({c >> shift for c in cum[:4]}) == 1
+    rng, ref = RandomSource(0), RandomSource(0)
+    rng.generator, ref.generator = _ScriptedWords(script), _ScriptedWords(script)
+    got = sampling._inverse_cdf(weights, len(draws), rng).tolist()
+    assert got == [bisect.bisect_right(cum, ref.randbelow(total)) for _ in draws]
+    assert got == [bisect.bisect_right(cum, x) for x in draws]
+    assert not rng.generator.words and not ref.generator.words
 
 
 def all_dyck_paths(n):
@@ -403,9 +479,10 @@ def test_walk_kernels_match_cycle_lemma_oracle(monkeypatch):
 def test_profile_fp_kernels_match_materialization():
     gen = RandomSource(17).generator
     # _walk_dtype widens where 2n+2 reaches 2^15: n = 16382 is the last int16 size, 16383 the first int32
-    # 2n+1 either side of the first two 64-bit word boundaries: 31..33, 63..65
-    for n, rows in ((3, 500), (9, 500), (33, 500), (16382, 3), (16383, 3),
-                    (31, 500), (32, 500), (63, 500), (64, 500), (65, 500)):
+    # 2n+1 either side of the first two halfword boundaries, 7, 8, 15, 16, and of the
+    # first two 64-bit word boundaries, 31..33, 63..65
+    for n, rows in ((3, 500), (9, 500), (33, 500), (16382, 3), (16383, 3), (7, 500), (8, 500),
+                    (15, 500), (16, 500), (31, 500), (32, 500), (63, 500), (64, 500), (65, 500)):
         walks, fill = sampling._walk_job(n, rows, gen)
         fill()
         steps = sampling._steps(_dyck_from_walks(walks, n))
@@ -413,6 +490,53 @@ def test_profile_fp_kernels_match_materialization():
             sigma = sampling._avoiders_from_dyck(steps, tau)
             direct = np.array([perms.fixed_points(tuple(s)) for s in sigma])
             assert (sampling._fp_from_walks(walks, n, tau) == direct).all(), (n, tau)
+
+
+def _halfword_bits():
+    """
+    The 16 bits of every halfword in step order, as the halfword tables
+    index them: at 256 lo + hi, the bits of byte lo then of byte hi, each
+    from its low bit, as int8 (65536, 16).
+    """
+    pairs = np.arange(65536, dtype=">u2").view(np.uint8).reshape(-1, 2)
+    return np.unpackbits(pairs, axis=1, bitorder="little").view(np.int8)
+
+
+def test_halfword_start_tables_match_bit_definition():
+    prefix = np.cumsum(1 - 2 * _halfword_bits(), axis=1, dtype=np.int8)  # bit 1 a down-step
+    net, low, last = sampling._start_tables()
+    lowest = prefix.min(axis=1)
+    assert (net == prefix[:, -1]).all()
+    assert (low == lowest - prefix[:, -1]).all()
+    assert (last == np.where(prefix == lowest[:, None], np.arange(16), -1).max(axis=1)).all()
+    assert not any(t.flags.writeable for t in (net, low, last))
+
+
+def test_halfword_hill_table_matches_bit_definition():
+    # at every even starting height 0..16: up-steps from height 0 followed by a down-step
+    bits = _halfword_bits()
+    steps = 2 * bits - 1  # bit 1 an up-step
+    before = np.cumsum(steps, axis=1, dtype=np.int8) - steps  # less the starting height
+    peaks = (bits[:, :-1] == 1) & (bits[:, 1:] == 0)
+    table = sampling._hill_table().reshape(9, 65536)
+    for h in range(0, 17, 2):
+        assert (table[h // 2] == (peaks & (before[:, :-1] == -h)).sum(axis=1)).all(), h
+    assert not table[8].any() and not table.flags.writeable
+
+
+def test_importing_the_cli_builds_no_halfword_table():
+    # the tables are built on first use: importing the package and an exact
+    # command build none of them
+    src = os.path.dirname(os.path.dirname(sampling.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    code = ("import fpblab.cli as cli, fpblab.sampling as s\n"
+            "tables = lambda: [f.cache_info().currsize for f in (s._start_tables, s._hill_table)]\n"
+            "before = tables()\n"
+            "cli.main(['pmf', '--n', '30', '--q', '2', '--tau', '321'])\n"
+            "print(before, tables())\n")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120,
+                         check=True)
+    assert out.stdout.splitlines()[-1] == "[0, 0] [0, 0]"
 
 
 def _after_up(down):
@@ -480,10 +604,11 @@ def _fp_by_step_indices(walks, n, reverse=False):
     return out
 
 
-@pytest.mark.parametrize("n", [*range(10), 31, 32, 33, 63, 64, 65, 127, 128, 129, 1000, 16382, 16383])
+@pytest.mark.parametrize("n", [*range(10), 15, 16, 31, 32, 33, 63, 64, 65, 127, 128, 129, 1000, 16382, 16383])
 def test_packed_fp_counts_match_step_index_oracle(n):
-    # 2n+1 either side of the first three 64-bit word boundaries, and the
-    # int16/int32 edge of _walk_dtype; several blocks at n = 1000
+    # 2n+1 either side of the first two halfword boundaries (7, 8, 15, 16) and
+    # of the first three 64-bit word boundaries, and the int16/int32 edge of
+    # _walk_dtype; several blocks at n = 1000
     rows = 3 if n > 10_000 else 2500 if n == 1000 else 600
     walks, fill = sampling._walk_job(n, rows, RandomSource(53, n).generator)
     fill()
@@ -902,7 +1027,7 @@ def _rejection_mapping_every_row(n, q, tau, rng, count):
             if f and b**f < 2**63:
                 accept[sel] = gen.integers(0, b**f, size=int(sel.sum()), dtype=np.uint64) < a**f
             elif f:
-                accept[sel] = [x < a**f for x in rng.randbelow_batch(b**f, int(sel.sum()))]
+                accept[sel] = [x < a**f for x in _word_ints(rng.randbelow_batch(b**f, int(sel.sum())))]
         kept = np.flatnonzero(accept)[:need]
         if len(kept) == need:
             attempts -= rows - (int(kept[-1]) + 1)
