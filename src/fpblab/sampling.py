@@ -349,8 +349,9 @@ def _byte_tables():
 
 
 def _read_only(*tables):
+    """The tables, made read-only: every caller of a cached table shares it."""
     for table in tables:
-        table.flags.writeable = False  # shared by every caller of a cached table
+        table.flags.writeable = False
     return tables
 
 

@@ -119,8 +119,8 @@ def test_randbelow_batch_rounds_never_overdraw(monkeypatch):
     [2**64 - 3, 3, 0], [1, 2**64], [3**99, 5, 0, 2 * 3**99], series.unrestricted_weights(2, 200),
 ], ids=["2^63-1", "2^63", "2^63+1", "2^64-1", "2^64", "2^64-zero-last", "2^64+1", "3^100", "n200-q2"])
 def test_inverse_cdf_is_sequential_randbelow_and_bisect(weights):
-    # the draws and the generator state of the path before word rows: below 2^63
-    # uint64 draws and searchsorted, past it one randbelow and one bisect a draw
+    # the reference draws and generator state: below 2^63 uint64 draws and
+    # searchsorted, past it one `randbelow` and one bisect a draw
     cum = list(itertools.accumulate(weights))
     total = cum[-1]
     for count in (0, 1, 7, 3000):
