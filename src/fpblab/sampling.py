@@ -558,7 +558,7 @@ def _hill_counts(path: np.ndarray) -> np.ndarray:
     height = net.cumsum(axis=1, dtype=np.int32)
     height -= net  # before each halfword, an even height
     np.clip(height, 0, 16, out=height)
-    height <<= 15
+    height <<= 15  # h/2 slabs of 65536 in: the slab of the even height h
     at += height
     return np.take(_hill_table(), at).sum(axis=1, dtype=np.int64)
 
