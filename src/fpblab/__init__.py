@@ -52,8 +52,6 @@ from .perms import (
     enumerate_avoiders,
     enumerate_permutations,
     fixed_points,
-    format_perm,
-    parse_perm,
     symmetry,
 )
 from .sampling import (

@@ -29,7 +29,17 @@ from fractions import Fraction
 
 from . import series, special
 from .config import check_budget
-from .dist import BernoulliSum, NegativeBinomial, Normal, Poisson, Rayleigh
+from .dist import (
+    BernoulliSum,
+    MeasureSpec,
+    NegativeBinomial,
+    Normal,
+    Poisson,
+    Rayleigh,
+    fp_pmf,
+    kolmogorov_distance,
+    tv_distance,
+)
 from .series import as_rational
 
 LAW_NAMES = {1: "poisson", 2: "bernoulli-pair", 3: "neg-binomial", 4: "rayleigh", 5: "normal"}
@@ -64,7 +74,6 @@ class RegimePrediction:
     prefactor: float
     polynomial_power: Fraction  # exponent of n in the prediction
     growth_base: float  # reciprocal of the dominant singularity
-    formula_id: str
 
 
 def growth_prediction(q) -> RegimePrediction:
@@ -87,7 +96,6 @@ def growth_prediction(q) -> RegimePrediction:
         prefactor=pref,
         polynomial_power=power,
         growth_base=float(1 / zeta),
-        formula_id=f"growth-{regime}",
     )
 
 
@@ -132,7 +140,11 @@ def variance_coefficient(q) -> Fraction:
 
 @dataclass(frozen=True)
 class LimitLawSpec:
-    """A fully parameterized limit law with its centering and scaling."""
+    """
+    A fully parameterized limit law with its centering and scaling, the
+    measure whose fixed-point law tends to it, and the distance that
+    checks it.
+    """
 
     law_id: int
     q: Fraction
@@ -141,6 +153,11 @@ class LimitLawSpec:
     @property
     def name(self) -> str:
         return LAW_NAMES[self.law_id]
+
+    @property
+    def tau(self) -> str | None:
+        """The pattern whose avoiders the measure weights; None for all permutations."""
+        return {1: None, 2: "123"}.get(self.law_id, "321")
 
     def centering(self, n: int) -> float:
         if self.law_id == 5:
@@ -153,6 +170,16 @@ class LimitLawSpec:
         if self.law_id == 5:
             return math.sqrt(float(variance_coefficient(self.q)) * n)
         return 1.0
+
+    def distance(self, pmf, n: int) -> float:
+        """
+        Distance of a fixed-point law at length n from this limit: total
+        variation for a discrete law, Kolmogorov after centering and
+        scaling for a continuous one.
+        """
+        if self.law.discrete:
+            return tv_distance(pmf, self.law)
+        return kolmogorov_distance(pmf, self.law, self.centering(n), self.scaling(n))
 
 
 def limit_law(law_id: int | str, q) -> LimitLawSpec:
@@ -257,17 +284,10 @@ def convergence_table(kind: str, q, n_grid, m: int | None = None,
     elif kind == "distance":
         if law_id is None:
             raise ValueError("kind='distance' needs a law_id")
-        from .dist import MeasureSpec, fp_pmf, kolmogorov_distance, tv_distance
-
         spec_law = limit_law(law_id, q)
-        tau = {1: None, 2: "123"}.get(spec_law.law_id, "321")
         for n in n_grid:
-            pmf = fp_pmf(MeasureSpec(n, q, tau), mode="scaled-float")
-            if getattr(spec_law.law, "discrete", False):
-                d = tv_distance(pmf, spec_law.law)
-            else:
-                d = kolmogorov_distance(pmf, spec_law.law, spec_law.centering(n), spec_law.scaling(n))
-            rows.append(ConvergenceRow(n, d, float("nan"), float("nan")))
+            pmf = fp_pmf(MeasureSpec(n, q, spec_law.tau), mode="scaled-float")
+            rows.append(ConvergenceRow(n, spec_law.distance(pmf, n), float("nan"), float("nan")))
     else:
         raise ValueError(f"unknown table kind {kind!r}")
     if kind == "distance":

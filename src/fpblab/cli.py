@@ -42,6 +42,11 @@ def _parse_q(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"q must be rational like 2, 1/3 or 0.25: {exc}")
 
 
+def _parse_q_grid(text: str) -> list[Fraction]:
+    # an empty grid falls back to --q
+    return [_parse_q(tok) for tok in text.split(",")] if text else []
+
+
 def _parse_grid(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
@@ -299,29 +304,20 @@ def _verify_law(args, emitter) -> int:
     rows = []
     ok = True
     for n in sorted(grid):
+        spec = MeasureSpec(n, args.q, spec_law.tau)
         if spec_law.law_id == 2:
             samples = defaults["samples"] if args.samples is None else args.samples
             rng = sampling.RandomSource(args.seed, args.stream)
-            pmf = fp_pmf(MeasureSpec(n, args.q, "123"), mode="monte-carlo", rng=rng, samples=samples)
+            pmf = fp_pmf(spec, mode="monte-carlo", rng=rng, samples=samples)
             value = max(abs(float(pmf.pmf(k)) - float(spec_law.law.pmf(k))) for k in range(3))
             metric = "max-cell"
         else:
-            tau = None if spec_law.law_id == 1 else "321"
-            mode = "exact" if tau is None else "scaled-float"
-            pmf = fp_pmf(MeasureSpec(n, args.q, tau), mode=mode)
-            if tau is None:
-                pmf = pmf.as_float()
-            if getattr(spec_law.law, "discrete", False):
-                value = dist.tv_distance(pmf, spec_law.law)
-                metric = "tv"
-            else:
-                value = dist.kolmogorov_distance(
-                    pmf, spec_law.law, spec_law.centering(n), spec_law.scaling(n))
-                metric = "kolmogorov"
+            pmf = fp_pmf(spec, mode="scaled-float")
+            value = spec_law.distance(pmf, n)
+            metric = "tv" if spec_law.law.discrete else "kolmogorov"
         passed = value <= tol
         ok = ok and passed
-        tau_label = {1: "", 2: "123"}.get(spec_law.law_id, "321")
-        rows.append([n, str(args.q), tau_label, spec_law.name, repr(value), pmf.mode])
+        rows.append([n, str(args.q), spec_law.tau or "", spec_law.name, repr(value), pmf.mode])
         print(f"{'PASS' if passed else 'FAIL'} check={spec_law.name} q={args.q} n={n} "
               f"{metric}={value!r} tol={tol}")
     emitter.emit(["n", "q", "tau", "law", "distance", "mode"], rows)
@@ -351,7 +347,7 @@ def cmd_asym(args) -> int:
 
 def cmd_explore(args) -> int:
     _check_n(args.n_max)
-    qs = [Fraction(t) for t in args.q_grid.split(",")] if args.q_grid else [args.q]
+    qs = args.q_grid or [args.q]
     if min(qs) <= 0:
         raise ValueError("bias parameter q must be positive")
     rows = []
@@ -448,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", required=True, choices=PATTERNS)
     p.add_argument("--n-max", type=int, required=True)
     p.add_argument("--q", type=_parse_q, default=Fraction(1))
-    p.add_argument("--q-grid", default=None, help="comma-separated rational biases")
+    p.add_argument("--q-grid", type=_parse_q_grid, default=None, help="comma-separated rational biases")
     p.add_argument("--emit", choices=("moments", "pmf"), default="moments")
     common(p)
     p.set_defaults(func=cmd_explore)

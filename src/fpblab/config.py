@@ -10,8 +10,9 @@ lowers them for every engine and command, e.g.
 Keys: poly (132/321/213 rows of counts by fixed-point number), eval
 (fixed-q exact series), enum (cap of the exact tables outside 132/321/213:
 the 231/312 series rows, 123 enumeration, and the enumerated tables of
-whole avoiders), enum_plain (unrestricted enumeration cap). These are the
-only caps: the enumerators in `perms` read enum and enum_plain from here.
+whole avoiders). These are the only budgets: the avoider enumerator in
+`perms` reads enum from here. No command enumerates all of S_n, so
+`perms.enumerate_permutations` is capped by a constant, not a budget.
 """
 from __future__ import annotations
 
@@ -21,7 +22,6 @@ DEFAULT_BUDGETS = {
     "poly": 1500,
     "eval": 10_000,
     "enum": 12,  # Catalan(12) = 208 012 avoiders stay tractable
-    "enum_plain": 10,  # 10! = 3 628 800 permutations
 }
 
 

@@ -156,10 +156,6 @@ class FixedPointPMF:
     def pmf(self, k: int):
         return self.weights.get(k, Fraction(0) if self.mode == "exact" else 0.0)
 
-    def cdf(self, k: int):
-        zero = Fraction(0) if self.mode == "exact" else 0.0
-        return sum((v for j, v in self.weights.items() if j <= k), zero)
-
     @property
     def support(self) -> list[int]:
         return list(self.weights)
@@ -302,9 +298,6 @@ class Poisson:
             return 0.0
         return math.exp(-self.lam + k * math.log(self.lam) - math.lgamma(k + 1))
 
-    def mean(self) -> float:
-        return self.lam
-
     def __repr__(self):
         return f"Poisson({self.lam})"
 
@@ -329,9 +322,6 @@ class BernoulliSum:
         if k == 2:
             return p * p
         return 0 * one
-
-    def mean(self):
-        return 2 * self.p
 
     def __repr__(self):
         return f"BernoulliSum({self.p})"
@@ -359,9 +349,6 @@ class NegativeBinomial:
             return Fraction(0) if isinstance(self.p, Fraction) else 0.0
         return math.comb(k + self.r - 1, k) * (1 - self.p) ** k * self.p**self.r
 
-    def mean(self):
-        return self.r * (1 - self.p) / self.p
-
     def __repr__(self):
         return f"NegativeBinomial({self.r}, {self.p})"
 
@@ -381,9 +368,6 @@ class Rayleigh:
             return 0.0
         return 1.0 - math.exp(-x * x / (2.0 * self.sigma**2))
 
-    def mean(self) -> float:
-        return self.sigma * math.sqrt(math.pi / 2.0)
-
     def __repr__(self):
         return f"Rayleigh({self.sigma})"
 
@@ -401,9 +385,6 @@ class Normal:
 
     def cdf(self, x: float) -> float:
         return special.normal_cdf(x, self.mu, math.sqrt(self.var))
-
-    def mean(self) -> float:
-        return self.mu
 
     def __repr__(self):
         return f"Normal({self.mu}, {self.var})"

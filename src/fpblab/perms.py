@@ -21,32 +21,11 @@ from .config import budgets
 
 PATTERNS = ("123", "132", "213", "231", "312", "321")
 
+_PLAIN_ENUM_CAP = 10  # 10! = 3 628 800 permutations
+
 
 class EnumerationCapError(ValueError):
     """Raised when an enumeration request exceeds the configured cap."""
-
-
-def is_permutation(entries: Sequence[int]) -> bool:
-    """
-    Check that `entries` is a permutation of 1..n in one-line notation.
-
-    >>> [is_permutation(p) for p in [(), (1,), (2, 1), (1, 3), (1, 1, 2)]]
-    [True, True, True, False, False]
-    """
-    return sorted(entries) == list(range(1, len(entries) + 1))
-
-
-def format_perm(sigma: Sequence[int]) -> str:
-    """Serialize as space-separated decimal values, e.g. "3 1 2 4 5"."""
-    return " ".join(str(v) for v in sigma)
-
-
-def parse_perm(text: str) -> tuple[int, ...]:
-    """Inverse of `format_perm`; validates the result."""
-    entries = tuple(int(tok) for tok in text.split())
-    if not is_permutation(entries):
-        raise ValueError(f"not a permutation: {text!r}")
-    return entries
 
 
 def fixed_points(sigma: Sequence[int]) -> int:
@@ -197,11 +176,11 @@ def symmetry(sigma: Sequence[int], kind: str) -> tuple[int, ...]:
 
 def enumerate_permutations(n: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:
     """
-    All of S_n in lexicographic order. Refuses n above the cap, by default
-    the `enum_plain` budget (see config).
+    All of S_n in lexicographic order, the brute-force oracle of the
+    unrestricted laws. Refuses n above the cap, by default 10.
     """
     if cap is None:
-        cap = budgets()["enum_plain"]
+        cap = _PLAIN_ENUM_CAP
     if n > cap:
         raise EnumerationCapError(
             f"unrestricted enumeration capped at n={cap} ({cap}! permutations); "
@@ -251,17 +230,6 @@ def profile_to_perm(profile: Sequence[int]) -> tuple[int, ...]:
     return tuple(sigma)
 
 
-def perm_to_profile(sigma: Sequence[int]) -> tuple[int, ...]:
-    """Inverse of `profile_to_perm` on 321-avoiders."""
-    prof = []
-    h = 0
-    for i, v in enumerate(sigma, start=1):
-        if v >= i and v > h:
-            h = v
-        prof.append(h)
-    return tuple(prof)
-
-
 def _gen_132_avoiders(n: int) -> list[tuple[int, ...]]:
     # First-return split at the position of n: everything before n uses the
     # largest remaining values (each 132-avoiding), everything after the
@@ -302,10 +270,11 @@ def enumerate_avoiders(n: int, tau: str | None = None, cap: int | None = None) -
 
     Pattern classes are generated directly (Catalan-many objects), up to the
     cap, by default the `enum` budget (see config); unrestricted enumeration
-    delegates to `enumerate_permutations` with its own, lower cap.
+    delegates to `enumerate_permutations`, by default with its own, lower
+    cap.
     """
     if tau is None:
-        yield from enumerate_permutations(n)
+        yield from enumerate_permutations(n, cap)
         return
     tau = check_pattern(tau)
     if cap is None:

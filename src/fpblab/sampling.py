@@ -97,7 +97,7 @@ class RandomSource:
 
     Philox is counter-based, so the key fully determines the stream
     regardless of platform or thread count. Sources are cheap value-like
-    objects; use one per task and `spawn` new stream ids for parallel work
+    objects; use one per task, with its own stream id for parallel work
     (never share one source between threads). The seed and the stream id
     are each one uint64 word of the key, so each must lie in [0, 2^64).
     """
@@ -110,9 +110,6 @@ class RandomSource:
                 raise ValueError(f"{name} must be in [0, 2^64), got {value}")
         key = np.array([self.seed, self.stream_id], dtype=np.uint64)
         self.generator = np.random.Generator(np.random.Philox(key=key))
-
-    def spawn(self, stream_id: int) -> "RandomSource":
-        return RandomSource(self.seed, stream_id)
 
     def randbelow(self, bound: int) -> int:
         """

@@ -10,7 +10,19 @@ import pytest
 
 from fpblab import cli, dist, sampling, series
 from fpblab.cli import main
-from fpblab.perms import fixed_points, format_perm
+from fpblab.perms import fixed_points
+
+
+def format_perm(sigma):
+    """A permutation as the dumps print it: its values joined by spaces, e.g. "3 1 2 4 5"."""
+    return " ".join(map(str, sigma))
+
+
+def parse_perm(text):
+    """Inverse of `format_perm`, checking that the text holds a permutation of 1..n."""
+    sigma = tuple(map(int, text.split()))
+    assert sorted(sigma) == list(range(1, len(sigma) + 1)), f"not a permutation: {text!r}"
+    return sigma
 
 
 def run_cli(capsys, *argv):
@@ -174,7 +186,7 @@ def test_sample_determinism_and_header(capsys):
 
 
 def test_sample_perm_emission_avoids(capsys):
-    from fpblab.perms import avoids, parse_perm
+    from fpblab.perms import avoids
 
     # q = 1/2 draws by rejection, q = 1 keeps every uniform avoider it draws
     for q, tau in (("1/2", "321"), ("1", "321"), ("1", "123"), ("1", "132"), ("1", "213")):
@@ -438,6 +450,20 @@ def test_explore_refuses_nonpositive_bias(capsys, argv):
     assert (code, out, err) == (2, "", "error: bias parameter q must be positive\n")
 
 
+@pytest.mark.parametrize("grid, bad", [("1/0", "1/0"), ("1,x", "x")])
+def test_explore_refuses_unreadable_bias_grid(capsys, grid, bad):
+    # each grid entry is read as --q is: a usage error (exit 2) with --q's message, no traceback
+    with pytest.raises(SystemExit) as exc:
+        main(["explore", "--tau", "321", "--n-max", "3", "--q-grid", grid])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    message = err.splitlines()[-1].partition("argument --q-grid: ")[2]
+    with pytest.raises(SystemExit):
+        main(["explore", "--tau", "321", "--n-max", "3", "--q", bad])
+    assert message and capsys.readouterr().err.splitlines()[-1].endswith("argument --q: " + message)
+
+
 @pytest.mark.parametrize("q", ["0", "-1"])
 def test_growth_table_refuses_nonpositive_bias_before_the_pass(capsys, monkeypatch, q):
     # as `verify --growth` does; it used to fail after the whole pass, on log(U_1 <= 0)
@@ -515,6 +541,19 @@ def test_verify_pass_and_fail_exit_codes(capsys):
     assert code == 2 and "q = 3" in err
     code, _, err = run_cli(capsys, "verify", "--q", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize("law, q, n", [("1", "2", 50), ("3", "2", 100), ("4", "3", 400), ("5", "4", 400)])
+def test_verify_and_distance_table_agree(capsys, law, q, n):
+    # one route per law: the measure and the distance of `asym --kind distance` are verify's
+    code, out, _ = run_cli(capsys, "verify", "--law", law, "--q", q, "--n", str(n))
+    assert code in (0, 1)
+    verdict = out.splitlines()[0]
+    verified = verdict.split()[-2].partition("=")[2]
+    code, out, _ = run_cli(capsys, "asym", "--kind", "distance", "--q", q, "--n-grid", str(n),
+                           "--law", law)
+    assert code == 0
+    assert out.splitlines()[-1].split(",")[:2] == [str(n), verified]
 
 
 def test_verify_growth(capsys):

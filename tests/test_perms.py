@@ -4,8 +4,6 @@ import itertools
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fpblab import perms
 from fpblab.series import catalan_numbers
@@ -105,20 +103,23 @@ def test_enumeration_caps():
 
 
 def test_enumeration_caps_follow_budget(monkeypatch):
-    # the enum and enum_plain budgets are the caps, lowered or raised
-    monkeypatch.setenv("FPBL_BUDGET", "enum=5,enum_plain=4")
+    # the enum budget is the avoiders' cap, lowered or raised
+    monkeypatch.setenv("FPBL_BUDGET", "enum=5")
     assert sum(1 for _ in perms.enumerate_avoiders(5, "231")) == 42
     with pytest.raises(perms.EnumerationCapError, match="capped at n=5"):
         list(perms.enumerate_avoiders(6, "231"))
-    assert sum(1 for _ in perms.enumerate_permutations(4)) == 24
-    with pytest.raises(perms.EnumerationCapError, match="capped at n=4"):
-        perms.enumerate_permutations(5)
-    with pytest.raises(perms.EnumerationCapError, match="capped at n=4"):
-        list(perms.enumerate_avoiders(5))
-    # raised caps are honoured too; both enumerators are lazy, so one item is cheap
-    monkeypatch.setenv("FPBL_BUDGET", "enum=13,enum_plain=11")
+    # raised caps are honoured too; the enumerators are lazy, so one item is cheap
+    monkeypatch.setenv("FPBL_BUDGET", "enum=13")
     assert perms.avoids(next(perms.enumerate_avoiders(13, "321")), "321")
-    assert len(next(perms.enumerate_permutations(11))) == 11
+    # all of S_n is capped by a constant, which no budget moves, and by cap=, lowered or raised
+    assert perms._PLAIN_ENUM_CAP == 10
+    with pytest.raises(perms.EnumerationCapError, match="capped at n=10"):
+        list(perms.enumerate_avoiders(11))
+    assert sum(1 for _ in perms.enumerate_permutations(4, cap=4)) == 24
+    for enumerate_all in (perms.enumerate_permutations, perms.enumerate_avoiders):
+        with pytest.raises(perms.EnumerationCapError, match="capped at n=4"):
+            list(enumerate_all(5, cap=4))
+        assert len(next(enumerate_all(11, cap=11))) == 11
 
 
 def test_pattern_validation():
@@ -127,23 +128,21 @@ def test_pattern_validation():
     assert perms.check_pattern((2, 1, 3)) == "213"
 
 
-@settings(max_examples=60, derandomize=True)
-@given(st.permutations(list(range(1, 10))))
-def test_serialization_round_trip(entries):
-    sigma = tuple(entries)
-    assert perms.parse_perm(perms.format_perm(sigma)) == sigma
-
-
-def test_serialization_format():
-    assert perms.format_perm((3, 1, 2, 4, 5)) == "3 1 2 4 5"
-    with pytest.raises(ValueError):
-        perms.parse_perm("1 1 2")
+def perm_to_profile(sigma):
+    """Inverse of `perms.profile_to_perm` on 321-avoiders: the running largest weak-excedance value."""
+    prof = []
+    h = 0
+    for i, v in enumerate(sigma, start=1):
+        if v >= i and v > h:
+            h = v
+        prof.append(h)
+    return tuple(prof)
 
 
 def test_profile_bijection_round_trip():
     for n in range(1, 9):
         for sigma in perms.enumerate_avoiders(n, "321"):
-            prof = perms.perm_to_profile(sigma)
+            prof = perm_to_profile(sigma)
             assert perms.profile_to_perm(prof) == sigma
 
 

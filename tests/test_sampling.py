@@ -27,7 +27,7 @@ def test_random_source_determinism():
     c = RandomSource(99, 4).generator.integers(0, 2**32, size=8)
     assert (a == b).all()
     assert (a != c).any()
-    assert RandomSource(99).spawn(4).stream_id == 4
+    assert RandomSource(99, 4).stream_id == 4
 
 
 def test_random_source_key_words_are_uint64():
@@ -37,7 +37,7 @@ def test_random_source_key_words_are_uint64():
         with pytest.raises(ValueError, match=r"must be in \[0, 2\^64\)"):
             RandomSource(seed, stream)
     with pytest.raises(ValueError, match="stream id"):
-        RandomSource(1).spawn(-2)
+        RandomSource(1, -2)
 
 
 def test_randbelow_exact_and_reproducible():

@@ -438,7 +438,9 @@ def test_budget_env_override(monkeypatch):
     assert budgets()["poly"] == 7
     assert budgets()["eval"] == 123
     assert budgets()["enum"] == 12  # keys left unset keep their defaults
-    for raw in ("bogus=1", "columns=1"):  # no engine reads a columns budget
+    assert sorted(budgets()) == ["enum", "eval", "poly"]
+    # no engine reads a columns budget, and all of S_n is capped by a constant
+    for raw in ("bogus=1", "columns=1", "enum_plain=1"):
         monkeypatch.setenv("FPBL_BUDGET", raw)
         with pytest.raises(ValueError, match="unknown FPBL_BUDGET key"):
             budgets()
