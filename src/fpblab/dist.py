@@ -190,13 +190,35 @@ class FixedPointPMF:
                              "float", self.provenance, self.spec)
 
 
-def _pmf_from_weights(spec: MeasureSpec, weights: list[int], kind: str) -> FixedPointPMF:
-    """The exact law proportional to integer weights by fixed-point count (`series.bias_weights`)."""
+def _pmf_from_weights(spec: MeasureSpec, mode: str) -> FixedPointPMF:
+    """
+    The law of `spec` from its integer weights w_k by fixed-point count:
+    the closed form for tau = None, else `series.bias_weights` of
+    `fixed_point_row`. Mode "exact" holds the Fractions w_k / z. Mode
+    "float" holds the ints' true quotients, each the correctly rounded
+    double of that Fraction (so the float of the exact law), with no gcd.
+    """
+    n, q, tau = spec.n, spec.q, spec.tau
+    if tau is None:
+        weights, kind = series.unrestricted_weights(q, n), "closed-form"
+    else:
+        try:
+            counts = fixed_point_row(n, tau)
+        except (BudgetExceededError, EnumerationCapError) as exc:
+            raise UnsupportedMeasureError(
+                f"no exact route for {spec.describe()}: {exc}"
+                + ("; mode='scaled-float' serves any n" if tau in TAU_CLASS else "")
+            ) from exc
+        weights = series.bias_weights(counts, q)
+        kind = "enumeration" if tau == "123" else "series"
     z = sum(weights)
     if z == 0:
         raise UnsupportedMeasureError(f"no permutations match {spec.describe()}")
-    probs = {k: Fraction(w, z) for k, w in enumerate(weights) if w}
-    return FixedPointPMF(spec.n, probs, "exact", Provenance(kind), spec)
+    if mode == "exact":
+        probs = {k: Fraction(w, z) for k, w in enumerate(weights) if w}
+    else:
+        probs = {k: w / z for k, w in enumerate(weights) if w}
+    return FixedPointPMF(n, probs, mode, Provenance(kind), spec)
 
 
 def fixed_point_row(n: int, tau: str) -> tuple[int, ...]:
@@ -234,23 +256,11 @@ def fp_pmf(spec: MeasureSpec, mode: str = "exact", rng=None, samples: int | None
     caps = budgets()
     n, q, tau = spec.n, spec.q, spec.tau
     if mode == "exact":
-        if tau is None:
-            return _pmf_from_weights(spec, series.unrestricted_weights(q, n), "closed-form")
-        try:
-            counts = fixed_point_row(n, tau)
-        except (BudgetExceededError, EnumerationCapError) as exc:
-            raise UnsupportedMeasureError(
-                f"no exact route for {spec.describe()}: {exc}"
-                + ("; mode='scaled-float' serves any n" if tau in TAU_CLASS else "")
-            ) from exc
-        kind = "enumeration" if tau == "123" else "series"
-        return _pmf_from_weights(spec, series.bias_weights(counts, q), kind)
+        return _pmf_from_weights(spec, "exact")
     if mode == "scaled-float":
-        if tau is None:
-            return fp_pmf(spec, mode="exact").as_float()
+        if tau is None or (tau not in TAU_CLASS and n <= caps["enum"]):
+            return _pmf_from_weights(spec, "float")
         if tau not in TAU_CLASS:
-            if n <= caps["enum"]:
-                return fp_pmf(spec, mode="exact").as_float()
             raise UnsupportedMeasureError(
                 f"pattern {tau} has no large-n float route (only 132/321/213 do); "
                 f"its exact rows are capped at n={caps['enum']}"
@@ -298,6 +308,10 @@ class Poisson:
             return 0.0
         return math.exp(-self.lam + k * math.log(self.lam) - math.lgamma(k + 1))
 
+    def pmf_array(self, n: int) -> np.ndarray:
+        """pmf(0..n) as floats."""
+        return np.fromiter(map(self.pmf, range(n + 1)), float, n + 1)
+
     def __repr__(self):
         return f"Poisson({self.lam})"
 
@@ -322,6 +336,12 @@ class BernoulliSum:
         if k == 2:
             return p * p
         return 0 * one
+
+    def pmf_array(self, n: int) -> np.ndarray:
+        """float(pmf(k)) for k = 0..n."""
+        out = np.zeros(n + 1)
+        out[:3] = [float(self.pmf(k)) for k in range(min(n, 2) + 1)]
+        return out
 
     def __repr__(self):
         return f"BernoulliSum({self.p})"
@@ -349,6 +369,25 @@ class NegativeBinomial:
             return Fraction(0) if isinstance(self.p, Fraction) else 0.0
         return math.comb(k + self.r - 1, k) * (1 - self.p) ** k * self.p**self.r
 
+    def pmf_array(self, n: int) -> np.ndarray:
+        """
+        float(pmf(k)) for k = 0..n. For p = a/b each cell is the int quotient
+        binom(k+r-1, k) c^k a^r / (b^k b^r), c = b - a, over running powers:
+        int true division rounds correctly, as the Fraction's float does,
+        with no gcd and no Fraction.
+        """
+        if isinstance(self.p, float):
+            return np.fromiter(map(self.pmf, range(n + 1)), float, n + 1)
+        r, a, b = self.r, self.p.numerator, self.p.denominator
+        c = b - a
+        num, den = a**r, b**r
+        out = np.empty(n + 1)
+        for k in range(n + 1):
+            out[k] = math.comb(k + r - 1, k) * num / den
+            num *= c
+            den *= b
+        return out
+
     def __repr__(self):
         return f"NegativeBinomial({self.r}, {self.p})"
 
@@ -363,17 +402,21 @@ class Rayleigh:
         if self.sigma <= 0:
             raise ValueError("Rayleigh scale must be positive")
 
-    def cdf(self, x: float) -> float:
-        if x <= 0:
-            return 0.0
-        return 1.0 - math.exp(-x * x / (2.0 * self.sigma**2))
+    def cdf(self, x):
+        """The cdf at a float or elementwise over an array; exp per element by `special.exp`."""
+        x = np.asarray(x, dtype=float)
+        out = np.where(x <= 0, 0.0, 1.0 - special.exp(-x * x / (2.0 * self.sigma**2)))
+        return float(out) if out.ndim == 0 else out
 
     def __repr__(self):
         return f"Rayleigh({self.sigma})"
 
 
 class Normal:
-    """Normal(mu, var), cdf through the in-house erf (platform-stable)."""
+    """
+    Normal(mu, var), cdf through the in-house erf (platform-stable as
+    `special` states), at a float or elementwise over an array.
+    """
 
     discrete = False
 
@@ -383,7 +426,7 @@ class Normal:
         if self.var <= 0:
             raise ValueError("variance must be positive")
 
-    def cdf(self, x: float) -> float:
+    def cdf(self, x):
         return special.normal_cdf(x, self.mu, math.sqrt(self.var))
 
     def __repr__(self):
@@ -401,17 +444,18 @@ def tv_distance(pmf: FixedPointPMF, law) -> float:
     reference law: half the l1 difference over 0..n plus, in full, the
     reference law's tail mass beyond n (so truncation can only increase
     the reported distance, never hide error).
+
+    The sums run in k order (`np.cumsum`, not numpy's pairwise sum), so
+    they give the bits of a running sum over k.
     """
     if not getattr(law, "discrete", False):
         raise ValueError(f"{law!r} is continuous; use kolmogorov_distance with a scaling")
-    acc = 0.0
-    law_mass = 0.0
-    for k in range(pmf.n + 1):
-        lk = float(law.pmf(k))
-        acc += abs(float(pmf.pmf(k)) - lk)
-        law_mass += lk
-    acc += max(1.0 - law_mass, 0.0)
-    return acc / 2.0
+    p = np.zeros(pmf.n + 1)
+    p[list(pmf.weights)] = np.fromiter(pmf.weights.values(), float, len(pmf.weights))
+    lk = law.pmf_array(pmf.n)
+    acc = np.cumsum(np.abs(p - lk))[-1]
+    acc += max(1.0 - np.cumsum(lk)[-1], 0.0)
+    return float(acc / 2.0)
 
 
 def kolmogorov_distance(pmf: FixedPointPMF, law, center=0.0, scale=1.0) -> float:
@@ -420,22 +464,20 @@ def kolmogorov_distance(pmf: FixedPointPMF, law, center=0.0, scale=1.0) -> float
 
     The sup over all reals is attained at the jump points of the discrete
     cdf, approaching from either side, so both F(k) and F(k-1) are compared
-    with the law's cdf at k (no continuity correction, by design).
+    with the law's cdf at k (no continuity correction, by design). The
+    running cdf is `np.cumsum`, a sum in k order, and F(k-1) is its previous
+    entry, so both carry the bits of a running sum over the support.
     """
     scale = float(scale)
     if scale <= 0:
         raise ValueError("scale must be positive")
     if getattr(law, "discrete", True):
         raise ValueError(f"{law!r} is discrete; use tv_distance")
-    sup = 0.0
-    running = 0.0
-    for k, v in pmf.weights.items():
-        x = (k - float(center)) / scale
-        lc = law.cdf(x)
-        sup = max(sup, abs(running - lc))  # left limit at the jump
-        running += float(v)
-        sup = max(sup, abs(running - lc))
-    return sup
+    ks = np.fromiter(pmf.weights, float, len(pmf.weights))
+    lc = law.cdf((ks - float(center)) / scale)
+    run = np.cumsum(np.fromiter(pmf.weights.values(), float, len(pmf.weights)))
+    left = np.concatenate(([0.0], run[:-1]))  # the left limit at each jump
+    return float(max(np.abs(left - lc).max(), np.abs(run - lc).max()))
 
 
 def pmf_moment(pmf: FixedPointPMF, m: int, kind: str = "raw"):

@@ -5,6 +5,7 @@ import json
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -414,3 +415,108 @@ def test_monte_carlo_mode_at_n0():
         est = fp_pmf(MeasureSpec(0, 1, tau), mode="monte-carlo",
                      rng=sampling.RandomSource(5), samples=4)
         assert est.weights == {0: 1}, tau
+
+
+# The per-k distance loops: the oracles of the one-pass array forms, which
+# must give the same bits.
+
+
+def _oracle_tv(pmf, law) -> float:
+    acc = 0.0
+    law_mass = 0.0
+    for k in range(pmf.n + 1):
+        lk = float(law.pmf(k))
+        acc += abs(float(pmf.pmf(k)) - lk)
+        law_mass += lk
+    acc += max(1.0 - law_mass, 0.0)
+    return acc / 2.0
+
+
+def _oracle_kolmogorov(pmf, law, center, scale) -> float:
+    sup = 0.0
+    running = 0.0
+    for k, v in pmf.weights.items():
+        lc = law.cdf((k - float(center)) / scale)
+        sup = max(sup, abs(running - lc))
+        running += float(v)
+        sup = max(sup, abs(running - lc))
+    return sup
+
+
+@st.composite
+def _random_laws(draw):
+    """A random fixed-point law, exact or float, with no mass at k = n-1."""
+    n = draw(st.integers(0, 60))
+    cells = [k for k in range(n + 1) if not (n >= 2 and k == n - 1)]
+    ints = draw(st.lists(st.integers(0, 10**6), min_size=len(cells), max_size=len(cells)))
+    if not any(ints):
+        ints[-1] = 1
+    z = sum(ints)
+    if draw(st.booleans()):
+        weights, mode = {k: F(w, z) for k, w in zip(cells, ints)}, "exact"
+    else:
+        weights, mode = {k: w / z for k, w in zip(cells, ints)}, "float"
+    return FixedPointPMF(n, weights, mode, Provenance("series"))
+
+
+_UNIT_RATIONALS = st.fractions(F(1, 1000), F(999, 1000), max_denominator=1000)
+_DISCRETE_LAWS = st.one_of(
+    st.floats(0.05, 30.0).map(Poisson),
+    st.one_of(_UNIT_RATIONALS, st.floats(0.001, 0.999)).map(BernoulliSum),
+    st.builds(NegativeBinomial, st.integers(1, 4), st.one_of(_UNIT_RATIONALS, st.just(F(1)),
+                                                             st.floats(0.01, 1.0))),
+)
+_CONTINUOUS_LAWS = st.one_of(
+    st.floats(0.05, 20.0).map(Rayleigh),
+    st.builds(Normal, st.floats(-5.0, 5.0), st.floats(0.05, 20.0)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_random_laws(), _DISCRETE_LAWS)
+def test_tv_distance_has_the_bits_of_the_per_k_loop(pmf, law):
+    assert tv_distance(pmf, law) == _oracle_tv(pmf, law)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_random_laws(), _CONTINUOUS_LAWS, st.floats(-40.0, 40.0), st.floats(0.01, 50.0))
+def test_kolmogorov_distance_has_the_bits_of_the_per_k_loop(pmf, law, center, scale):
+    assert kolmogorov_distance(pmf, law, center, scale) == _oracle_kolmogorov(pmf, law, center, scale)
+
+
+@pytest.mark.parametrize("p", [F(1, 6), F(1, 3), F(2, 3), F(5, 6), F(1, 30), F(29, 30), F(7, 1000), F(1)])
+@pytest.mark.parametrize("r", [1, 2, 3])
+def test_negative_binomial_pmf_array_rounds_each_exact_cell(r, p):
+    law = NegativeBinomial(r, p)
+    cells = law.pmf_array(1000)
+    assert cells.shape == (1001,)
+    assert cells.tolist() == [float(law.pmf(k)) for k in range(1001)]
+
+
+def test_pmf_arrays_are_the_floats_of_pmf():
+    for law in (Poisson(2), Poisson(F(7, 3)), BernoulliSum(F(1, 4)), BernoulliSum(0.3),
+                NegativeBinomial(2, 0.4)):
+        for n in (0, 1, 2, 3, 80):
+            assert law.pmf_array(n).tolist() == [float(law.pmf(k)) for k in range(n + 1)], (law, n)
+
+
+def test_continuous_cdfs_take_arrays():
+    xs = np.linspace(-3.0, 12.0, 301)
+    for law in (Rayleigh(3 / math.sqrt(2)), Normal(1.0, 4.0)):
+        got = law.cdf(xs)
+        assert got.shape == xs.shape
+        assert got.tolist() == [law.cdf(x) for x in xs.tolist()]
+        assert type(law.cdf(0.5)) is float
+
+
+@pytest.mark.parametrize("tau", [None, "231", "312", "123"])
+def test_scaled_float_rational_routes_round_the_exact_law(tau):
+    # the unrestricted law and the 231/312/123 rows reach the float mode as int
+    # quotients, not as Fractions: each cell is the float of the exact cell
+    for n in range(10):
+        for q in (F(1, 2), F(1), F(2), F(7, 3)):
+            spec = MeasureSpec(n, q, tau)
+            got = fp_pmf(spec, mode="scaled-float")
+            want = fp_pmf(spec).as_float()
+            assert got.mode == "float" and got.weights == want.weights, (n, q)
+            assert got.provenance == want.provenance and got.spec == spec
