@@ -220,16 +220,10 @@ def cmd_zn(args) -> int:
         print("zn needs --n or --n-max", file=sys.stderr)
         return 2
     _check_n(n_max)
-    rows = []
-    if args.tau is None:
-        for n in range(n_max + 1):
-            v = series.unrestricted_normalization(args.q, n)
-            rows.append([n, series._value_to_text(v)])
-    else:
-        if args.tau not in TAU_CLASS:
-            print(f"zn: no series for tau={args.tau} (only {TAU_CLASS}); use explore", file=sys.stderr)
-            return 2
-        rows = enumerate(series._avoider_series_text(args.q, n_max))
+    if args.tau is not None and args.tau not in TAU_CLASS:
+        print(f"zn: no series for tau={args.tau} (only {TAU_CLASS}); use explore", file=sys.stderr)
+        return 2
+    rows = enumerate(series._normalization_texts(args.q, n_max, args.tau))
     Emitter(args.format, args.out).emit(
         ["n", "value"], rows, preamble=[f"q={args.q}", f"tau={args.tau or ''}"]
     )
@@ -317,10 +311,10 @@ def _verify_law(args, emitter) -> int:
             metric = "tv" if spec_law.law.discrete else "kolmogorov"
         passed = value <= tol
         ok = ok and passed
-        rows.append([n, str(args.q), spec_law.tau or "", spec_law.name, repr(value), pmf.mode])
+        rows.append([n, str(args.q), spec_law.tau or "", spec_law.name, repr(value), pmf.provenance.kind])
         print(f"{'PASS' if passed else 'FAIL'} check={spec_law.name} q={args.q} n={n} "
               f"{metric}={value!r} tol={tol}")
-    emitter.emit(["n", "q", "tau", "law", "distance", "mode"], rows)
+    emitter.emit(["n", "q", "tau", "law", "distance", "route"], rows)
     return 0 if ok else 1
 
 

@@ -8,9 +8,10 @@ lowers them for every engine and command, e.g.
     FPBL_BUDGET="poly=3000,eval=20000"
 
 Keys: poly (132/321/213 rows of counts by fixed-point number), eval
-(fixed-q exact series), enum (cap of the exact tables outside 132/321/213:
-the 231/312 series rows, 123 enumeration, and the enumerated tables of
-whole avoiders). These are the only budgets: the avoider enumerator in
+(fixed-q exact series: the normalizations of both measures, on the
+132/321/213 avoiders and on all of S_n, and the factorial moments), enum
+(cap of the exact tables outside 132/321/213: the 231/312 series rows, 123
+enumeration, and the enumerated tables of whole avoiders). These are the only budgets: the avoider enumerator in
 `perms` reads enum from here. No command enumerates all of S_n, so
 `perms.enumerate_permutations` is capped by a constant, not a budget.
 """

@@ -190,35 +190,38 @@ class FixedPointPMF:
                              "float", self.provenance, self.spec)
 
 
-def _pmf_from_weights(spec: MeasureSpec, mode: str) -> FixedPointPMF:
+def _measure_weights(spec: MeasureSpec) -> tuple[list[int], str]:
     """
-    The law of `spec` from its integer weights w_k by fixed-point count:
-    the closed form for tau = None, else `series.bias_weights` of
-    `fixed_point_row`. Mode "exact" holds the Fractions w_k / z. Mode
-    "float" holds the ints' true quotients, each the correctly rounded
-    double of that Fraction (so the float of the exact law), with no gcd.
+    The integer weights w_k of `spec` by fixed-point count (b^n times its
+    bias weights, q = a/b) and their route: the closed form for tau = None,
+    else `series.bias_weights` of `fixed_point_row`. Every exact law and
+    exact count draw takes its weights here.
     """
     n, q, tau = spec.n, spec.q, spec.tau
     if tau is None:
-        weights, kind = series.unrestricted_weights(q, n), "closed-form"
-    else:
-        try:
-            counts = fixed_point_row(n, tau)
-        except (BudgetExceededError, EnumerationCapError) as exc:
-            raise UnsupportedMeasureError(
-                f"no exact route for {spec.describe()}: {exc}"
-                + ("; mode='scaled-float' serves any n" if tau in TAU_CLASS else "")
-            ) from exc
-        weights = series.bias_weights(counts, q)
-        kind = "enumeration" if tau == "123" else "series"
+        return series.unrestricted_weights(q, n), "closed-form"
+    try:
+        counts = fixed_point_row(n, tau)
+    except (BudgetExceededError, EnumerationCapError) as exc:
+        raise UnsupportedMeasureError(
+            f"no exact route for {spec.describe()}: {exc}"
+            + ("; mode='scaled-float' serves any n" if tau in TAU_CLASS else "")
+        ) from exc
+    return series.bias_weights(counts, q), "enumeration" if tau == "123" else "series"
+
+
+def _pmf_from_weights(spec: MeasureSpec, mode: str) -> FixedPointPMF:
+    """
+    The law of `spec` from `_measure_weights`: the Fractions w_k / z in mode "exact", in mode
+    "float" the ints' true quotients, the correctly rounded doubles of those Fractions.
+    """
+    weights, kind = _measure_weights(spec)
     z = sum(weights)
-    if z == 0:
-        raise UnsupportedMeasureError(f"no permutations match {spec.describe()}")
     if mode == "exact":
         probs = {k: Fraction(w, z) for k, w in enumerate(weights) if w}
     else:
         probs = {k: w / z for k, w in enumerate(weights) if w}
-    return FixedPointPMF(n, probs, mode, Provenance(kind), spec)
+    return FixedPointPMF(spec.n, probs, mode, Provenance(kind), spec)
 
 
 def fixed_point_row(n: int, tau: str) -> tuple[int, ...]:

@@ -78,9 +78,8 @@ import numpy as np
 
 from . import series
 from .config import budgets
-from .dist import FixedPointPMF, MeasureSpec, Provenance, UnsupportedMeasureError, fixed_point_row, fp_pmf
+from .dist import FixedPointPMF, MeasureSpec, Provenance, UnsupportedMeasureError, _measure_weights, fp_pmf
 from .perms import check_pattern, enumerate_avoiders, fixed_points
-from .series import as_rational
 
 _MAX_BATCH_CELLS = 8_000_000  # soft cap on rows*length per vectorized batch
 # rows per block of a fixed-point count: at most _BLOCK, and few enough that the count's
@@ -872,14 +871,6 @@ def _check_sizes(n: int, count: int):
         raise ValueError("count must be >= 0")
 
 
-def _bias(q) -> Fraction:
-    """The exact bias q; refused unless positive, as in `MeasureSpec`."""
-    q = as_rational(q)
-    if q <= 0:
-        raise ValueError("bias parameter q must be positive")
-    return q
-
-
 def _inverse_cdf(weights: list[int], count: int, rng: RandomSource) -> np.ndarray:
     """
     `count` exact draws of k with probability weights[k] / sum(weights):
@@ -947,9 +938,8 @@ def sample_biased_unrestricted_batch(n: int, q, rng: RandomSource, count: int) -
     that is 8.9 MB under tracemalloc, 4.8 MB of it the result.
     """
     _check_sizes(n, count)
-    q = _bias(q)
     narrow = np.min_scalar_type(n)
-    ks = _inverse_cdf(series.unrestricted_weights(q, n), count, rng).astype(narrow)
+    ks = _inverse_cdf(_measure_weights(MeasureSpec(n, q))[0], count, rng).astype(narrow)
     gen = rng.generator
     sigma = np.empty((count, n), dtype=np.int32)
     sigma[:] = np.arange(n, dtype=np.int32)
@@ -998,17 +988,11 @@ def sample_fp_count_batch(n: int, q, tau: str | None, rng: RandomSource, count: 
     first, from the same stream.
     """
     _check_sizes(n, count)
-    q = _bias(q)
-    if tau is not None:
-        tau = check_pattern(tau)
+    spec = MeasureSpec(n, q, tau)
     if mode == "exact":
-        if tau is None:
-            weights = series.unrestricted_weights(q, n)
-        else:
-            weights = series.bias_weights(fixed_point_row(n, tau), q)
-        return _inverse_cdf(weights, count, rng)
+        return _inverse_cdf(_measure_weights(spec)[0], count, rng)
     if mode == "scaled-float":
-        pmf = fp_pmf(MeasureSpec(n, q, tau), mode="scaled-float")
+        pmf = fp_pmf(spec, mode="scaled-float")
         ks = np.array(pmf.support)
         cdf = np.cumsum([pmf.weights[k] for k in pmf.support])
         cdf[-1] = 1.0
@@ -1047,8 +1031,8 @@ def biased_avoider_permutation(n: int, q, tau: str, rng: RandomSource,
     by design.
     """
     _check_sizes(n, count)
-    q = _bias(q)
-    tau = check_pattern(tau)
+    spec = MeasureSpec(n, q, tau)
+    q, tau = spec.q, spec.tau
     out = np.empty((count, n), dtype=np.int32)
     if q <= 1 and tau in DYCK_PATTERNS:
         a, b = q.numerator, q.denominator

@@ -28,7 +28,7 @@ return plain values:
   already in lowest terms: U_n = sum_k c_k a^k b^(n-k), with c_k the
   avoiders of length n with k fixed points, and c_n = 1 (the identity),
   so U_n = a^n (mod b), and a^n is prime to b (q is in lowest terms).
-  `zn` prints U_n / b^n straight from the integers (`_avoider_series_text`),
+  `zn` prints U_n / b^n straight from the integers (`_normalization_texts`),
   without a gcd per n;
 - factorial moments: [z^n] m! (qz)^m G^(m+1) = q^m g_n^(m)(q), from the
   m-fold q-derivative (Leibniz) of the recurrence in O(m n) operations; at
@@ -85,8 +85,14 @@ table t[n, k].
     >>> (scaled_weight_row(1.0, 4) * 4**4).round(12).tolist()  # q = 1, base 4
     [6.0, 4.0, 3.0, 0.0, 1.0]
 
-Unrestricted permutations use the closed form
-    total_weight(n, q) = sum_k binom(n,k) * derangements(n-k) * q^k.
+On all of S_n the normalization Z_n = sum_k binom(n,k) D_(n-k) q^k (D the
+derangements) has exponential generating function e^((q-1)z) / (1-z), so
+Z_n = n Z_(n-1) + (q-1)^n, and U_n = b^n Z_n = n b U_(n-1) + (a-b)^n in
+integers. U_n = a^n (mod b) (the identity's term), so `zn` prints both
+measures' U_n / b^n from one pass each (`_scaled_normalizations`), no gcd.
+
+    >>> [unrestricted_normalization(2, n) for n in range(5)]
+    [Fraction(1, 1), Fraction(2, 1), Fraction(5, 1), Fraction(16, 1), Fraction(65, 1)]
 
 Catalan and derangement numbers come from their own recurrences so they can
 serve as independent oracles for the series code. `_value_to_text` is the
@@ -97,7 +103,9 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial
+from operator import mul
 
 import numpy as np
 
@@ -247,8 +255,14 @@ def _scaled_derivatives(q: Fraction, m_max: int, n_max: int) -> list[list[int]]:
     return d
 
 
-def _scaled_normalizations(q: Fraction, n_max: int) -> list[int]:
-    """U_n = b^n g_n(q) at q = a/b, for n = 0..n_max."""
+def _scaled_normalizations(q: Fraction, n_max: int, tau: str | None = "321") -> list[int]:
+    """U_n = b^n Z_n(q) at q = a/b, n = 0..n_max, on the 132/321/213 avoiders or (tau=None) all of S_n."""
+    if tau is None:
+        u, b, step = [1], q.denominator, 1
+        for n in range(1, n_max + 1):
+            step *= q.numerator - b
+            u.append(n * b * u[-1] + step)
+        return u
     if q == 2:  # G = C^2, so g_n = Catalan(n+1)
         return catalan_numbers(n_max + 1)[1:]
     return _scaled_derivatives(q, 0, n_max)[0]
@@ -269,15 +283,12 @@ def avoider_series(q, n_max: int) -> list[Fraction]:
     return [Fraction(u[n], b**n) for n in range(n_max + 1)]
 
 
-def _avoider_series_text(q, n_max: int) -> list[str]:
-    """
-    `_value_to_text` of each `avoider_series(q, n_max)` entry, with no
-    Fraction built: U_n / b^n is in lowest terms (module docstring).
-    """
+def _normalization_texts(q, n_max: int, tau: str | None) -> list[str]:
+    """`_value_to_text` of each U_n / b^n of `_scaled_normalizations`: in lowest terms, so no gcd."""
     q = as_rational(q)
     check_budget("eval", n_max)
     texts, bn = [], 1
-    for u in _scaled_normalizations(q, n_max):
+    for u in _scaled_normalizations(q, n_max, tau):
         texts.append(_ratio_to_text(u, bn))
         bn *= q.denominator
     return texts
@@ -324,14 +335,14 @@ def factorial_moment_coefficient(m: int, q, n: int) -> Fraction:
 
 def unrestricted_normalization(q, n: int) -> Fraction:
     """
-    Total bias weight of all of S_n: sum_k binom(n,k) * D_{n-k} * q^k.
+    Total bias weight of all of S_n, sum_k binom(n,k) D_(n-k) q^k, from the
+    first-order recurrence of the module docstring, within the `eval` budget.
 
     At q = 1 this is n!; at q = 0 it is the derangement number D_n.
     """
     q = as_rational(q)
-    if n > 100_000:
-        raise ValueError("n too large for the closed-form evaluation")
-    return Fraction(sum(unrestricted_weights(q, n)), q.denominator**n)
+    check_budget("eval", n)
+    return Fraction(_scaled_normalizations(q, n, None)[n], q.denominator**n)
 
 
 def bias_weights(counts, q: Fraction) -> list[int]:
@@ -341,14 +352,19 @@ def bias_weights(counts, q: Fraction) -> list[int]:
     they give is the same, with one common denominator.
     """
     n = len(counts) - 1
-    a, b = q.numerator, q.denominator
-    return [c * a**k * b ** (n - k) for k, c in enumerate(counts)]
+    a_pow = accumulate([q.numerator] * n, mul, initial=1)
+    b_pow = list(accumulate([q.denominator] * n, mul, initial=1))
+    return [c * x * y for c, x, y in zip(counts, a_pow, reversed(b_pow))]
 
 
 def unrestricted_weights(q, n: int) -> list[int]:
     """Integer weights of all of S_n by fixed-point count k: `bias_weights` of binom(n,k)*D_{n-k}."""
     d = derangement_numbers(n)
-    return bias_weights([comb(n, k) * d[n - k] for k in range(n + 1)], as_rational(q))
+    counts, c = [], 1
+    for k in range(n + 1):
+        counts.append(c * d[n - k])
+        c = c * (n - k) // (k + 1)
+    return bias_weights(counts, as_rational(q))
 
 
 def _power_parts(x: float, n: int) -> tuple[float, int]:

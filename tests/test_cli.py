@@ -609,6 +609,40 @@ def test_budget_env_cli(capsys, monkeypatch):
     assert code == 2 and "budget" in err
 
 
+def test_zn_unrestricted_is_within_the_eval_budget(capsys, monkeypatch):
+    # both measures' zn tables come from one recurrence pass, refused past eval before any output
+    code, out, err = run_cli(capsys, "zn", "--q", "2", "--n-max", "20000")
+    assert (code, out, err) == (2, "", "error: requested eval size 20000 exceeds budget 10000\n")
+    monkeypatch.setenv("FPBL_BUDGET", "eval=50")
+    code, out, err = run_cli(capsys, "zn", "--q", "2", "--n-max", "60")
+    assert (code, out, err) == (2, "", "error: requested eval size 60 exceeds budget 50\n")
+    code, out, _ = run_cli(capsys, "zn", "--q", "2", "--n-max", "50")
+    assert code == 0 and out.splitlines()[-1].startswith("50,")
+
+
+def test_sample_past_poly_budget_names_scaled_float(capsys):
+    # the exact count takes its weights where the exact law does, and so its refusal
+    code, out, err = run_cli(capsys, "sample", "--n", "2000", "--q", "2", "--tau", "321", "--count", "3")
+    assert code == 2 and out == ""
+    assert err.startswith("error: no exact route for bias 2 on 321-avoiders of length 2000: ")
+    assert "scaled-float" in err
+    code, out, _ = run_cli(capsys, "sample", "--n", "2000", "--q", "2", "--tau", "321", "--count", "3",
+                           "--fp-mode", "scaled-float")
+    assert code == 0 and len(out.splitlines()) == 3 + 6
+
+
+@pytest.mark.parametrize("law, q, route", [("1", "2", "closed-form"), ("2", "1", "monte-carlo"),
+                                           ("3", "2", "series"), ("4", "3", "series"),
+                                           ("5", "4", "series")])
+def test_verify_table_names_the_route(capsys, law, q, route):
+    # the last column is where the law came from, not its number type
+    code, out, _ = run_cli(capsys, "verify", "--law", law, "--q", q, "--n", "60", "--samples", "200")
+    assert code in (0, 1)
+    table = [l for l in out.splitlines() if not l.startswith(("PASS ", "FAIL "))]
+    assert table[0] == "n,q,tau,law,distance,route"
+    assert table[1].split(",")[-1] == route
+
+
 def test_enum_budget_cli(capsys, monkeypatch):
     monkeypatch.setenv("FPBL_BUDGET", "enum=5")
     code, _, err = run_cli(capsys, "explore", "--tau", "231", "--n-max", "6")

@@ -811,7 +811,7 @@ def _unrestricted_batch_oracle(n, q, rng, count):
     # the batch sampler as it was before it held its groups as narrow index blocks,
     # verbatim: every draw of the sampler is pinned to this one
     sampling._check_sizes(n, count)
-    q = sampling._bias(q)
+    q = MeasureSpec(n, q).q
     ks = sampling._inverse_cdf(series.unrestricted_weights(q, n), count, rng)
     gen = rng.generator
     perm_rows = np.tile(np.arange(n, dtype=np.int32), (count, 1))

@@ -1,7 +1,7 @@
 """Series engine: recurrences against enumeration oracles and each other."""
 import sys
 from fractions import Fraction
-from math import factorial
+from math import comb, factorial
 
 import numpy as np
 import pytest
@@ -105,6 +105,19 @@ def oracle_division_rows(n_max):
             row.append(r)
         g.append(row)
     return g
+
+
+def oracle_unrestricted_normalization(q, n):
+    """Z_n(q) = sum_k binom(n,k) D_(n-k) q^k, the closed form, one Fraction term per k."""
+    q = Fraction(q)
+    d = series.derangement_numbers(n)
+    return sum((comb(n, k) * d[n - k] * q**k for k in range(n + 1)), Fraction(0))
+
+
+def oracle_bias_weights(counts, q):
+    """c_k a^k b^(n-k), each power from scratch."""
+    n, a, b = len(counts) - 1, q.numerator, q.denominator
+    return [c * a**k * b ** (n - k) for k, c in enumerate(counts)]
 
 
 def oracle_columns(k_max, n_max):
@@ -302,14 +315,19 @@ _TEXT_QS = st.one_of(st.sampled_from([Fraction(0), Fraction(2), Fraction(-1), Fr
 def test_series_text_is_value_text_of_series(n_max, q):
     # printed straight from U_n and b^n: the pairs are in lowest terms, so no gcd is needed
     want = [series._value_to_text(v) for v in series.avoider_series(q, n_max)]
-    assert series._avoider_series_text(q, n_max) == want
+    assert series._normalization_texts(q, n_max, "321") == want
+    # the measure on all of S_n: its pairs U_n, b^n are in lowest terms too
+    want = [series._value_to_text(oracle_unrestricted_normalization(q, n)) for n in range(n_max + 1)]
+    assert series._normalization_texts(q, n_max, None) == want
 
 
 def test_eval_engine_float_rejected():
     with pytest.raises(TypeError, match="exact rational"):
         series.avoider_series(0.5, 5)
     with pytest.raises(TypeError, match="exact rational"):
-        series._avoider_series_text(0.5, 5)
+        series._normalization_texts(0.5, 5, "321")
+    with pytest.raises(TypeError, match="exact rational"):
+        series._normalization_texts(0.5, 5, None)
 
 
 def test_scaled_float_columns_track_exact():
@@ -372,6 +390,32 @@ def test_unrestricted_closed_form():
             assert series.unrestricted_normalization(q, n) == brute
 
 
+# q = 0 counts derangements, q = 2 and 1/2 invert each other's powers, a negative q too
+UNRESTRICTED_QS = tuple(Fraction(q) for q in ("0", "1", "2", "1/2", "7/3", "-1/3"))
+
+
+@pytest.mark.parametrize("q", UNRESTRICTED_QS)
+def test_unrestricted_recurrence_matches_closed_form(q):
+    # one pass of U_n = n b U_(n-1) + (a-b)^n against the closed form, term by term
+    want = [oracle_unrestricted_normalization(q, n) for n in range(61)]
+    u = series._scaled_normalizations(q, 60, None)
+    assert [Fraction(u[n], q.denominator**n) for n in range(61)] == want
+    assert [series.unrestricted_normalization(q, n) for n in range(61)] == want
+    # U_n = a^n (mod b): U_n / b^n is the lowest-terms pair the text route prints
+    assert all(u[n] % q.denominator == q.numerator**n % q.denominator for n in range(61))
+
+
+@pytest.mark.parametrize("q", UNRESTRICTED_QS + (Fraction(13, 7), Fraction(1, 1000)))
+def test_weights_match_per_k_powers(q):
+    # the running products give the integers of the per-k powers
+    d = series.derangement_numbers(60)
+    for n in range(61):
+        counts = [comb(n, k) * d[n - k] for k in range(n + 1)]
+        assert series.unrestricted_weights(q, n) == oracle_bias_weights(counts, q), n
+        row = series.avoider_row(n)
+        assert series.bias_weights(row, q) == oracle_bias_weights(row, q), n
+
+
 def test_factorial_moment_examples():
     # order 1, n = 3: the weight series coefficient is 3q^3 + 2q
     for q in (1, 2, Fraction(1, 3)):
@@ -424,7 +468,12 @@ def test_budget_refusals(monkeypatch):
     with pytest.raises(BudgetExceededError, match="eval"):
         series.avoider_series(2, 50)
     with pytest.raises(BudgetExceededError, match="eval size 50 exceeds budget 10"):
-        series._avoider_series_text(2, 50)
+        series._normalization_texts(2, 50, "321")
+    with pytest.raises(BudgetExceededError, match="eval size 50 exceeds budget 10$"):
+        series._normalization_texts(2, 50, None)
+    with pytest.raises(BudgetExceededError, match="eval size 11 exceeds budget 10$"):
+        series.unrestricted_normalization(2, 11)
+    assert series.unrestricted_normalization(2, 10) == oracle_unrestricted_normalization(2, 10)
     with pytest.raises(BudgetExceededError, match="eval"):
         series.avoider_normalization(2, 50)
     with pytest.raises(BudgetExceededError, match="eval"):
