@@ -24,6 +24,7 @@ The five built-in limit laws for the fixed-point count:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,6 +37,7 @@ from .dist import (
     Normal,
     Poisson,
     Rayleigh,
+    _outside_float_range,
     fp_pmf,
     kolmogorov_distance,
     tv_distance,
@@ -80,6 +82,8 @@ def growth_prediction(q) -> RegimePrediction:
     """The regime, singularity, and closed-form growth data for bias q."""
     q = as_rational(q)
     regime = regime_of(q)
+    if q > sys.float_info.max:  # the growth base (q-1)^2/(q-2), above q - 1, overflows a float
+        raise _outside_float_range(q, "the growth prediction is computed in")
     zeta = dominant_singularity(q)
     if regime == "subcritical":
         pref = 4.0 / (float(3 - q) ** 2 * math.sqrt(math.pi))
@@ -212,7 +216,7 @@ def limit_law(law_id: int | str, q) -> LimitLawSpec:
     if law_id == 5:
         if not q > 3:
             raise ValueError(f"the normal limit requires q > 3, got q={q}")
-        return LimitLawSpec(5, q, Normal(0.0, 1.0))
+        return LimitLawSpec(5, q, Normal())
     raise ValueError(f"law id must be 1..5, got {law_id}")
 
 
@@ -253,7 +257,7 @@ def convergence_table(kind: str, q, n_grid, m: int | None = None,
     q = as_rational(q)
     rows = []
     if kind == "growth":
-        regime_of(q)  # refuses q <= 0 before the pass, as `verify --growth` does
+        growth_prediction(q)  # refuses q <= 0, and q past the float range, before the pass
         # one pass of the normalization recurrence: avoider_series(q, top)[n] = U_n / b^n
         top = max(n_grid, default=0)
         check_budget("eval", top)

@@ -254,17 +254,12 @@ def cmd_sample(args) -> int:
     # every draw is made before the first byte is written, so a refusal prints nothing
     rng = sampling.RandomSource(args.seed, args.stream)
     emit_perm = args.emit == "perm"
-    if not emit_perm:
-        # the counts alone: without --tau the law is exact, whatever --fp-mode says
-        mode = args.fp_mode if args.tau else "exact"
-        blocks = _fp_blocks(sampling.sample_fp_count_batch(args.n, args.q, args.tau, rng, args.count,
-                                                           mode=mode), args.format)
-    elif args.tau is None:
-        blocks = _perm_blocks(sampling.sample_biased_unrestricted_batch(args.n, args.q, rng, args.count),
-                              args.format)
-    else:
+    if emit_perm:
         blocks = _perm_blocks(sampling.biased_avoider_permutation(args.n, args.q, args.tau, rng,
                                                                   args.count)[0], args.format)
+    else:
+        blocks = _fp_blocks(sampling.sample_fp_count_batch(args.n, args.q, args.tau, rng, args.count,
+                                                           mode=args.fp_mode), args.format)
     columns = ["sample_index", "fp"] + (["perm"] if emit_perm else [])
     Emitter(args.format, args.out).emit_blocks(
         columns, blocks,

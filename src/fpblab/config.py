@@ -11,9 +11,12 @@ Keys: poly (132/321/213 rows of counts by fixed-point number), eval
 (fixed-q exact series: the normalizations of both measures, on the
 132/321/213 avoiders and on all of S_n, and the factorial moments), enum
 (cap of the exact tables outside 132/321/213: the 231/312 series rows, 123
-enumeration, and the enumerated tables of whole avoiders). These are the only budgets: the avoider enumerator in
-`perms` reads enum from here. No command enumerates all of S_n, so
-`perms.enumerate_permutations` is capped by a constant, not a budget.
+enumeration, and the enumerated tables of whole avoiders).
+
+These are the only budgets, and no engine call takes a cap of its own:
+the avoider enumerator in `perms` reads enum from here. No command
+enumerates all of S_n, so `perms.enumerate_permutations`, an oracle of
+the tests, is capped by the constant `perms._PLAIN_ENUM_CAP`.
 """
 from __future__ import annotations
 

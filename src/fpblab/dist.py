@@ -73,19 +73,23 @@ class Provenance:
     stream_id: int | None = None
 
 
+def _outside_float_range(q, where: str) -> UnsupportedMeasureError:
+    """The refusal of a q outside the normal float range; `where` ends the sentence."""
+    lo, hi = sys.float_info.min, sys.float_info.max
+    return UnsupportedMeasureError(
+        f"q = {series._value_to_text(q)} lies outside the float range [{lo!r}, {hi!r}] that {where}"
+    )
+
+
 def _float_bias(q: Fraction) -> float:
     """
     q as a double, refused unless it lies in the normal float range: the
     scaled-float engines run on float(q), which overflows above that range,
     and below it keeps fewer than 53 bits of q or none.
     """
-    lo, hi = sys.float_info.min, sys.float_info.max
-    if not lo <= q <= hi:
-        raise UnsupportedMeasureError(
-            f"q = {series._value_to_text(q)} lies outside the float range [{lo!r}, {hi!r}] that "
-            f"mode 'scaled-float' computes in; the exact mode serves it (pmf --mode exact, "
-            f"sample --fp-mode exact)"
-        )
+    if not sys.float_info.min <= q <= sys.float_info.max:
+        raise _outside_float_range(q, "mode 'scaled-float' computes in; the exact mode serves it "
+                                      "(pmf --mode exact, sample --fp-mode exact)")
     return float(q)
 
 
@@ -166,18 +170,11 @@ class FixedPointPMF:
         levels): result(k) = q^k * self(k) / sum_j q^j * self(j).
         """
         q = as_rational(q)
-        if self.mode == "exact":
-            w = {k: q**k * v for k, v in self.weights.items()}
-            z = sum(w.values())
-            w = {k: v / z for k, v in w.items()}
-        else:
-            qf = _float_bias(q)
-            # tilt by q^(k - top), top the end of the support that q favours: no factor
-            # exceeds 1 and top's weight is untilted, so nothing overflows and z > 0
-            top = max(self.weights) if qf > 1 else min(self.weights)
-            w = {k: qf ** (k - top) * v for k, v in self.weights.items()}
-            z = sum(w.values())
-            w = {k: v / z for k, v in w.items()}
+        if self.mode != "exact":
+            raise ValueError("only an exact law is reweighted; tilt the exact law, then take its floats")
+        w = {k: q**k * v for k, v in self.weights.items()}
+        z = sum(w.values())
+        w = {k: v / z for k, v in w.items()}
         new_spec = None
         if self.spec is not None:
             new_spec = MeasureSpec(self.n, self.spec.q * q, self.spec.tau)
@@ -302,9 +299,12 @@ class Poisson:
     discrete = True
 
     def __init__(self, lam):
-        self.lam = float(lam)
-        if self.lam <= 0:
+        if lam <= 0:
             raise ValueError("Poisson rate must be positive")
+        # the pmf runs on float(lam), which overflows above the float range and is 0 far below it
+        if not sys.float_info.min <= lam <= sys.float_info.max:
+            raise _outside_float_range(lam, "the Poisson law is computed in")
+        self.lam = float(lam)
 
     def pmf(self, k: int) -> float:
         if k < 0:
@@ -320,25 +320,24 @@ class Poisson:
 
 
 class BernoulliSum:
-    """Sum of two independent Bernoulli(p); exact pmf when p is rational."""
+    """Sum of two independent Bernoulli(p), p read as a Fraction; exact pmf."""
 
     discrete = True
 
     def __init__(self, p):
-        self.p = as_rational(p) if not isinstance(p, float) else p
+        self.p = Fraction(p)
         if not 0 < self.p < 1:
             raise ValueError("Bernoulli parameter must lie in (0,1)")
 
-    def pmf(self, k: int):
+    def pmf(self, k: int) -> Fraction:
         p = self.p
-        one = Fraction(1) if isinstance(p, Fraction) else 1.0
         if k == 0:
-            return (one - p) ** 2
+            return (1 - p) ** 2
         if k == 1:
-            return 2 * p * (one - p)
+            return 2 * p * (1 - p)
         if k == 2:
             return p * p
-        return 0 * one
+        return Fraction(0)
 
     def pmf_array(self, n: int) -> np.ndarray:
         """float(pmf(k)) for k = 0..n."""
@@ -354,7 +353,8 @@ class NegativeBinomial:
     """
     NegativeBinomial(r, p): pmf(k) = binom(k+r-1, k) (1-p)^k p^r, k >= 0.
 
-    Counts failures before the r-th success; exact pmf for rational p.
+    Counts failures before the r-th success; p is read as a Fraction and the
+    pmf is exact.
     """
 
     discrete = True
@@ -363,13 +363,13 @@ class NegativeBinomial:
         if not (isinstance(r, int) and r >= 1):
             raise ValueError("r must be a positive integer")
         self.r = r
-        self.p = as_rational(p) if not isinstance(p, float) else p
+        self.p = Fraction(p)
         if not 0 < self.p <= 1:
             raise ValueError("p must lie in (0,1]")
 
-    def pmf(self, k: int):
+    def pmf(self, k: int) -> Fraction:
         if k < 0:
-            return Fraction(0) if isinstance(self.p, Fraction) else 0.0
+            return Fraction(0)
         return math.comb(k + self.r - 1, k) * (1 - self.p) ** k * self.p**self.r
 
     def pmf_array(self, n: int) -> np.ndarray:
@@ -379,8 +379,6 @@ class NegativeBinomial:
         int true division rounds correctly, as the Fraction's float does,
         with no gcd and no Fraction.
         """
-        if isinstance(self.p, float):
-            return np.fromiter(map(self.pmf, range(n + 1)), float, n + 1)
         r, a, b = self.r, self.p.numerator, self.p.denominator
         c = b - a
         num, den = a**r, b**r
@@ -417,23 +415,19 @@ class Rayleigh:
 
 class Normal:
     """
-    Normal(mu, var), cdf through the in-house erf (platform-stable as
-    `special` states), at a float or elementwise over an array.
+    The standard normal law, cdf through the in-house erf (platform-stable
+    as `special` states), at a float or elementwise over an array. A check
+    centres and scales the fixed-point count (`kolmogorov_distance`), not
+    the law.
     """
 
     discrete = False
 
-    def __init__(self, mu=0.0, var=1.0):
-        self.mu = float(mu)
-        self.var = float(var)
-        if self.var <= 0:
-            raise ValueError("variance must be positive")
-
     def cdf(self, x):
-        return special.normal_cdf(x, self.mu, math.sqrt(self.var))
+        return special.normal_cdf(x)
 
     def __repr__(self):
-        return f"Normal({self.mu}, {self.var})"
+        return "Normal()"
 
 
 # ---------------------------------------------------------------------------

@@ -174,16 +174,14 @@ def symmetry(sigma: Sequence[int], kind: str) -> tuple[int, ...]:
     raise ValueError(f"unknown symmetry kind {kind!r}")
 
 
-def enumerate_permutations(n: int, cap: int | None = None) -> Iterator[tuple[int, ...]]:
+def enumerate_permutations(n: int) -> Iterator[tuple[int, ...]]:
     """
     All of S_n in lexicographic order, the brute-force oracle of the
-    unrestricted laws. Refuses n above the cap, by default 10.
+    unrestricted laws. Refuses n above _PLAIN_ENUM_CAP.
     """
-    if cap is None:
-        cap = _PLAIN_ENUM_CAP
-    if n > cap:
+    if n > _PLAIN_ENUM_CAP:
         raise EnumerationCapError(
-            f"unrestricted enumeration capped at n={cap} ({cap}! permutations); "
+            f"unrestricted enumeration capped at n={_PLAIN_ENUM_CAP} ({_PLAIN_ENUM_CAP}! permutations); "
             f"got n={n}. Use the series engine or samplers instead."
         )
     return iter(itertools.permutations(range(1, n + 1)))
@@ -264,21 +262,19 @@ def _gen_231_avoiders(n: int) -> list[tuple[int, ...]]:
     return memo[n]
 
 
-def enumerate_avoiders(n: int, tau: str | None = None, cap: int | None = None) -> Iterator[tuple[int, ...]]:
+def enumerate_avoiders(n: int, tau: str | None = None) -> Iterator[tuple[int, ...]]:
     """
     Yield each member of S_n(tau) exactly once (all of S_n when tau is None).
 
     Pattern classes are generated directly (Catalan-many objects), up to the
-    cap, by default the `enum` budget (see config); unrestricted enumeration
-    delegates to `enumerate_permutations`, by default with its own, lower
-    cap.
+    `enum` budget (see config); unrestricted enumeration delegates to
+    `enumerate_permutations`, with its own, lower cap.
     """
     if tau is None:
-        yield from enumerate_permutations(n, cap)
+        yield from enumerate_permutations(n)
         return
     tau = check_pattern(tau)
-    if cap is None:
-        cap = budgets()["enum"]
+    cap = budgets()["enum"]
     if n > cap:
         raise EnumerationCapError(
             f"{tau}-avoider enumeration is capped at n={cap} (the enum budget); got n={n}"

@@ -5,9 +5,11 @@ Randomness contract: every sampler takes a RandomSource, a thin wrapper
 around numpy's counter-based Philox bit generator keyed by
 (seed, stream_id). Identical keys give identical output on every platform;
 distinct stream ids give independent streams, so parallel work partitions
-by stream id. Exact discrete draws (inverse cdf over big-integer weights,
-rational accept/reject) go through `RandomSource.randbelow` or its batch
-form `randbelow_batch`, which never round.
+by stream id. Exact discrete draws never round: the inverse cdf over
+big-integer weights and the rational accept step take uniform integers
+from `Generator.integers` below 2^63 and from `RandomSource.randbelow_batch`
+from there on, and the enumeration route picks its member by
+`RandomSource.randbelow`.
 
 Every uniform avoider is one uniform Dyck path mapped to a permutation;
 see docs/dyck_321_bijection.md. The path is the cycle-lemma rotation of a
@@ -56,14 +58,14 @@ with the bound, the accept step compares them with a^fp the same way, and
 the inverse cdf places each draw among the cumulative weights by its top
 64 bits, comparing whole numbers in Python only where those tie.
 
-Whole permutations of biased avoiders come from one call,
-`biased_avoider_permutation(n, q, tau, rng, count)`. For q <= 1 and the
-Dyck patterns it is exact rejection from the uniform batch sampler
-(accept with probability q^fp), in rounds of boundedly many rows.
-Otherwise it draws from the enumerated avoiders, within the `enum` cap
-only: above the phase point the acceptance rate of rejection decays
-exponentially, and fixed-point-count sampling covers every verification
-need past the cap.
+Whole permutations of every measure come from one call,
+`biased_avoider_permutation(n, q, tau, rng, count)`: on all of S_n the
+batch unrestricted sampler; for q <= 1 and the Dyck patterns exact
+rejection from the uniform batch sampler (accept with probability q^fp),
+in rounds of boundedly many rows. Otherwise it draws from the enumerated
+avoiders, within the `enum` cap only: at every q > 1 rejection accepts
+with probability q^(fp - n), exponentially rare in n, and
+fixed-point-count sampling covers every verification need past the cap.
 """
 from __future__ import annotations
 
@@ -983,29 +985,30 @@ def sample_fp_count_batch(n: int, q, tau: str | None, rng: RandomSource, count: 
     `count` draws of the fixed-point count of a biased tau-avoider, or with
     tau=None of a biased permutation of S_n (the law itself, no permutation
     is constructed): exact inverse cdf over big-integer weights, or float
-    inverse cdf in scaled-float mode. With tau=None in exact mode these are
-    the fixed-point counts K that `sample_biased_unrestricted_batch` draws
+    inverse cdf in scaled-float mode. With tau=None both modes draw the
+    exact law, the counts K that `sample_biased_unrestricted_batch` draws
     first, from the same stream.
     """
     _check_sizes(n, count)
     spec = MeasureSpec(n, q, tau)
-    if mode == "exact":
+    if mode not in ("exact", "scaled-float"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "exact" or tau is None:
         return _inverse_cdf(_measure_weights(spec)[0], count, rng)
-    if mode == "scaled-float":
-        pmf = fp_pmf(spec, mode="scaled-float")
-        ks = np.array(pmf.support)
-        cdf = np.cumsum([pmf.weights[k] for k in pmf.support])
-        cdf[-1] = 1.0
-        u = rng.generator.random(count)
-        return ks[np.searchsorted(cdf, u, side="right")]
-    raise ValueError(f"unknown mode {mode!r}")
+    pmf = fp_pmf(spec, mode="scaled-float")
+    ks = np.array(pmf.support)
+    cdf = np.cumsum([pmf.weights[k] for k in pmf.support])
+    cdf[-1] = 1.0
+    u = rng.generator.random(count)
+    return ks[np.searchsorted(cdf, u, side="right")]
 
 
-def biased_avoider_permutation(n: int, q, tau: str, rng: RandomSource,
+def biased_avoider_permutation(n: int, q, tau: str | None, rng: RandomSource,
                                count: int) -> tuple[np.ndarray, int]:
     """
     `count` whole permutations under the biased avoiding measure, as a
-    (count, n) int32 array, with the number of attempts used.
+    (count, n) int32 array, with the number of attempts used. With tau=None
+    (all of S_n) it is `sample_biased_unrestricted_batch`, one attempt a row.
 
     For q <= 1 and the patterns 321/132/213/123 it draws uniform avoiders
     and accepts each with exact probability q^fp (at q = 1 every attempt),
@@ -1020,19 +1023,20 @@ def biased_avoider_permutation(n: int, q, tau: str, rng: RandomSource,
     first-return decomposition. The count's are smaller: a round fits one
     block of `_fp_from_walks`, whose temporaries take about 2n bytes a row
     (`_packed_block_rows`, `_mirror_pairs`). So the memory of a call beyond
-    its result does not grow with `count`. The attempts are counted up to the one that gave
-    the last row kept.
+    its result does not grow with `count`. The attempts are counted up to
+    the one that gave the last row kept.
 
     Otherwise, for n within the enumeration cap and any q and pattern,
     each row draws its fixed-point count k by exact inverse cdf, then a
     uniform member of the enumerated avoiders with k fixed points, one
     attempt a row. Past the cap the call is refused before anything is
-    drawn: supercritical whole-permutation sampling at large n is refused
-    by design.
+    drawn: at q > 1, rejection accepts with probability q^(fp - n).
     """
     _check_sizes(n, count)
     spec = MeasureSpec(n, q, tau)
     q, tau = spec.q, spec.tau
+    if tau is None:
+        return sample_biased_unrestricted_batch(n, q, rng, count), count
     out = np.empty((count, n), dtype=np.int32)
     if q <= 1 and tau in DYCK_PATTERNS:
         a, b = q.numerator, q.denominator
@@ -1069,7 +1073,7 @@ def biased_avoider_permutation(n: int, q, tau: str, rng: RandomSource,
         return out, attempts
     caps = budgets()
     if n > caps["enum"]:
-        if q <= 1:
+        if tau not in DYCK_PATTERNS:
             why = f"rejection needs a uniform sampler, which pattern {tau} lacks"
         elif tau == "123":
             # not slow: accepting a uniform 123-avoider with probability q^(fp - 2) keeps
@@ -1077,7 +1081,8 @@ def biased_avoider_permutation(n: int, q, tau: str, rng: RandomSource,
             why = ("rejection at q > 1 is not implemented for pattern 123, whose avoiders have "
                    "at most 2 fixed points")
         else:
-            why = "rejection is exponentially slow above the phase point"
+            why = ("rejection from uniform avoiders accepts with probability q^(fp - n), "
+                   "exponentially rare in n at every q > 1")
         if tau in series.TAU_CLASS:
             alt = ("the fixed-point count alone is served by sample_fp_count_batch "
                    "(CLI: sample without --emit perm)")

@@ -72,8 +72,9 @@ Since phi'/phi = 2w/((1-w)(1-2w)), P = phi^(n+1) satisfies
 
 For j <= n every term is nonnegative, so row n costs O(n) operations and
 no cancellation: in integers (`avoider_row`, both divisions exact), or in
-floats (`scaled_weight_row`, t[k] = a[k][n] q^k / base^n), where the
-recurrence runs on p_j / q^j and every entry keeps machine-epsilon
+floats (`scaled_weight_row`, t[k] = a[k][n] q^k / base^n, the base set by
+q alone: 4 up to the phase point q = 3, the growth rate (q-1)^2/(q-2) past
+it), where the recurrence runs on p_j / q^j and every entry keeps machine-epsilon
 relative accuracy at any n. The floats split powers of two off exactly,
 so nothing overflows or underflows on the way; an entry rounds to 0 only
 when its own value lies below the float range. A row at n = 2000 takes
@@ -386,9 +387,10 @@ def _default_base(q: float) -> float:
     return 4.0 if q <= 3 else (q - 1) * ((q - 1) / (q - 2))
 
 
-def scaled_weight_row(q: float, n: int, base: float | None = None) -> np.ndarray:
+def scaled_weight_row(q: float, n: int) -> np.ndarray:
     """
-    Row n of `scaled_weight_rows`: t[k] = a[k][n] q^k / base^n, k = 0..n.
+    Row n of `scaled_weight_rows`: t[k] = a[k][n] q^k / base^n, k = 0..n,
+    with base = `_default_base(q)`.
 
     With q = mq 2^eq (0.5 <= mq < 1) the recurrence of the module docstring
     runs on v_j = p_j / mq^j,
@@ -404,7 +406,7 @@ def scaled_weight_row(q: float, n: int, base: float | None = None) -> np.ndarray
     q = float(q)
     if q <= 0:
         raise ValueError("bias parameter q must be positive")
-    base = _default_base(q) if base is None else float(base)
+    base = _default_base(q)
     mq, eq = math.frexp(q)
     c3, c2 = 3.0 / mq, 2.0 / (mq * mq)
     big = 2.0**_SHIFT
@@ -422,7 +424,7 @@ def scaled_weight_row(q: float, n: int, base: float | None = None) -> np.ndarray
     return np.ldexp(mant, np.array(shifts) - eq * j + re_)[::-1]
 
 
-def scaled_weight_rows(q: float, n_max: int, k_max: int | None = None, base: float | None = None) -> np.ndarray:
+def scaled_weight_rows(q: float, n_max: int, k_max: int | None = None) -> np.ndarray:
     """
     Scaled bias weights t[n, k] = a[k][n] * q^k / base^n (float engine), the
     rows of `scaled_weight_row` for n = 0..n_max, cut at k_max.
@@ -436,7 +438,7 @@ def scaled_weight_rows(q: float, n_max: int, k_max: int | None = None, base: flo
         k_max = n_max
     t = np.zeros((n_max + 1, k_max + 1))
     for n in range(n_max + 1):
-        row = scaled_weight_row(q, n, base)[: k_max + 1]
+        row = scaled_weight_row(q, n)[: k_max + 1]
         t[n, : len(row)] = row
     return t
 

@@ -114,10 +114,9 @@ def erfc(x):
     return _float_or_array(np.where(x < 0, 2.0 - out, out))
 
 
-def normal_cdf(x, mu: float = 0.0, sigma: float = 1.0):
-    """Gaussian cdf via the in-house erfc, elementwise in x."""
-    z = (x - mu) / (sigma * math.sqrt(2.0))
-    return 0.5 * erfc(-z)
+def normal_cdf(x):
+    """Standard normal cdf via the in-house erfc, elementwise in x."""
+    return 0.5 * erfc(-(x / math.sqrt(2.0)))
 
 
 def gamma_half_integer(twice_x: int) -> float:

@@ -520,6 +520,74 @@ def test_scaled_float_refuses_q_outside_float_range(capsys, q):
     assert code == 0 and err == ""
 
 
+@pytest.mark.parametrize("argv, where, q", [
+    (["verify", "--law", "1", "--n", "10"], "the Poisson law", "1" + "0" * 400),
+    (["verify", "--law", "1", "--n", "10"], "the Poisson law", "1/1" + "0" * 400),
+    (["asym", "--kind", "distance", "--law", "1", "--n-grid", "5"], "the Poisson law", "1" + "0" * 400),
+    (["asym", "--kind", "distance", "--law", "1", "--n-grid", "5"], "the Poisson law", "1/1" + "0" * 400),
+    (["verify", "--growth", "--n", "10"], "the growth prediction", "1" + "0" * 400),
+    (["asym", "--kind", "growth", "--n-grid", "5"], "the growth prediction", "1" + "0" * 400),
+], ids=["law-1-1e400", "law-1-1e-400", "distance-1e400", "distance-1e-400", "growth-1e400",
+        "asym-growth-1e400"])
+def test_float_checks_refuse_q_outside_float_range(capsys, argv, where, q):
+    # the Poisson law and the growth prediction run on floats: a q with no double is one
+    # refusal line (exit 2, kept for usage errors), not a traceback (exit 1, a failed check)
+    code, out, err = run_cli(capsys, *argv, "--q", q)
+    assert (code, out) == (2, ""), err
+    assert err == (f"error: q = {q} lies outside the float range [2.2250738585072014e-308, "
+                   f"1.7976931348623157e+308] that {where} is computed in\n")
+
+
+def test_growth_runs_below_the_float_range(capsys):
+    # below the range the prediction is the 4^n one, and q enters it only through 3 - q
+    q = "1/1" + "0" * 400
+    code, out, err = run_cli(capsys, "verify", "--growth", "--q", q, "--n", "10")
+    assert code == 1 and err == "" and out.splitlines()[-1].startswith("FAIL check=growth")
+    code, out, err = run_cli(capsys, "asym", "--kind", "growth", "--q", q, "--n-grid", "5")
+    assert code == 0 and err == "" and out.splitlines()[-1].startswith("5,")
+
+
+def test_sample_refusal_at_q_2_gives_its_reason(capsys):
+    # q = 2 lies below the phase point: the reason is rejection's acceptance, at every q > 1
+    code, out, err = run_cli(capsys, "sample", "--n", "13", "--q", "2", "--tau", "321", "--count", "1",
+                             "--emit", "perm")
+    assert code == 2 and out == ""
+    assert "accepts with probability q^(fp - n), exponentially rare in n at every q > 1" in err
+    assert "phase point" not in err
+
+
+def test_sample_makes_one_sampler_call_per_dump(capsys, monkeypatch):
+    # one call of the one sampler of each --emit, the flags passed through as given;
+    # calls the samplers make of each other are not counted
+    calls, depth = [], [0]
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            if not depth[0]:
+                calls.append((name, args[2], kwargs.get("mode")))
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    for name in ("sample_fp_count_batch", "biased_avoider_permutation", "sample_biased_unrestricted_batch",
+                 "uniform_avoider_fp_batch", "uniform_avoider"):
+        monkeypatch.setattr(sampling, name, spy(name, getattr(sampling, name)))
+    for emit in ("fp", "perm"):
+        for tau in (None, "321"):
+            for fp_mode in ("exact", "scaled-float"):
+                calls.clear()
+                argv = ["sample", "--n", "6", "--q", "1/2", "--count", "5", "--emit", emit,
+                        "--fp-mode", fp_mode] + (["--tau", tau] if tau else [])
+                assert run_cli(capsys, *argv)[0] == 0
+                if emit == "fp":
+                    assert calls == [("sample_fp_count_batch", tau, fp_mode)], argv
+                else:
+                    assert calls == [("biased_avoider_permutation", tau, None)], argv
+
+
 def test_monte_carlo_refuses_nonpositive_samples(capsys):
     for argv in (["verify", "--law", "2", "--q", "1", "--n", "10", "--samples", "0"],
                  ["pmf", "--n", "10", "--q", "1", "--tau", "321", "--mode", "monte-carlo",

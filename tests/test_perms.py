@@ -98,8 +98,6 @@ def test_enumeration_caps():
         list(perms.enumerate_avoiders(13, "321"))
     with pytest.raises(perms.EnumerationCapError, match="capped"):
         perms.enumerate_permutations(11)
-    # caps are configurable; the enumerator is lazy, so one item shows it
-    assert perms.avoids(next(perms.enumerate_avoiders(13, "321", cap=13)), "321")
 
 
 def test_enumeration_caps_follow_budget(monkeypatch):
@@ -111,15 +109,18 @@ def test_enumeration_caps_follow_budget(monkeypatch):
     # raised caps are honoured too; the enumerators are lazy, so one item is cheap
     monkeypatch.setenv("FPBL_BUDGET", "enum=13")
     assert perms.avoids(next(perms.enumerate_avoiders(13, "321")), "321")
-    # all of S_n is capped by a constant, which no budget moves, and by cap=, lowered or raised
+    # all of S_n is capped by a constant, which no budget moves; patched, it is lowered or raised
     assert perms._PLAIN_ENUM_CAP == 10
     with pytest.raises(perms.EnumerationCapError, match="capped at n=10"):
         list(perms.enumerate_avoiders(11))
-    assert sum(1 for _ in perms.enumerate_permutations(4, cap=4)) == 24
+    monkeypatch.setattr(perms, "_PLAIN_ENUM_CAP", 4)
+    assert sum(1 for _ in perms.enumerate_permutations(4)) == 24
     for enumerate_all in (perms.enumerate_permutations, perms.enumerate_avoiders):
         with pytest.raises(perms.EnumerationCapError, match="capped at n=4"):
-            list(enumerate_all(5, cap=4))
-        assert len(next(enumerate_all(11, cap=11))) == 11
+            list(enumerate_all(5))
+    monkeypatch.setattr(perms, "_PLAIN_ENUM_CAP", 11)
+    for enumerate_all in (perms.enumerate_permutations, perms.enumerate_avoiders):
+        assert len(next(enumerate_all(11))) == 11
 
 
 def test_pattern_validation():

@@ -930,6 +930,26 @@ def test_sample_fp_count_matches_exact_law():
     assert int(sampling.sample_fp_count_batch(3, 2, "321", RandomSource(1), 1)[0]) in (0, 1, 3)
 
 
+def test_unrestricted_fp_counts_are_exact_in_both_modes():
+    # the law on all of S_n is exact at every n: scaled-float mode draws the exact counts
+    for n, q, count in ((0, 2, 5), (1, F(1, 2), 7), (9, F(7, 3), 300), (200, 2, 1000), (500, F(1, 3), 50)):
+        exact = sampling.sample_fp_count_batch(n, q, None, RandomSource(31), count)
+        flt = sampling.sample_fp_count_batch(n, q, None, RandomSource(31), count, mode="scaled-float")
+        assert np.array_equal(flt, exact), (n, q)
+
+
+@pytest.mark.parametrize("n", [0, 1, 6, 10, 11, 12, 40])
+def test_whole_permutations_of_s_n_come_from_the_batch_sampler(n):
+    # tau = None is the batch unrestricted sampler's call, so its stream, at every n, and
+    # nothing is enumerated
+    table = sampling._enumeration_table
+    table.cache_clear()
+    got, attempts = sampling.biased_avoider_permutation(n, F(3, 2), None, RandomSource(33), 25)
+    want = sampling.sample_biased_unrestricted_batch(n, F(3, 2), RandomSource(33), 25)
+    assert got.dtype == want.dtype and np.array_equal(got, want) and attempts == 25
+    assert table.cache_info().misses == 0
+
+
 def test_biased_avoider_rejection_distribution():
     n_samples = 50000
     arr, _ = sampling.biased_avoider_permutation(3, F(1, 2), "321", RandomSource(5), n_samples)
@@ -979,6 +999,11 @@ def test_biased_avoider_refusals():
     for count in (3, 0):
         with pytest.raises(UnsupportedMeasureError, match="sample_fp_count_batch"):
             sampling.biased_avoider_permutation(20, 4, "321", rng, count)
+    # past the cap each class is refused for its own reason, at every q > 1
+    with pytest.raises(UnsupportedMeasureError, match=r"probability q\^\(fp - n\), exponentially rare"):
+        sampling.biased_avoider_permutation(13, 2, "321", rng, 1)
+    with pytest.raises(UnsupportedMeasureError, match="uniform sampler, which pattern 231 lacks"):
+        sampling.biased_avoider_permutation(13, 2, "231", rng, 1)
 
 
 def test_batch_samplers_refuse_negative_sizes():

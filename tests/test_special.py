@@ -31,7 +31,6 @@ def test_normal_cdf_values():
     assert abs(special.normal_cdf(0.0) - 0.5) < 1e-15
     assert abs(special.normal_cdf(1.96) - 0.9750021048517795) < 1e-12
     assert abs(special.normal_cdf(-1.0) + special.normal_cdf(1.0) - 1.0) < 1e-14
-    assert abs(special.normal_cdf(3.0, mu=1.0, sigma=2.0) - special.normal_cdf(1.0)) < 1e-14
 
 
 def test_gamma_half_integers_exact():
@@ -137,8 +136,8 @@ def test_the_fixed_term_count_reaches_the_stop_rule_everywhere():
 
 def test_normal_cdf_is_elementwise():
     xs = np.linspace(-9.0, 9.0, 1_001)
-    got = special.normal_cdf(xs, 0.25, 1.5)
-    want = [0.5 * _oracle_erfc(-((x - 0.25) / (1.5 * math.sqrt(2.0)))) for x in xs.tolist()]
+    got = special.normal_cdf(xs)
+    want = [0.5 * _oracle_erfc(-(x / math.sqrt(2.0))) for x in xs.tolist()]
     assert all(_same_bits(g, w) for g, w in zip(got.tolist(), want))
     assert got.reshape(7, 11, 13).shape == special.normal_cdf(xs.reshape(7, 11, 13)).shape
 
