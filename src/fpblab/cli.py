@@ -242,7 +242,7 @@ def cmd_pmf(args) -> int:
         else:
             sys.stdout.write(text)
         return 0
-    rows = [[k, series._value_to_text(v)] for k, v in pmf.weights.items()]
+    rows = list(pmf.texts().items())
     Emitter(args.format, args.out).emit(
         ["k", "probability"], rows,
         preamble=[f"n={args.n}", f"q={args.q}", f"tau={args.tau or ''}", f"mode={pmf.mode}"],
@@ -336,23 +336,19 @@ def cmd_asym(args) -> int:
 
 def cmd_explore(args) -> int:
     _check_n(args.n_max)
-    qs = args.q_grid or [args.q]
-    if min(qs) <= 0:
-        raise ValueError("bias parameter q must be positive")
+    # MeasureSpec refuses a q <= 0 before any row is made
+    qs = [MeasureSpec(args.n_max, q).q for q in args.q_grid or [args.q]]
+    route = dist.Provenance("enumeration" if args.tau == "123" else "series")
     rows = []
     for n in range(1, args.n_max + 1):
         counts = dist.fixed_point_row(n, args.tau)
         for q in qs:
-            weights = series.bias_weights(counts, q)
-            z = sum(weights)
-            mean = Fraction(sum(k * w for k, w in enumerate(weights)), z)
-            second = Fraction(sum(k * k * w for k, w in enumerate(weights)), z)
+            law = dist.FixedPointPMF(n, dict(enumerate(series.bias_weights(counts, q))), "exact", route)
             if args.emit == "pmf":
-                for k, w in enumerate(weights):
-                    if w:
-                        rows.append([n, str(q), k, series._value_to_text(Fraction(w, z))])
+                rows += [[n, str(q), k, text] for k, text in law.texts().items()]
             else:
-                rows.append([n, str(q), repr(float(mean)), repr(float(second - mean**2))])
+                mean = dist.pmf_moment(law, 1)
+                rows.append([n, str(q), repr(float(mean)), repr(float(dist.pmf_moment(law, 2) - mean**2))])
     columns = ["n", "q", "k", "probability"] if args.emit == "pmf" else ["n", "q", "mean", "variance"]
     Emitter(args.format, args.out).emit(columns, rows, preamble=[f"tau={args.tau}"])
     return 0

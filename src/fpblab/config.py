@@ -49,10 +49,7 @@ def budgets() -> dict[str, int]:
     return out
 
 
-def check_budget(kind: str, requested: int, hint: str = "") -> None:
+def check_budget(kind: str, requested: int) -> None:
     limit = budgets()[kind]
     if requested > limit:
-        msg = f"requested {kind} size {requested} exceeds budget {limit}"
-        if hint:
-            msg += f"; {hint}"
-        raise BudgetExceededError(msg)
+        raise BudgetExceededError(f"requested {kind} size {requested} exceeds budget {limit}")

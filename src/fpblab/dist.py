@@ -7,15 +7,16 @@ permutation under one of the three measure families:
 - bias q on all of S_n                  (tau = None),
 - uniform / bias q on the avoiders of a length-3 pattern tau.
 
-Exact mode carries Fractions that sum to one exactly, from the closed
-form or from the integer row of counts that `fixed_point_row` takes from
-the series engines (132/321/213 and 231/312) or from enumeration (123);
-float mode carries doubles from the positively-scaled row engine
-`series.scaled_weight_row` (entries accurate to machine-epsilon scale, sums
-normalized). It runs the O(n) positive recurrence of the closed form for
-row n alone (one law at n = 2000 and q = 3 takes about 3 ms on a 2-core
-Xeon). Monte-Carlo estimates record (seed, stream_id, sample count) so
-checks are reproducible bit for bit.
+An exact law keeps nonnegative integer weights over their sum: the row
+c_k a^k b^(n-k) at q = a/b of `_measure_weights` (the closed form, or the
+counts of `fixed_point_row`), or Monte-Carlo counts over the sample size.
+It builds a reduced Fraction only where one is read; its floats are int
+quotients. Float mode carries doubles from the positively-scaled row
+engine `series.scaled_weight_row` (entries accurate to machine-epsilon
+scale, sums normalized). It runs the O(n) positive recurrence of the
+closed form for row n alone (one law at n = 2000 and q = 3 takes about
+3 ms on a 2-core Xeon). Monte-Carlo estimates record (seed, stream_id,
+sample count) so checks are reproducible bit for bit.
 
 `pmf_to_json` writes every exact number in full, past the interpreter's
 digit limit for int/str conversion, and `pmf_from_json` reads back every
@@ -93,27 +94,15 @@ def _float_bias(q: Fraction) -> float:
     return float(q)
 
 
-def _exact_sum(values) -> Fraction:
-    """
-    Sum of rationals, adding the numerators over each distinct denominator
-    first: one big-integer gcd per denominator instead of one per term (the
-    terms of one law mostly share a denominator).
-    """
-    by_denominator: dict[int, int] = {}
-    for v in values:
-        v = Fraction(v)
-        by_denominator[v.denominator] = by_denominator.get(v.denominator, 0) + v.numerator
-    return sum((Fraction(num, den) for den, num in by_denominator.items()), Fraction(0))
-
-
 class FixedPointPMF:
     """
-    Law of the fixed-point count; weights indexed by k with sum 1.
+    Law of the fixed-point count: `cells` by k (zeros dropped) over `total`.
 
-    mode "exact" holds Fractions (exact sum); mode "float" holds doubles
-    (sum within 1e-12 after normalization). Weights must be nonnegative and
-    finite, and rational in exact mode. No measure puts mass on k = n-1
-    when n >= 2, and that is enforced here.
+    Mode "exact" puts nonnegative rationals over their least common
+    denominator (every route passes ints) and keeps those integers over
+    their sum. Mode "float" keeps doubles summing to 1 within 1e-9, divided
+    by their sum (`total` 1.0). Weights must be nonnegative and finite. No
+    measure puts mass on k = n-1 when n >= 2, and that is enforced here.
     """
 
     def __init__(self, n: int, weights: Mapping[int, Fraction | float], mode: str,
@@ -141,11 +130,14 @@ class FixedPointPMF:
         if n >= 2 and clean.get(n - 1, 0) != 0:
             raise ValueError(f"impossible mass at k = n-1 = {n - 1}")
         if mode == "exact":
-            if not all(isinstance(v, Rational) for v in clean.values()):
-                raise ValueError("exact weights must be rationals")
-            total = _exact_sum(clean.values())
-            if total != 1:
-                raise ValueError(f"exact weights must sum to 1, got {total}")
+            if set(map(type, clean.values())) - {int}:  # ints are their own numerators over 1
+                if not all(isinstance(v, Rational) for v in clean.values()):
+                    raise ValueError("exact weights must be rationals")
+                den = math.lcm(*(v.denominator for v in clean.values()))
+                clean = {k: v.numerator * (den // v.denominator) for k, v in clean.items()}
+            if not clean:
+                raise ValueError("exact weights must have a positive sum, got 0")
+            self.total = sum(clean.values())
         else:
             total = sum(clean.values())
             if not math.isclose(float(total), 1.0, rel_tol=0, abs_tol=1e-9):
@@ -154,37 +146,56 @@ class FixedPointPMF:
                 clean = {k: float(v) / float(total) for k, v in clean.items()}
             else:
                 clean = dict(zip(clean, (probs / total).tolist()))
+            self.total = 1.0
         keys = list(clean)
-        self.weights = clean if keys == sorted(keys) else dict(sorted(clean.items()))
+        self.cells = clean if keys == sorted(keys) else dict(sorted(clean.items()))
+
+    @property
+    def weights(self) -> dict:
+        """The law by k: reduced Fractions, built when read, in exact mode."""
+        if self.mode == "float":
+            return self.cells
+        return {k: Fraction(w, self.total) for k, w in self.cells.items()}
+
+    @property
+    def float_weights(self) -> dict[int, float]:
+        """The law by k as doubles: int quotients, correctly rounded as a Fraction's float is."""
+        return self.cells if self.mode == "float" else {k: w / self.total for k, w in self.cells.items()}
+
+    def texts(self) -> dict[int, str]:
+        """`series._value_to_text` of each weight, reduced by one gcd per k in exact mode."""
+        if self.mode == "float":
+            return {k: series._value_to_text(v) for k, v in self.cells.items()}
+        gcds = {k: math.gcd(w, self.total) for k, w in self.cells.items()}
+        return {k: series._ratio_to_text(w // gcds[k], self.total // gcds[k]) for k, w in self.cells.items()}
 
     def pmf(self, k: int):
-        return self.weights.get(k, Fraction(0) if self.mode == "exact" else 0.0)
+        return self.cells.get(k, 0.0) if self.mode == "float" else Fraction(self.cells.get(k, 0), self.total)
 
     @property
     def support(self) -> list[int]:
-        return list(self.weights)
+        return list(self.cells)
 
     def reweighted(self, q) -> "FixedPointPMF":
         """
         Tilt by q^k and renormalize (the change of measure between bias
-        levels): result(k) = q^k * self(k) / sum_j q^j * self(j).
+        levels): result(k) = q^k * self(k) / sum_j q^j * self(j), from the
+        integer tilt `series.bias_weights` of the law's integer row.
         """
         q = as_rational(q)
         if self.mode != "exact":
             raise ValueError("only an exact law is reweighted; tilt the exact law, then take its floats")
-        w = {k: q**k * v for k, v in self.weights.items()}
-        z = sum(w.values())
-        w = {k: v / z for k, v in w.items()}
+        row = [self.cells.get(k, 0) for k in range(self.n + 1)]
         new_spec = None
         if self.spec is not None:
             new_spec = MeasureSpec(self.n, self.spec.q * q, self.spec.tau)
-        return FixedPointPMF(self.n, w, self.mode, self.provenance, new_spec)
+        return FixedPointPMF(self.n, dict(enumerate(series.bias_weights(row, q))), "exact",
+                             self.provenance, new_spec)
 
     def as_float(self) -> "FixedPointPMF":
         if self.mode == "float":
             return self
-        return FixedPointPMF(self.n, {k: float(v) for k, v in self.weights.items()},
-                             "float", self.provenance, self.spec)
+        return FixedPointPMF(self.n, self.float_weights, "float", self.provenance, self.spec)
 
 
 def _measure_weights(spec: MeasureSpec) -> tuple[list[int], str]:
@@ -207,18 +218,10 @@ def _measure_weights(spec: MeasureSpec) -> tuple[list[int], str]:
     return series.bias_weights(counts, q), "enumeration" if tau == "123" else "series"
 
 
-def _pmf_from_weights(spec: MeasureSpec, mode: str) -> FixedPointPMF:
-    """
-    The law of `spec` from `_measure_weights`: the Fractions w_k / z in mode "exact", in mode
-    "float" the ints' true quotients, the correctly rounded doubles of those Fractions.
-    """
+def _exact_law(spec: MeasureSpec) -> FixedPointPMF:
+    """The exact law of `spec`: the integer weights of `_measure_weights` over their sum."""
     weights, kind = _measure_weights(spec)
-    z = sum(weights)
-    if mode == "exact":
-        probs = {k: Fraction(w, z) for k, w in enumerate(weights) if w}
-    else:
-        probs = {k: w / z for k, w in enumerate(weights) if w}
-    return FixedPointPMF(spec.n, probs, mode, Provenance(kind), spec)
+    return FixedPointPMF(spec.n, dict(enumerate(weights)), "exact", Provenance(kind), spec)
 
 
 def fixed_point_row(n: int, tau: str) -> tuple[int, ...]:
@@ -256,10 +259,10 @@ def fp_pmf(spec: MeasureSpec, mode: str = "exact", rng=None, samples: int | None
     caps = budgets()
     n, q, tau = spec.n, spec.q, spec.tau
     if mode == "exact":
-        return _pmf_from_weights(spec, "exact")
+        return _exact_law(spec)
     if mode == "scaled-float":
         if tau is None or (tau not in TAU_CLASS and n <= caps["enum"]):
-            return _pmf_from_weights(spec, "float")
+            return _exact_law(spec).as_float()
         if tau not in TAU_CLASS:
             raise UnsupportedMeasureError(
                 f"pattern {tau} has no large-n float route (only 132/321/213 do); "
@@ -274,7 +277,7 @@ def fp_pmf(spec: MeasureSpec, mode: str = "exact", rng=None, samples: int | None
         from . import sampling  # deferred: sampling builds on this module
 
         if rng is None or samples is None:
-            raise ValueError("monte-carlo mode needs rng= and samples=")
+            raise ValueError("monte-carlo mode needs --samples (library calls pass samples= and rng=)")
         if tau == "123":
             base = sampling.monte_carlo_fp_pmf(n, tau, samples, rng)
             return base if q == 1 else base.reweighted(q)
@@ -447,8 +450,9 @@ def tv_distance(pmf: FixedPointPMF, law) -> float:
     """
     if not getattr(law, "discrete", False):
         raise ValueError(f"{law!r} is continuous; use kolmogorov_distance with a scaling")
+    w = pmf.float_weights
     p = np.zeros(pmf.n + 1)
-    p[list(pmf.weights)] = np.fromiter(pmf.weights.values(), float, len(pmf.weights))
+    p[list(w)] = np.fromiter(w.values(), float, len(w))
     lk = law.pmf_array(pmf.n)
     acc = np.cumsum(np.abs(p - lk))[-1]
     acc += max(1.0 - np.cumsum(lk)[-1], 0.0)
@@ -470,30 +474,25 @@ def kolmogorov_distance(pmf: FixedPointPMF, law, center=0.0, scale=1.0) -> float
         raise ValueError("scale must be positive")
     if getattr(law, "discrete", True):
         raise ValueError(f"{law!r} is discrete; use tv_distance")
-    ks = np.fromiter(pmf.weights, float, len(pmf.weights))
+    w = pmf.float_weights
+    ks = np.fromiter(w, float, len(w))
     lc = law.cdf((ks - float(center)) / scale)
-    run = np.cumsum(np.fromiter(pmf.weights.values(), float, len(pmf.weights)))
+    run = np.cumsum(np.fromiter(w.values(), float, len(w)))
     left = np.concatenate(([0.0], run[:-1]))  # the left limit at each jump
     return float(max(np.abs(left - lc).max(), np.abs(run - lc).max()))
 
 
 def pmf_moment(pmf: FixedPointPMF, m: int, kind: str = "raw"):
-    """m-th raw moment sum k^m p_k, or falling-factorial moment sum (k)_m p_k."""
+    """
+    m-th raw moment sum k^m p_k, or falling-factorial moment sum (k)_m p_k:
+    one Fraction over the law's total in exact mode.
+    """
     if m < 1:
         raise ValueError("moment order must be >= 1")
     if kind not in ("raw", "factorial"):
         raise ValueError("kind must be 'raw' or 'factorial'")
-    zero = Fraction(0) if pmf.mode == "exact" else 0.0
-    total = zero
-    for k, v in pmf.weights.items():
-        if kind == "raw":
-            term = k**m
-        else:
-            term = 1
-            for i in range(m):
-                term *= k - i
-        total += term * v
-    return total
+    total = sum((k**m if kind == "raw" else math.perm(k, m)) * v for k, v in pmf.cells.items())
+    return total if pmf.mode == "float" else Fraction(total, pmf.total)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +507,7 @@ def pmf_to_json(pmf: FixedPointPMF) -> str:
         "q": series._value_to_text(spec.q) if spec is not None else None,
         "tau": spec.tau if spec is not None else None,
         "mode": pmf.mode,
-        "weights": [[str(k), series._value_to_text(v)] for k, v in pmf.weights.items()],
+        "weights": [[str(k), text] for k, text in pmf.texts().items()],
         "seed": pmf.provenance.seed,
         "stream_id": pmf.provenance.stream_id,
         "samples": pmf.provenance.samples,
@@ -524,7 +523,11 @@ def _parse_value(text: str):
 
 
 def pmf_from_json(text: str) -> FixedPointPMF:
-    """Read back `pmf_to_json`; text that does not hold a valid law raises ValueError."""
+    """
+    Read back `pmf_to_json`; text that does not hold a valid law raises
+    ValueError. Exact weights must sum to 1, checked on the integers over
+    the least common denominator of the parsed weights.
+    """
     try:
         data = json.loads(text)
         n = data["n"]
@@ -536,7 +539,12 @@ def pmf_from_json(text: str) -> FixedPointPMF:
         prov = Provenance(data.get("provenance", "series"), data.get("samples"),
                           data.get("seed"), data.get("stream_id"))
         weights = {int(k): _parse_value(v) for k, v in data["weights"]}
-        return FixedPointPMF(n, weights, data["mode"], prov, spec)
+        law = FixedPointPMF(n, weights, data["mode"], prov, spec)
+        if law.mode == "exact":
+            den = math.lcm(*(v.denominator for v in weights.values()))
+            if law.total != den:
+                raise ValueError(f"exact weights must sum to 1, got {Fraction(law.total, den)}")
+        return law
     except (KeyError, TypeError, AttributeError, ZeroDivisionError, OverflowError) as exc:
         # wrong types or shapes, a zero denominator, a float too large to read
         raise ValueError(f"not a fixed-point law: {exc!r}") from exc

@@ -71,7 +71,6 @@ from __future__ import annotations
 
 import bisect
 import threading
-from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from math import ceil, exp, isqrt, lgamma, log
@@ -983,21 +982,22 @@ def sample_fp_count_batch(n: int, q, tau: str | None, rng: RandomSource, count: 
                           mode: str = "exact") -> np.ndarray:
     """
     `count` draws of the fixed-point count of a biased tau-avoider, or with
-    tau=None of a biased permutation of S_n (the law itself, no permutation
-    is constructed): exact inverse cdf over big-integer weights, or float
-    inverse cdf in scaled-float mode. With tau=None both modes draw the
-    exact law, the counts K that `sample_biased_unrestricted_batch` draws
-    first, from the same stream.
+    tau=None of a biased permutation of S_n (no permutation is constructed;
+    the counts K that `sample_biased_unrestricted_batch` draws first), by
+    exact inverse cdf over big-integer weights. Scaled-float mode draws
+    132/321/213 by float inverse cdf over the float row engine's law; for
+    tau=None and 231/312/123 that law only rounds the exact one, so both
+    modes draw the exact law from the same stream.
     """
     _check_sizes(n, count)
     spec = MeasureSpec(n, q, tau)
     if mode not in ("exact", "scaled-float"):
         raise ValueError(f"unknown mode {mode!r}")
-    if mode == "exact" or tau is None:
+    if mode == "exact" or spec.tau not in series.TAU_CLASS:
         return _inverse_cdf(_measure_weights(spec)[0], count, rng)
     pmf = fp_pmf(spec, mode="scaled-float")
     ks = np.array(pmf.support)
-    cdf = np.cumsum([pmf.weights[k] for k in pmf.support])
+    cdf = np.cumsum(list(pmf.cells.values()))
     cdf[-1] = 1.0
     u = rng.generator.random(count)
     return ks[np.searchsorted(cdf, u, side="right")]
@@ -1117,14 +1117,13 @@ def monte_carlo_fp_pmf(n: int, tau: str, samples: int, rng: RandomSource) -> Fix
     """
     Empirical fixed-point law of `samples` uniform tau-avoiders.
 
-    Weights are exact rationals count/samples; the provenance records
+    An exact law: the counts by k over `samples`. The provenance records
     (seed, stream_id, samples) so the estimate is reproducible bit for bit.
     """
     if samples < 1:
         raise ValueError("samples must be positive")
     tau = check_pattern(tau)
     fps = uniform_avoider_fp_batch(n, tau, samples, rng)
-    counts = np.bincount(fps, minlength=1)
-    weights = {int(k): Fraction(int(c), samples) for k, c in enumerate(counts) if c}
+    counts = dict(enumerate(np.bincount(fps, minlength=1).tolist()))
     prov = Provenance("monte-carlo", samples=samples, seed=rng.seed, stream_id=rng.stream_id)
-    return FixedPointPMF(n, weights, "exact", prov, MeasureSpec(n, Fraction(1), tau))
+    return FixedPointPMF(n, counts, "exact", prov, MeasureSpec(n, 1, tau))

@@ -113,7 +113,6 @@ import numpy as np
 from .config import BudgetExceededError, budgets, check_budget
 
 TAU_CLASS = ("132", "321", "213")  # patterns sharing the generating function
-_POLY_HINT = "use avoider_series at large n"
 _SHIFT = 512  # scaled_weight_row shifts its recurrence down by 2^_SHIFT once past it
 
 
@@ -166,7 +165,7 @@ def avoider_polynomials(n_max: int) -> list[tuple[int, ...]]:
     to Catalan(n), and sum_k row[k] q^k is the normalization constant of the
     biased avoiding measure.
     """
-    check_budget("poly", n_max, hint=_POLY_HINT)
+    check_budget("poly", n_max)
     return [avoider_row(n) for n in range(n_max + 1)]
 
 
@@ -178,7 +177,7 @@ def avoider_row(n: int) -> tuple[int, ...]:
     from the positive recurrence of the module docstring. Both divisions
     are exact.
     """
-    check_budget("poly", n, hint=_POLY_HINT)
+    check_budget("poly", n)
     p = [1, 0]
     for j in range(1, n):
         p.append((3 * j * p[j] + 2 * (n + 2 - j) * p[j - 1]) // (j + 1))

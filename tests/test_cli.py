@@ -599,6 +599,17 @@ def test_monte_carlo_refuses_nonpositive_samples(capsys):
         assert "samples must be positive" in err
 
 
+def test_monte_carlo_refusal_names_the_samples_flag(capsys):
+    code, out, err = run_cli(capsys, "pmf", "--n", "5", "--q", "1", "--tau", "321", "--mode", "monte-carlo")
+    assert (code, out) == (2, "")
+    assert err == "error: monte-carlo mode needs --samples (library calls pass samples= and rng=)\n"
+
+
+def test_poly_refusal_names_no_library_call(capsys):
+    code, out, err = run_cli(capsys, "count", "--tau", "321", "--n", "2000")
+    assert (code, out, err) == (2, "", "error: requested poly size 2000 exceeds budget 1500\n")
+
+
 def test_verify_pass_and_fail_exit_codes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--law", "1", "--q", "2", "--n", "100")
     assert code == 0 and out.startswith("PASS check=poisson")

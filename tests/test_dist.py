@@ -306,6 +306,38 @@ def test_reweighting_identity():
                 assert direct.weights == tilted.weights, (n, tau, q)
 
 
+def test_reweighting_is_the_integer_tilt_of_measure_weights():
+    # the tilt of an exact law's integers is the measure's own integer row, cell for cell
+    for tau, n_top in (("321", 30), ("231", 9), ("123", 9)):
+        for n in range(n_top + 1):
+            base = fp_pmf(MeasureSpec(n, 1, tau))
+            for q in (F(2), F(1, 3), F(7, 3)):
+                want = dist._measure_weights(MeasureSpec(n, q, tau))[0]
+                tilted = base.reweighted(q)
+                assert tilted.cells == {k: w for k, w in enumerate(want) if w}, (tau, n, q)
+                assert tilted.total == sum(want) and tilted.spec == MeasureSpec(n, q, tau)
+    # the Monte-Carlo 123 law: the sample counts over the sample size, tilted the same way
+    base = fp_pmf(MeasureSpec(60, 1, "123"), mode="monte-carlo", rng=sampling.RandomSource(8), samples=500)
+    est = fp_pmf(MeasureSpec(60, F(5, 2), "123"), mode="monte-carlo", rng=sampling.RandomSource(8),
+                 samples=500)
+    assert base.total == 500 and sum(base.cells.values()) == 500
+    row = [base.cells.get(k, 0) for k in range(61)]
+    want = series.bias_weights(row, F(5, 2))
+    assert est.cells == {k: w for k, w in enumerate(want) if w} and est.total == sum(want)
+
+
+def test_exact_law_is_integer_weights_over_their_sum():
+    # rationals are put over their least common denominator and normalized by their sum
+    law = FixedPointPMF(3, {3: 6, 0: 2, 1: 0}, "exact", Provenance("series"))
+    assert law.cells == {0: 2, 3: 6} and law.total == 8
+    assert law.weights == {0: F(1, 4), 3: F(3, 4)} and law.pmf(1) == 0 and law.pmf(3) == F(3, 4)
+    assert law.float_weights == {0: 0.25, 3: 0.75} and law.texts() == {0: "1/4", 3: "3/4"}
+    law = FixedPointPMF(4, {0: F(1, 6), 2: F(1, 4)}, "exact", Provenance("series"))
+    assert law.cells == {0: 2, 2: 3} and law.total == 5 and law.weights == {0: F(2, 5), 2: F(3, 5)}
+    with pytest.raises(ValueError, match="^exact weights must have a positive sum, got 0$"):
+        FixedPointPMF(3, {0: 0}, "exact", Provenance("series"))
+
+
 def test_normalization_identity():
     # expected bias weight under the uniform avoiding law equals the ratio of
     # normalization constants
@@ -358,6 +390,15 @@ def test_pmf_from_json_refuses_negative_and_undefined_mass():
         pmf_from_json(json.dumps({"n": 2, "mode": "exact", "q": "1/0", "weights": [["0", "1"]]}))
     with pytest.raises(ValueError, match="finite"):
         FixedPointPMF(2, {0: float("nan"), 2: 1.0}, "float", Provenance("series"))
+
+
+@pytest.mark.parametrize("weights, total", [([["0", "1/2"], ["3", "1/4"]], "3/4"),
+                                            ([["0", "1/2"], ["1", "3/4"], ["2", "0"]], "5/4")])
+def test_pmf_from_json_refuses_exact_mass_off_one(weights, total):
+    # outside text is checked where the program's own laws are normalized by construction
+    text = json.dumps({"n": 3, "mode": "exact", "weights": weights})
+    with pytest.raises(ValueError, match=f"^exact weights must sum to 1, got {total}$"):
+        pmf_from_json(text)
 
 
 _NUMBER_TEXTS = st.sampled_from(["0", "1", "-1", "1/2", "-1/2", "3/2", "2/4", "1/0", "0/0", "0.5",

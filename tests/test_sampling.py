@@ -938,6 +938,21 @@ def test_unrestricted_fp_counts_are_exact_in_both_modes():
         assert np.array_equal(flt, exact), (n, q)
 
 
+@pytest.mark.parametrize("tau", ["231", "312", "123"])
+def test_rational_pattern_fp_counts_are_exact_in_both_modes(tau):
+    # the float law of 231/312/123 is only a rounding of the exact law, so both modes
+    # draw the exact law by the one inverse cdf, and past the enum cap both give its refusal
+    for n in range(13):
+        for q in (F(1, 2), F(2), F(7, 3)):
+            exact = sampling.sample_fp_count_batch(n, q, tau, RandomSource(3), 40)
+            flt = sampling.sample_fp_count_batch(n, q, tau, RandomSource(3), 40, mode="scaled-float")
+            assert np.array_equal(flt, exact), (n, q)
+    for mode in ("exact", "scaled-float"):
+        with pytest.raises(UnsupportedMeasureError,
+                           match=rf"^no exact route for bias 2 on {tau}-avoiders of length 13: .*capped at n=12"):
+            sampling.sample_fp_count_batch(13, 2, tau, RandomSource(3), 4, mode=mode)
+
+
 @pytest.mark.parametrize("n", [0, 1, 6, 10, 11, 12, 40])
 def test_whole_permutations_of_s_n_come_from_the_batch_sampler(n):
     # tau = None is the batch unrestricted sampler's call, so its stream, at every n, and
